@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,25 +50,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_INCONCLUSIVE = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the sampling commands."""
-
-    tolerance: float = 1e-8
-    samples: int = 20000
-    seed: int = 0
-    boundary_fraction: float = 0.1
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InvalidParamsError("tolerance must be positive")
-        if self.samples < 1:
-            raise InvalidParamsError("samples must be >= 1")
-        if not 0.0 <= self.boundary_fraction <= 1.0:
-            raise InvalidParamsError("boundary fraction must lie in [0, 1]")
 
 
 def parse_schedule_arg(value: str):
@@ -181,26 +161,21 @@ def _cmd_verify(args) -> int:
     sdoc = parse_strategy_file(args.strategy, game)
     schedule = _schedule_for(args, sdoc.schedule)
     relation = _relation_from_args(args, game)
-    config = RunConfig(tolerance=args.tol, samples=args.samples,
-                       seed=args.seed, output_path=args.out)
     report = verify_relation(game, sdoc.strategies, schedule, relation,
-                             samples=config.samples, tol=config.tolerance,
-                             seed=config.seed,
-                             boundary_fraction=config.boundary_fraction)
+                             samples=args.samples, tol=args.tol,
+                             seed=args.seed)
     status = "pass" if report.passed else "FAIL"
     print(f"{status}: max |relation residual| = "
           f"{report.max_abs_violation:.6g} over {report.samples_used} "
           f"samples ({report.samples_skipped} skipped), tolerance "
-          f"{config.tolerance:g}")
-    if config.output_path:
+          f"{args.tol:g}")
+    if args.out:
         header = ["sample"] + [f"u{i + 1}" for i in range(game.player_count)] \
             + ["residual"]
-        rows = [
-            [i, *report.payoffs[i], report.residuals[i]]
-            for i in range(report.samples_used)
-        ]
-        write_csv(config.output_path, header, rows)
-        print(f"wrote {config.output_path}")
+        table = np.column_stack([np.arange(report.samples_used),
+                                 report.payoffs, report.residuals])
+        write_csv(args.out, header, table)
+        print(f"wrote {args.out}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -36,20 +36,27 @@ from .dynamics import (
     MixedAction,
     StrategyProfile,
     average_distribution,
+    batched_average,
     check_strategy,
     classify_schedule,
+    profile_product,
 )
 from .errors import (
     DimensionMismatchError,
     InconsistentStrategyError,
     InvalidParamsError,
     NoConvergenceError,
+    NonFiniteEntryError,
     UnknownActionError,
     UnsupportedScheduleError,
 )
-from .games import GameSpec
+from .games import MIXED_SUM_TOL, GameSpec
 
 RANK_TOL = 1e-9
+
+# Opponents evaluated per stacked solve; bounds the (block, n, n) working
+# set whatever the sample count.
+VERIFY_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +94,7 @@ class PayoffRelation:
             gamma = -gamma
         # + 0.0 turns any negative zero from the sign flip into plain zero
         object.__setattr__(self, "alpha", tuple(float(a) + 0.0 for a in alpha))
-        object.__setattr__(self, "gamma", gamma + 0.0)
+        object.__setattr__(self, "gamma", float(gamma) + 0.0)
 
     def coefficients(self) -> np.ndarray:
         return np.append(self.alpha, self.gamma)
@@ -307,35 +314,67 @@ class VerificationReport:
 
 
 def interior_simplex(rng: np.random.Generator, size: int,
-                     count: int | None = None, low: float = 0.05) -> np.ndarray:
+                     count: int | tuple[int, ...] | None = None,
+                     low: float = 0.05) -> np.ndarray:
     """Dirichlet draws squeezed so every entry lies in [low, 1 - low]."""
     raw = rng.dirichlet(np.ones(size), size=count)
     return low + (1.0 - size * low) * raw
 
 
-def _sample_rows(rng: np.random.Generator, rows: int, size: int,
-                 boundary: bool) -> np.ndarray:
-    table = interior_simplex(rng, size, rows)
+def sample_markov_tables(rng: np.random.Generator, game: GameSpec,
+                         player: int, count: int,
+                         boundary: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random Markov strategies of one player, as arrays.
+
+    Returns conditionals of shape (count, profile_count, m) and initials
+    of shape (count, m).  Interior entries lie in [0.05, 0.95]; boundary
+    draws make about half the rows one-hot and the initial action a
+    point mass with probability 1/2.
+    """
+    m = game.action_counts[player]
+    conditionals = interior_simplex(rng, m, (count, game.profile_count))
+    initial = interior_simplex(rng, m, count)
     if boundary:
-        # replace about half the rows by deterministic choices
-        pick = rng.random(rows) < 0.5
-        for r in np.where(pick)[0]:
-            row = np.zeros(size)
-            row[rng.integers(size)] = 1.0
-            table[r] = row
-    return table
+        onehot = np.eye(m)
+        pick = rng.random((count, game.profile_count)) < 0.5
+        conditionals[pick] = onehot[rng.integers(m, size=int(pick.sum()))]
+        point = rng.random(count) < 0.5
+        initial[point] = onehot[rng.integers(m, size=int(point.sum()))]
+    return conditionals, initial
 
 
 def sample_markov_strategy(rng: np.random.Generator, game: GameSpec,
                            player: int, boundary: bool = False) -> MarkovStrategy:
-    """Random Markov strategy; boundary draws mix in one-hot rows."""
-    m = game.action_counts[player]
-    conditionals = _sample_rows(rng, game.profile_count, m, boundary)
-    if boundary and rng.random() < 0.5:
-        initial = MixedAction.point(m, int(rng.integers(m)))
-    else:
-        initial = MixedAction(interior_simplex(rng, m))
-    return MarkovStrategy(player, initial, conditionals)
+    """Random Markov strategy: the single draw of ``sample_markov_tables``."""
+    conditionals, initial = sample_markov_tables(rng, game, player, 1, boundary)
+    return MarkovStrategy(player, MixedAction(initial[0]), conditionals[0])
+
+
+def _draw_opponents(rng: np.random.Generator, game: GameSpec,
+                    opponents: Sequence[int], samples: int,
+                    n_boundary: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Conditional and initial tables of every sampled opponent, one
+    (conditionals, initials) pair per opponent player; the last
+    ``n_boundary`` samples are boundary draws."""
+    drawn = []
+    for player in opponents:
+        interior = sample_markov_tables(rng, game, player, samples - n_boundary)
+        edge = sample_markov_tables(rng, game, player, n_boundary, boundary=True)
+        drawn.append(tuple(np.concatenate(pair) for pair in zip(interior, edge)))
+    return drawn
+
+
+def _check_tables(conditionals: np.ndarray, initials: np.ndarray) -> None:
+    """The MarkovStrategy and MixedAction checks, over a stack of draws."""
+    for table, what, sum_tol in ((conditionals, "conditional table", 1e-12),
+                                 (initials, "initial mixed action",
+                                  MIXED_SUM_TOL)):
+        if not np.all(np.isfinite(table)):
+            raise NonFiniteEntryError(f"{what} has a non-finite entry")
+        if np.any(table < -1e-12) or np.any(table > 1.0 + 1e-12):
+            raise InvalidParamsError(f"{what} entries must lie in [0, 1]")
+        if np.any(np.abs(table.sum(axis=-1) - 1.0) > sum_tol):
+            raise InvalidParamsError(f"{what} rows must sum to 1")
 
 
 def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -349,53 +388,79 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     exercise reducible and periodic chains.  Effective payoffs use the
     exact limiting average, so residuals reflect the claim, not estimator
     noise.
+
+    All opponents are drawn at once and evaluated block by block with
+    ``batched_average``; a sample the batched solve cannot settle exactly
+    is re-run through ``average_distribution``, which skips it on
+    NoConvergenceError as before.
     """
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
+    if not tol > 0.0:
+        raise InvalidParamsError("tolerance must be positive")
+    if not 0.0 <= boundary_fraction <= 1.0:
+        raise InvalidParamsError("boundary fraction must lie in [0, 1]")
+    if len(relation.alpha) != game.player_count:
+        raise DimensionMismatchError(
+            f"relation has {len(relation.alpha)} alpha coefficients for "
+            f"{game.player_count} players")
     controllers = sorted(s.player for s in strategies)
+    if len(set(controllers)) != len(controllers):
+        raise InconsistentStrategyError("duplicate player in strategy profile")
+    for strat in strategies:
+        check_strategy(game, strat)
     opponents = [p for p in range(game.player_count) if p not in controllers]
     rng = np.random.default_rng(seed)
     n_boundary = int(round(samples * boundary_fraction))
-    alpha = np.array(relation.alpha)
+    drawn = _draw_opponents(rng, game, opponents, samples, n_boundary)
+    for conditionals, initials in drawn:
+        _check_tables(conditionals, initials)
 
+    def opponents_of(k: int) -> tuple[MarkovStrategy, ...]:
+        return tuple(MarkovStrategy(p, MixedAction(init[k]), cond[k])
+                     for p, (cond, init) in zip(opponents, drawn))
+
+    shared = {s.player: (s.conditionals, s.initial.probs) for s in strategies}
+    form = classify_schedule(schedule)
+    n = game.profile_count
     payoffs = np.empty((samples, game.player_count))
-    residuals = np.empty(samples)
-    boundary_mask = np.zeros(samples, dtype=bool)
-    worst = None
-    worst_val = -1.0
-    skipped = 0
-    used = 0
-    for k in range(samples):
-        boundary = k >= samples - n_boundary
-        drawn = tuple(sample_markov_strategy(rng, game, p, boundary)
-                      for p in opponents)
-        profile = StrategyProfile(tuple(strategies) + drawn)
-        try:
-            ubar = game.payoffs.T @ average_distribution(
-                game, profile, schedule).dist.probs
-        except NoConvergenceError:
-            skipped += 1
-            continue
-        value = abs(float(alpha @ ubar + relation.gamma))
-        payoffs[used] = ubar
-        residuals[used] = value
-        boundary_mask[used] = boundary
-        if value > worst_val:
-            worst_val = value
-            worst = drawn
-        used += 1
-    payoffs = payoffs[:used]
-    residuals = residuals[:used]
-    boundary_mask = boundary_mask[:used]
+    kept = np.ones(samples, dtype=bool)
+    for start in range(0, samples, VERIFY_BLOCK):
+        block = slice(start, min(start + VERIFY_BLOCK, samples))
+        size = block.stop - start
+        tables = {**shared, **{p: (cond[block], init[block])
+                               for p, (cond, init) in zip(opponents, drawn)}}
+        conds, inits = zip(*(tables[p] for p in range(game.player_count)))
+        m = np.broadcast_to(profile_product(game, conds), (size, n, n))
+        v1 = np.broadcast_to(profile_product(game, inits), (size, n))
+        vbar, ok = batched_average(m, v1, form)
+        payoffs[block] = vbar @ game.payoffs
+        for k in start + np.flatnonzero(~ok):
+            profile = StrategyProfile(tuple(strategies) + opponents_of(k))
+            try:
+                dist = average_distribution(game, profile, schedule).dist
+            except NoConvergenceError:
+                kept[k] = False
+                continue
+            payoffs[k] = game.payoffs.T @ dist.probs
+    residuals = np.abs(payoffs @ np.array(relation.alpha) + relation.gamma)
+    boundary_mask = np.arange(samples) >= samples - n_boundary
+    used = int(kept.sum())
+    if used:
+        worst = int(np.flatnonzero(kept)[np.argmax(residuals[kept])])
+        worst_val = float(residuals[worst])
+        worst_opponents = opponents_of(worst)
+    else:
+        worst_val, worst_opponents = -1.0, ()
     return VerificationReport(
         passed=bool(used and worst_val <= tol),
-        max_abs_violation=float(worst_val),
-        worst_opponents=worst or (),
-        payoffs=payoffs,
-        residuals=residuals,
-        boundary_mask=boundary_mask,
+        max_abs_violation=worst_val,
+        worst_opponents=worst_opponents,
+        payoffs=payoffs[kept],
+        residuals=residuals[kept],
+        boundary_mask=boundary_mask[kept],
         samples_used=used,
-        samples_skipped=skipped,
+        samples_skipped=samples - used,
     )
 
 

@@ -19,8 +19,9 @@ The limiting average is computed exactly:
 * finite horizon or explicit per-round values: exact weighted sum, with a
   resolvent closed form for the constant tail.
 
-A slow running-average iterator is kept as a reference estimator for
-tests; its O(1/t) convergence makes it unsuitable for tight tolerances.
+``batched_average`` evaluates a whole stack of chains at once for the two
+regimes that have ruling vectors and flags every chain it cannot settle
+exactly, so callers re-run only those through ``average_distribution``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,17 @@ from .errors import (
     NonFiniteEntryError,
     PlayerOutOfRangeError,
 )
-from .games import GameSpec, MixedAction, ProfileDistribution, _readonly
+from .games import (
+    CLAMP_TOL,
+    DIST_SUM_TOL,
+    GameSpec,
+    MixedAction,
+    ProfileDistribution,
+    _readonly,
+)
+
+# Largest a-posteriori residual an exact average may carry.
+RESIDUAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +309,32 @@ def repeat_strategy(game: GameSpec, player: int,
     return MarkovStrategy(player, initial, table)
 
 
+def profile_product(game: GameSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Product over players p of ``tables[p][..., a_p(b)]`` for each profile b.
+
+    With conditional tables (rows = previous profiles) this is the
+    transition matrix; with initial mixed actions it is the round-1
+    distribution.  Leading axes broadcast, so shared controller tables and
+    per-sample opponent tables combine into one stack.
+    """
+    actions = game.profile_actions
+    out = 1.0
+    for player, table in enumerate(tables):
+        out = out * table[..., actions[:, player]]
+    return out
+
+
 def transition_matrix(game: GameSpec, profile: StrategyProfile) -> np.ndarray:
     """M[a, b] = probability of profile b right after profile a."""
     check_profile(game, profile)
-    count = game.profile_count
-    actions = game.profile_actions
-    m = np.ones((count, count))
-    for strat in profile.strategies:
-        m *= strat.conditionals[:, actions[:, strat.player]]
-    return m
+    return profile_product(game, [s.conditionals for s in profile.strategies])
 
 
 def initial_distribution(game: GameSpec, profile: StrategyProfile) -> ProfileDistribution:
     """Round-1 profile distribution: the product of the initial actions."""
     check_profile(game, profile)
-    actions = game.profile_actions
-    v = np.ones(game.profile_count)
-    for strat in profile.strategies:
-        v *= strat.initial.probs[actions[:, strat.player]]
-    return ProfileDistribution(v)
+    return ProfileDistribution(
+        profile_product(game, [s.initial.probs for s in profile.strategies]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +346,12 @@ class AvgDistributionResult:
     """Limiting average with provenance.
 
     method: "cesaro" (limit average of the chain), "closed_form_delta", or
-    "truncated_sum".  ``iterations`` counts summed rounds where relevant.
-    ``residual`` is an a-posteriori check value and is at most the
-    requested tolerance.
+    "truncated_sum".  ``residual`` is an a-posteriori check value and is at
+    most the requested tolerance.
     """
 
     dist: ProfileDistribution
     method: str
-    iterations: int
     residual: float
 
 
@@ -353,7 +369,7 @@ def _stationary(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         x = None
     if x is None or not np.all(np.isfinite(x)) \
-            or np.max(np.abs(x @ m - x)) > 1e-9:
+            or np.max(np.abs(x @ m - x)) > RESIDUAL_TOL:
         # fall back to the null space of (I - M)^T
         _, s, vt = np.linalg.svd((np.eye(n) - m).T)
         x = vt[-1]
@@ -425,21 +441,21 @@ def average_distribution(game: GameSpec, profile: StrategyProfile,
     if isinstance(kind, InfiniteExpectedRounds):
         vbar = _limit_average(m, v1)
         residual = float(np.abs(vbar @ m - vbar).sum())
-        if residual > max(tol, 1e-9):
+        if residual > max(tol, RESIDUAL_TOL):
             raise NoConvergenceError(
                 f"limit average residual {residual:.3e} exceeds tolerance")
-        return AvgDistributionResult(ProfileDistribution(vbar), "cesaro", 0, residual)
+        return AvgDistributionResult(ProfileDistribution(vbar), "cesaro", residual)
 
     if isinstance(kind, ConstantContinuation):
         delta = kind.delta
         vbar = _discounted_average(m, v1, delta)
         residual = float(np.abs(vbar @ (np.eye(len(v1)) - delta * m)
                                 - (1.0 - delta) * v1).sum())
-        if residual > max(tol, 1e-9):
+        if residual > max(tol, RESIDUAL_TOL):
             raise NoConvergenceError(
                 f"closed form residual {residual:.3e} exceeds tolerance")
         return AvgDistributionResult(
-            ProfileDistribution(vbar), "closed_form_delta", 0, residual)
+            ProfileDistribution(vbar), "closed_form_delta", residual)
 
     # finite horizon or custom: exact weighted sum.  Once the continuation
     # becomes constant (the custom tail) the remaining sum is a resolvent.
@@ -475,31 +491,93 @@ def average_distribution(game: GameSpec, profile: StrategyProfile,
         p = p_next
         t += 1
     vbar = num / den
-    return AvgDistributionResult(ProfileDistribution(vbar), "truncated_sum", t, 0.0)
+    return AvgDistributionResult(ProfileDistribution(vbar), "truncated_sum", 0.0)
 
 
-def cesaro_average_estimate(m: np.ndarray, v1: np.ndarray,
-                            tol: float = 1e-6, max_iter: int = 10 ** 6,
-                            window: int = 100) -> np.ndarray:
-    """Running average of power iterates, stopped when the average moves
-    less than ``tol`` (L1) across ``window`` iterations.
+def single_closed_class(m: np.ndarray) -> np.ndarray:
+    """For each chain of an (N, n, n) stack, True when the support graph
+    M > 0 has exactly one closed class.
 
-    Reference implementation only: the running average converges like 1/t,
-    so do not expect tolerances much below 1e-6 in reasonable time.
+    That holds exactly when some state is reachable from every state.
+    Reachability is the boolean closure of M > 0 by repeated squaring, on
+    the same support that ``_limit_average`` decomposes.
     """
-    v = v1.copy()
-    acc = v1.copy()
-    prev = acc.copy()
-    for t in range(2, max_iter + 1):
-        v = v @ m
-        acc += v
-        if t % window == 0:
-            avg = acc / t
-            if np.abs(avg - prev).sum() < tol:
-                return avg
-            prev = avg
-    raise NoConvergenceError(
-        f"running average still moving after {max_iter} iterations")
+    n = m.shape[-1]
+    reach = (m > 0.0) | np.eye(n, dtype=bool)
+    span = 1
+    while span < n:
+        step = reach.astype(float)
+        reach = (step @ step) > 0.0
+        span *= 2
+    return reach.all(axis=-2).any(axis=-1)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a[k] x[k] = b[k] for an (N, n, n) stack and b of shape
+    (N, n, 1); a singular member gets a NaN row instead of failing the
+    whole stack."""
+    try:
+        return np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape[:-1], np.nan)
+        for k in range(a.shape[0]):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def batched_average(m: np.ndarray, v1: np.ndarray,
+                    form: Classification) -> tuple[np.ndarray, np.ndarray]:
+    """Limiting averages of a stack of chains in one stacked solve.
+
+    ``m`` is (N, n, n), ``v1`` is (N, n).  Returns ``(vbar, ok)``: where
+    ``ok`` is False the row of ``vbar`` is meaningless and the sample must
+    be re-run through ``average_distribution``, which then succeeds,
+    raises or skips exactly as it would on its own.  A sample is not ok
+    when its chain has more than one closed class (infinite expected
+    rounds only), when its solve is singular or non-finite, when its
+    residual exceeds RESIDUAL_TOL, or when it fails ProfileDistribution's
+    range or sum check.  Schedules of neither regime mark every sample.
+
+    * infinite expected rounds: a single closed class makes the limit
+      average the unique stationary distribution, the solution of the
+      row-replaced system (I - M)^T x = 0, sum(x) = 1.
+    * constant continuation delta: (I - delta M)^T x = (1 - delta) v1.
+    """
+    count, n = v1.shape
+    vbar = np.zeros((count, n))
+    ok = np.zeros(count, dtype=bool)
+    eye = np.eye(n)
+    if isinstance(form, InfiniteExpectedRounds):
+        rows = np.flatnonzero(single_closed_class(m))
+        chain = m[rows]
+        a = np.swapaxes(eye - chain, -1, -2).copy()
+        a[:, -1, :] = 1.0
+        b = np.zeros((rows.size, n, 1))
+        b[:, -1, 0] = 1.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.clip(_solve_stack(a, b), 0.0, None)
+            x /= x.sum(axis=-1, keepdims=True)
+        residual = np.abs((x[:, None, :] @ chain)[:, 0] - x).sum(axis=-1)
+    elif isinstance(form, ConstantContinuation):
+        rows = np.arange(count)
+        lhs = eye - form.delta * m
+        rhs = (1.0 - form.delta) * v1
+        x = _solve_stack(np.swapaxes(lhs, -1, -2), rhs[..., None])
+        residual = np.abs((x[:, None, :] @ lhs)[:, 0] - rhs).sum(axis=-1)
+    else:
+        return vbar, ok
+    with np.errstate(invalid="ignore"):
+        good = (np.all(np.isfinite(x), axis=-1)
+                & (residual <= RESIDUAL_TOL)
+                & np.all(x >= -CLAMP_TOL, axis=-1)
+                & np.all(x <= 1.0 + CLAMP_TOL, axis=-1)
+                & (np.abs(x.sum(axis=-1) - 1.0) <= DIST_SUM_TOL))
+    ok[rows[good]] = True
+    vbar[rows[good]] = np.clip(x[good], 0.0, 1.0)
+    return vbar, ok
 
 
 def effective_payoffs(game: GameSpec, profile: StrategyProfile,

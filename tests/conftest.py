@@ -4,6 +4,7 @@ import pytest
 from payoffcontrol import (
     MarkovStrategy,
     MixedAction,
+    NoConvergenceError,
     donation_game,
     prisoners_dilemma,
     public_goods_game,
@@ -23,6 +24,28 @@ def pgg():
 @pytest.fixture(scope="session")
 def pd():
     return prisoners_dilemma(3.0, 0.0, 5.0, 1.0)
+
+
+def cesaro_average_estimate(m, v1, tol=1e-6, max_iter=10 ** 6, window=100):
+    """Running average of power iterates, stopped when the average moves
+    less than ``tol`` (L1) across ``window`` iterations.
+
+    Reference estimator for tests only: the running average converges like
+    1/t, so do not expect tolerances much below 1e-6 in reasonable time.
+    """
+    v = v1.copy()
+    acc = v1.copy()
+    prev = acc.copy()
+    for t in range(2, max_iter + 1):
+        v = v @ m
+        acc += v
+        if t % window == 0:
+            avg = acc / t
+            if np.abs(avg - prev).sum() < tol:
+                return avg
+            prev = avg
+    raise NoConvergenceError(
+        f"running average still moving after {max_iter} iterations")
 
 
 def markov(player, *cols, initial=None):

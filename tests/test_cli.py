@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from payoffcontrol import Infinite, PayoffRelation, verify_relation
 from payoffcontrol.cli import main
 from payoffcontrol.fileio import (
     parse_game_file,
@@ -12,6 +13,7 @@ from payoffcontrol.fileio import (
 )
 
 from conftest import always, tit_for_tat, wsls_pd
+from test_fileio import row_by_row_csv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DONATION = str(DATA / "donation3.game")
@@ -109,6 +111,32 @@ def test_verify_csv_shape(tmp_path, capsys):
     assert lines[0] == "sample,u1,u2,residual"
     used = int(stdout.split("over ")[1].split(" samples")[0])
     assert len(lines) == used + 1
+
+
+def test_verify_csv_matches_row_by_row_format(tmp_path, capsys):
+    out = tmp_path / "payoffs.csv"
+    code, _, _ = run(capsys, "verify", "--game", DONATION, "--strategy", PIN,
+                     "--alpha", "0,1", "--gamma", "-2", "--samples", "300",
+                     "--seed", "9", "--out", str(out))
+    assert code == 0
+    game = parse_game_file(DONATION).game
+    report = verify_relation(game, parse_strategy_file(PIN, game).strategies,
+                             Infinite(), PayoffRelation((0.0, 1.0), -2.0),
+                             samples=300, seed=9)
+    rows = [[i, *report.payoffs[i], report.residuals[i]]
+            for i in range(report.samples_used)]
+    slow = tmp_path / "slow.csv"
+    row_by_row_csv(slow, ["sample", "u1", "u2", "residual"], rows)
+    assert out.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+def test_verify_rejects_nonpositive_tolerance(capsys, tol):
+    code, _, stderr = run(capsys, "verify", "--game", DONATION,
+                          "--strategy", PIN, "--alpha", "0,1", "--gamma",
+                          "-2", "--samples", "10", f"--tol={tol}")
+    assert code == 2
+    assert "tolerance must be positive" in stderr
 
 
 def test_verify_same_seed_is_deterministic(tmp_path, capsys):

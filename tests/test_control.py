@@ -8,6 +8,8 @@ from payoffcontrol import (
     FiniteHorizon,
     Infinite,
     InvalidParamsError,
+    MarkovStrategy,
+    MixedAction,
     PayoffRelation,
     StrategyProfile,
     UnsupportedScheduleError,
@@ -26,6 +28,7 @@ from payoffcontrol import (
     sample_markov_strategy,
     verify_relation,
 )
+from payoffcontrol.control import _draw_opponents, sample_markov_tables
 
 from conftest import (
     ALLIANCE_FREE,
@@ -51,6 +54,13 @@ def test_relation_sign_convention():
     assert r.alpha == (1.0, -1.0)
     r2 = PayoffRelation(alpha=(0.0, 0.0), gamma=-3.0)
     assert r2.gamma == 1.0
+
+
+def test_relation_coefficients_are_python_floats():
+    r = PayoffRelation((0, 2), -4)
+    assert type(r.gamma) is float
+    assert all(type(a) is float for a in r.alpha)
+    assert repr(r) == "PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)"
 
 
 def test_relation_zero_rejected():
@@ -285,3 +295,112 @@ def test_falsify_true_ruling_vector_is_inconclusive(donation, pin_strategy):
                                candidate, budget=15, seed=1, threshold=1e-6)
     assert not report.conclusive
     assert report.achieved <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["pin", "repeat", "alliance"])
+@pytest.mark.parametrize("schedule", [Infinite(), Delta(0.9)],
+                         ids=["infinite", "delta0.9"])
+def test_verify_matches_per_sample_average(request, case, schedule):
+    # every sample, batched or re-run through the decomposition, agrees
+    # with a per-sample average_distribution on the same opponent draw
+    if case == "alliance":
+        game = request.getfixturevalue("pgg")
+        controllers = request.getfixturevalue("alliance_pin_out")
+    else:
+        game = request.getfixturevalue("donation")
+        controllers = (repeat_strategy(game, 0) if case == "repeat"
+                       else request.getfixturevalue("pin_strategy"),)
+    opponent = game.player_count - 1
+    alpha = tuple(float(p == opponent) for p in range(game.player_count))
+    rel = PayoffRelation(alpha=alpha, gamma=-1.0)
+    samples, seed = 300, 11
+    report = verify_relation(game, controllers, schedule, rel,
+                             samples=samples, seed=seed,
+                             boundary_fraction=0.5)
+    assert report.samples_used + report.samples_skipped == samples
+    assert report.samples_skipped == 0
+    (cond, init), = _draw_opponents(np.random.default_rng(seed), game,
+                                    [opponent], samples, samples // 2)
+    expected = np.array([
+        game.payoffs.T @ average_distribution(
+            game, StrategyProfile(controllers + (MarkovStrategy(
+                opponent, MixedAction(init[k]), cond[k]),)),
+            schedule).dist.probs
+        for k in range(samples)])
+    assert_allclose(report.payoffs, expected, rtol=0, atol=1e-12)
+    assert_allclose(report.residuals, np.abs(expected[:, opponent] - 1.0),
+                    rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(report.boundary_mask,
+                                  np.arange(samples) >= samples // 2)
+
+
+def test_verify_same_seed_is_deterministic(pgg, alliance_pin_out):
+    rel = PayoffRelation(alpha=(0.0, 0.0, 1.0), gamma=-1.0)
+    first, again, other = (
+        verify_relation(pgg, alliance_pin_out, Delta(0.9), rel, samples=400,
+                        seed=seed) for seed in (7, 7, 8))
+    for name in ("payoffs", "residuals", "boundary_mask"):
+        np.testing.assert_array_equal(getattr(first, name),
+                                      getattr(again, name))
+    assert first.worst_opponents == again.worst_opponents
+    assert first.max_abs_violation == again.max_abs_violation
+    assert not np.array_equal(first.payoffs, other.payoffs)
+
+
+def test_verify_worst_opponents_across_blocks(pgg, alliance_pin_out):
+    # more samples than one block; the relation is not enforced
+    rel = PayoffRelation(alpha=(1.0, 0.0, 0.0), gamma=0.0)
+    report = verify_relation(pgg, alliance_pin_out, Infinite(), rel,
+                             samples=700, seed=4)
+    assert report.samples_used + report.samples_skipped == 700
+    assert report.max_abs_violation == report.residuals.max()
+    assert [s.player for s in report.worst_opponents] == [2]
+    profile = StrategyProfile(alliance_pin_out + report.worst_opponents)
+    dist = average_distribution(pgg, profile, Infinite()).dist
+    ubar = pgg.payoffs.T @ dist.probs
+    assert abs(ubar[0]) == pytest.approx(report.max_abs_violation, rel=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
+    {"boundary_fraction": -0.1}, {"boundary_fraction": 1.5},
+    {"boundary_fraction": float("nan")}, {"samples": 0}])
+def test_verify_rejects_bad_params(donation, pin_strategy, kwargs):
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
+    with pytest.raises(InvalidParamsError):
+        verify_relation(donation, [pin_strategy], Infinite(), rel, **kwargs)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_verify_boundary_fraction_limits(donation, pin_strategy, fraction):
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
+    report = verify_relation(donation, [pin_strategy], Infinite(), rel,
+                             samples=40, seed=5, boundary_fraction=fraction)
+    assert report.passed
+    assert report.boundary_mask.all() == bool(fraction)
+    assert report.boundary_mask.any() == bool(fraction)
+
+
+def test_sample_markov_tables_draw_distribution(donation):
+    rng = np.random.default_rng(23)
+    cond, init = sample_markov_tables(rng, donation, 1, 400)
+    assert cond.shape == (400, 9, 3) and init.shape == (400, 3)
+    for table in (cond, init):
+        assert table.min() >= 0.05 and table.max() <= 0.95
+        assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
+    cond, init = sample_markov_tables(rng, donation, 1, 400, boundary=True)
+    onehot = np.any(cond == 1.0, axis=-1)
+    assert 0.45 < onehot.mean() < 0.55
+    assert np.all(np.sort(cond[onehot], axis=-1) == [0.0, 0.0, 1.0])
+    assert cond[~onehot].min() >= 0.05 and cond[~onehot].max() <= 0.95
+    point = np.any(init == 1.0, axis=-1)
+    assert 0.4 < point.mean() < 0.6
+
+
+def test_sample_markov_strategy_is_one_table_draw(donation):
+    strategy = sample_markov_strategy(np.random.default_rng(3), donation, 1,
+                                      boundary=True)
+    cond, init = sample_markov_tables(np.random.default_rng(3), donation, 1,
+                                      1, boundary=True)
+    np.testing.assert_array_equal(strategy.conditionals, cond[0])
+    np.testing.assert_array_equal(strategy.initial.probs, init[0])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from payoffcontrol import (
     ConstantContinuation,
@@ -17,7 +19,6 @@ from payoffcontrol import (
     OtherSchedule,
     StrategyProfile,
     average_distribution,
-    cesaro_average_estimate,
     classify_schedule,
     effective_payoffs,
     expected_rounds,
@@ -27,9 +28,22 @@ from payoffcontrol import (
     survival_probabilities,
     transition_matrix,
 )
-from payoffcontrol.dynamics import initial_distribution
+from payoffcontrol.control import sample_markov_tables
+from payoffcontrol.dynamics import (
+    _solve_stack,
+    batched_average,
+    initial_distribution,
+    profile_product,
+    single_closed_class,
+)
 
-from conftest import always, markov, tit_for_tat, wsls_pd
+from conftest import (
+    always,
+    cesaro_average_estimate,
+    markov,
+    tit_for_tat,
+    wsls_pd,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +337,87 @@ def test_monte_carlo_seed_reproducible(donation):
     b = monte_carlo_play(donation, profile, Delta(0.6), episodes=100, seed=12)
     assert_allclose(a.means, b.means)
     assert a.mean_rounds == b.mean_rounds
+
+
+# ---------------------------------------------------------------------------
+# batched kernel
+
+
+def _closed_class_count(m):
+    """Closed classes of the support graph m > 0, by SCC decomposition."""
+    support = csr_matrix(m > 0.0)
+    n_comp, labels = connected_components(support, directed=True,
+                                          connection="strong")
+    rows, cols = support.nonzero()
+    leaving = labels[rows] != labels[cols]
+    return n_comp - np.unique(labels[rows[leaving]]).size
+
+
+def _donation_stack(donation, controller, count, boundary, seed):
+    cond, init = sample_markov_tables(np.random.default_rng(seed), donation,
+                                      1, count, boundary=boundary)
+    m = profile_product(donation, [controller.conditionals, cond])
+    v1 = profile_product(donation, [controller.initial.probs, init])
+    opponents = [MarkovStrategy(1, MixedAction(init[k]), cond[k])
+                 for k in range(count)]
+    return m, v1, opponents
+
+
+@pytest.mark.parametrize("schedule", [Infinite(), Delta(0.9)],
+                         ids=["infinite", "delta0.9"])
+@pytest.mark.parametrize("case", ["interior", "boundary", "repeat"])
+def test_batched_average_matches_per_sample(donation, pin_strategy, case,
+                                            schedule):
+    controller = repeat_strategy(donation, 0) if case == "repeat" \
+        else pin_strategy
+    m, v1, opponents = _donation_stack(donation, controller, 200,
+                                       case != "interior", seed=41)
+    vbar, ok = batched_average(m, v1, classify_schedule(schedule))
+    for k, opponent in enumerate(opponents):
+        profile = StrategyProfile((controller, opponent))
+        assert_allclose(transition_matrix(donation, profile), m[k], rtol=0,
+                        atol=0)
+        if ok[k]:
+            ref = average_distribution(donation, profile, schedule)
+            assert_allclose(vbar[k], ref.dist.probs, rtol=0, atol=1e-12)
+    if case == "repeat" and isinstance(schedule, Infinite):
+        # replaying its own action keeps the controller's action forever:
+        # one closed class per action, so every chain takes the
+        # decomposition path
+        assert not ok.any()
+    elif case == "interior":
+        assert ok.all()
+
+
+def test_single_closed_class_gate_is_exact(donation, equalizer_strategy):
+    stacks = [_donation_stack(donation, controller, 300, True, seed)[0]
+              for seed, controller in enumerate(
+                  (equalizer_strategy, repeat_strategy(donation, 0)))]
+    m = np.concatenate(stacks)
+    gate = single_closed_class(m)
+    expected = np.array([_closed_class_count(mk) == 1 for mk in m])
+    np.testing.assert_array_equal(gate, expected)
+    assert gate.any() and not gate.all()
+
+
+def test_batched_average_routes_reducible_and_singular():
+    # the first chain has two absorbing states, so the gate sends it to
+    # the decomposition; the second, periodic with one closed class, is
+    # solved in the stack
+    m = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    v1 = np.array([[0.5, 0.5], [1.0, 0.0]])
+    vbar, ok = batched_average(m, v1, InfiniteExpectedRounds())
+    np.testing.assert_array_equal(ok, [False, True])
+    assert_allclose(vbar[1], [0.5, 0.5], atol=1e-15)
+    # a singular member of a stack gets a NaN row, the others are solved
+    a = np.stack([np.zeros((2, 2)), np.eye(2)])
+    x = _solve_stack(a, np.ones((2, 2, 1)))
+    assert np.all(np.isnan(x[0]))
+    assert_allclose(x[1], [1.0, 1.0])
+
+
+def test_batched_average_other_schedule_marks_every_sample(donation,
+                                                          pin_strategy):
+    m, v1, _ = _donation_stack(donation, pin_strategy, 5, False, seed=2)
+    _, ok = batched_average(m, v1, classify_schedule(FiniteHorizon(3)))
+    assert not ok.any()

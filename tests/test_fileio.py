@@ -228,3 +228,25 @@ def test_csv_format(tmp_path):
     assert lines[0] == "sample,value"
     assert lines[1] == "1,0.333333333333"
     assert lines[2] == "2,0.25"
+
+
+def row_by_row_csv(path, header, rows):
+    """The cell-by-cell CSV format that array tables must reproduce."""
+    out = [",".join(header)]
+    for row in rows:
+        out.append(",".join(f"{float(cell):.12g}" for cell in row))
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def test_csv_array_matches_row_by_row(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-30, 30, (60, 3))
+    special = [[-0.0, 0.0, 1 / 3], [1e16, 123456789012345.0, 2.5e-300],
+               [np.inf, -np.inf, np.nan], [0.1 + 0.2, -1.0, 5e-324]]
+    table = np.column_stack([np.arange(64), np.vstack([values, special])])
+    header = ["sample", "a", "b", "c"]
+    for rows in (table, table[:0]):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_csv(fast, header, rows)
+        row_by_row_csv(slow, header, rows.tolist())
+        assert fast.read_bytes() == slow.read_bytes()

@@ -113,11 +113,11 @@ class GameSpec:
     def player_count(self) -> int:
         return len(self.action_labels)
 
-    @property
+    @cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(labels) for labels in self.action_labels)
 
-    @property
+    @cached_property
     def profile_count(self) -> int:
         return int(np.prod(self.action_counts))
 

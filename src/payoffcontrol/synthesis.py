@@ -10,27 +10,37 @@ family, the requirement reads per profile:
     infinite rounds:   <y, q_a> - y[jhat(a)] = w(a)
     continuation d:  d <y, q_a> + (1-d) <y, sigma> - y[jhat(a)] = w(a)
 
-with q_a a distribution (a product of member rows in independent mode)
-and sigma the controllers' joint initial distribution.  A distribution
-q with <y, q> = beta exists exactly when beta lies between min(y) and
-max(y), so for a fixed y feasibility is a set of linear inequalities.
-Which component attains the min or the max is unknown, but enumerating
-the (min, max) index pair keeps everything linear: each pair gives a
-small linear program in (y, slack), and the target is feasible if and
-only if some pair admits a solution.  Infeasibility of every pair is
-therefore a proof, not a search failure.
+with sigma the controllers' joint initial distribution.  Each constrained
+row q (and sigma under continuation) must therefore reach a value
+beta = <y, q> fixed by y.
 
-For a single controller with two actions the same feasible set has a
-one-parameter closed form (s = rep + z*w with z = 1/y), and an exact
-interval intersection in z decides feasibility; this is the certificate
-reported for that case.
+Coefficients.  A distribution q with <y, q> = beta exists exactly when
+beta lies between min(y) and max(y), so for a fixed y feasibility is a set
+of linear inequalities.  Which component attains the min or the max is
+unknown, but enumerating the (min, max) index pair keeps everything
+linear: each pair gives a small linear program in (y, slack), and the
+target is feasible if and only if some pair admits a solution.
+Infeasibility of every pair is therefore a proof, not a search failure.
 
-Independent alliances need each q_a to factor as a product over members.
-The multilinear map (p_1, ..., p_q) -> <y, p_1 x ... x p_q> attains every
-value between min(y) and max(y) on product distributions (its range ends
-are corners of the cube), so independent feasibility coincides with
-correlated feasibility; rows are built by walking corner to corner and
-solving the one linear segment that crosses beta.
+Rows.  One builder makes every probability row.  An alliance is a list of
+members with sizes s_k, and a row is a product p_1 x ... x p_q: one member
+per controller for independent alliances, a single member over the J
+joint actions for correlated alliances and single controllers.  The
+margin-m set of member k, {p_k >= m}, has the vertices
+m 1 + (1 - s_k m) e_i.  The multilinear map <y, p_1 x ... x p_q> takes
+its min and max over these sets at vertex combinations, and the sets
+shrink as m grows, so the largest m whose range still holds beta is found
+by bisection on m.  A walk from the minimizing to the maximizing vertex
+combination, switching one member at a time, then crosses beta on one
+linear segment, which is solved exactly.  Every row sits at its own
+maximin; candidates from the linear programs are ranked by the margin all
+their rows can share.
+
+For a single controller with two actions under infinite rounds every
+construction is s = rep + z*w with z = 1/y.  An exact interval
+intersection in z decides feasibility, which is the certificate reported
+for that case, and the best z maximizes a concave piecewise-linear
+function, so it lies at an interval end or at a crossing of its lines.
 """
 
 from __future__ import annotations
@@ -94,7 +104,11 @@ class SynthesisResult:
     mode; correlated alliances return the joint tables instead.  ``y``
     follows the ruling-basis convention (last joint action dropped).
     ``margin`` is the smallest slack min(p, 1-p) over all probability
-    entries that the construction constrains.
+    entries that the construction constrains (member rows for independent
+    alliances, joint rows for correlated ones), measured on the built
+    tables; each row is as far from the 0/1 boundary as its y allows.
+    ``note`` names the construction that decided: ``"interval"`` (single
+    two-action controller under infinite rounds) or ``"pair-lp"``.
     """
 
     target: SynthesisTarget
@@ -122,109 +136,96 @@ class Infeasible:
     detail: str
 
 
+SPREAD_CAPS = (2.0, 4.0, 8.0, 16.0, 64.0)
+"""Caps on max(y) - min(y), in units of max(1, max |w|), for each pair LP."""
+
+BISECTION_STEPS = 60
+"""Halvings of [0, 1/max(s_k)]: the bisection ends within 2^-61 of the
+largest margin whose range comparison holds in floating point."""
+
+
 # ---------------------------------------------------------------------------
-# Row construction helpers
+# The maximin row builder
 
 
-def _row_max_margin(y: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Distribution q with <y, q> = beta maximizing the smallest entry.
+def _vertex_values(y: np.ndarray, sizes: tuple[int, ...], m) -> np.ndarray:
+    """<y, v_1 x ... x v_q> at every vertex combination of the margin-m
+    member sets, one flattened row per entry of ``m``.
 
-    The optimum mixes the uniform distribution with the extreme component
-    on the side of beta; the mixing weight has a closed form.
+    Vertex i of member k is m 1 + (1 - s_k m) e_i, so contracting axis k
+    with it mixes each entry with that axis's sum.
     """
-    count = y.size
-    ymin, ymax = float(y.min()), float(y.max())
-    ybar = float(y.mean())
-    eps = 1e-12 * max(1.0, abs(ymin), abs(ymax))
-    if beta < ymin - eps or beta > ymax + eps:
-        raise InvalidParamsError("row target outside achievable range")
-    if abs(beta - ybar) <= eps:
-        return np.full(count, 1.0 / count), 1.0 / count
-    if beta > ybar:
-        tau = (ymax - beta) / (count * (ymax - ybar))
-        ext = int(np.argmax(y))
-    else:
-        tau = (beta - ymin) / (count * (ybar - ymin))
-        ext = int(np.argmin(y))
-    tau = float(np.clip(tau, 0.0, 1.0 / count))
-    q = np.full(count, tau)
-    q[ext] += 1.0 - count * tau
-    return q, tau
+    m = np.reshape(m, (-1,) + (1,) * len(sizes))
+    values = np.broadcast_to(y.reshape(sizes), m.shape[:1] + sizes)
+    for axis, size in enumerate(sizes, start=1):
+        values = (1.0 - size * m) * values \
+            + m * values.sum(axis=axis, keepdims=True)
+    return values.reshape(m.shape[0], -1)
 
 
-def _member_margin(probs: np.ndarray) -> float:
-    return float(np.minimum(probs, 1.0 - probs).min())
+def _reaches(y, sizes, m, lo, hi) -> np.ndarray:
+    """Whether the margin-m sets reach both lo and hi, elementwise."""
+    values = _vertex_values(y, sizes, m)
+    return (values.min(axis=1) <= lo) & (values.max(axis=1) >= hi)
 
 
-def _product_row(y: np.ndarray, sizes: tuple[int, ...],
-                 beta: float) -> tuple[list[np.ndarray], float]:
-    """Per-member distributions whose product satisfies <y, prod> = beta.
+def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray,
+                floor: float = 0.0) -> np.ndarray:
+    """Largest m >= floor whose margin-m sets reach all of [lo, hi],
+    elementwise.  ``floor`` is either 0 or a margin already known to reach.
 
-    For a pair of two-action members a scan over the first member's
-    probability with the second solved exactly gives good margins.  The
-    general fallback walks from the corner attaining min(y) to the corner
-    attaining max(y) one member at a time; the crossing segment is linear
-    and solved exactly.
+    The comparison carries no tolerance, so the walk in _maximin_rows finds
+    its crossing at the returned m without clipping.
     """
-    tensor = y.reshape(sizes)
-    if sizes == (2, 2):
-        best = None
-        for p1 in np.linspace(0.0, 1.0, 401):
-            slope = (tensor[0, 0] - tensor[0, 1]) * p1 \
-                + (tensor[1, 0] - tensor[1, 1]) * (1.0 - p1)
-            offset = tensor[0, 1] * p1 + tensor[1, 1] * (1.0 - p1)
-            if abs(slope) < 1e-13:
-                if abs(offset - beta) > 1e-10:
-                    continue
-                p2 = 0.5
-            else:
-                p2 = (beta - offset) / slope
-            if not -1e-12 <= p2 <= 1.0 + 1e-12:
+    top = 1.0 / max(sizes)
+    below = np.full(lo.shape, floor)
+    above = np.full(lo.shape, top)
+    below[_reaches(y, sizes, above, lo, hi)] = top
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (below + above)
+        ok = _reaches(y, sizes, mid, lo, hi)
+        below = np.where(ok, mid, below)
+        above = np.where(ok, above, mid)
+    return below
+
+
+def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
+                  betas: np.ndarray) -> list[np.ndarray]:
+    """Member rows with <y, p_1 x ... x p_q> = beta for every beta, each
+    row at its own maximin margin.  Returns one (len(betas), s_k) array
+    per member.
+
+    A beta outside [min(y), max(y)] by rounding gets margin 0 and the
+    nearest corner.
+    """
+    margins = _max_margin(y, sizes, betas, betas)
+    values = _vertex_values(y, sizes, margins)
+    rows = [np.empty((betas.size, size)) for size in sizes]
+    for r, beta in enumerate(betas):
+        grid = values[r].reshape(sizes)
+        start = np.unravel_index(int(np.argmin(grid)), sizes)
+        end = np.unravel_index(int(np.argmax(grid)), sizes)
+        # weight of end[k] in member k: 1 before the crossing member,
+        # 0 after it
+        weights = [0.0] * len(sizes)
+        current, value = list(start), float(grid[start])
+        for k in range(len(sizes)):
+            if value >= beta:
+                break
+            if current[k] == end[k]:
                 continue
-            p2 = float(np.clip(p2, 0.0, 1.0))
-            margin = min(p1, 1.0 - p1, p2, 1.0 - p2)
-            if best is None or margin > best[2]:
-                best = (p1, p2, margin)
-        if best is not None:
-            p1, p2, margin = best
-            return [np.array([p1, 1.0 - p1]), np.array([p2, 1.0 - p2])], margin
-
-    corner_lo = list(np.unravel_index(int(np.argmin(y)), sizes))
-    corner_hi = list(np.unravel_index(int(np.argmax(y)), sizes))
-    current = corner_lo[:]
-    value = float(y[np.ravel_multi_index(tuple(current), sizes)])
-    members = [None] * len(sizes)
-    crossing = None
-    for k in range(len(sizes)):
-        if current[k] == corner_hi[k]:
-            continue
-        switched = current[:]
-        switched[k] = corner_hi[k]
-        after = float(y[np.ravel_multi_index(tuple(switched), sizes)])
-        lo, hi = min(value, after), max(value, after)
-        if lo - 1e-12 <= beta <= hi + 1e-12 and crossing is None:
-            t = 0.0 if after == value else float(
-                np.clip((beta - value) / (after - value), 0.0, 1.0))
-            probs = np.zeros(sizes[k])
-            probs[current[k]] = 1.0 - t
-            probs[corner_hi[k]] += t
-            members[k] = probs
-            crossing = k
-            # members before k sit at corner_hi, after k at corner_lo
-            break
-        current = switched
-        value = after
-    if crossing is None:
-        # beta equals an endpoint the loop walked past; use the last corner
-        crossing = len(sizes)
-    for k in range(len(sizes)):
-        if members[k] is not None:
-            continue
-        probs = np.zeros(sizes[k])
-        probs[corner_hi[k] if k < crossing else corner_lo[k]] = 1.0
-        members[k] = probs
-    margin = min(_member_margin(p) for p in members)
-    return members, margin
+            current[k] = end[k]
+            after = float(grid[tuple(current)])
+            weights[k] = 1.0 if after < beta \
+                else (beta - value) / (after - value)
+            value = after
+        for k, size in enumerate(sizes):
+            row = np.full(size, margins[r])
+            free = 1.0 - size * margins[r]
+            row[start[k]] += free * (1.0 - weights[k])
+            row[end[k]] += free * weights[k]
+            rows[k][r] = row
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +252,23 @@ def _interval_rung(w: np.ndarray, rep0: np.ndarray):
     return lo, hi
 
 
-def _interval_candidate(w, rep0, lo, hi):
-    """Best-margin z in [lo, hi] \\ {0} and the resulting conditional column."""
-    zs = np.linspace(lo, hi, 2001)
-    zs = zs[np.abs(zs) > 1e-12 * max(1.0, abs(lo), abs(hi))]
-    if zs.size == 0:
-        return None
-    cols = rep0[None, :] + zs[:, None] * w[None, :]
-    margins = np.minimum(cols, 1.0 - cols).min(axis=1)
-    best = int(np.argmax(margins))
-    return float(zs[best]), float(margins[best])
+def _interval_z(w, rep0, lo, hi) -> float:
+    """Nonzero z in [lo, hi] maximizing min_a min(c_a, 1 - c_a) for
+    c = rep0 + z*w.
+
+    The objective is the minimum of the lines c_a and 1 - c_a in z, so its
+    maximum lies at an interval end or where two of those lines cross.
+    """
+    slopes = np.concatenate([w, -w])
+    offsets = np.concatenate([rep0, 1.0 - rep0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = (offsets[None, :] - offsets[:, None]) \
+            / (slopes[:, None] - slopes[None, :])
+    inside = crossings[(crossings > lo) & (crossings < hi)]
+    zs = np.concatenate([[lo, hi], inside])
+    zs = zs[zs != 0.0]
+    objective = (offsets[None, :] + zs[:, None] * slopes[None, :]).min(axis=1)
+    return float(zs[np.argmax(objective)])
 
 
 # ---------------------------------------------------------------------------
@@ -337,82 +345,43 @@ def _pair_lp(joint_count, jhat, w, delta, lo, hi, spread_cap):
 # Candidate assembly
 
 
-def _betas(w, jhat, y, delta, mval):
+def _row_betas(w, jhat, y, delta, mval) -> np.ndarray:
+    """The value <y, q> each constrained row must reach: one per profile
+    (none in a one-shot game, whose conditionals never fire), then the
+    initial row under constant continuation."""
     if delta is None:
         return w + y[jhat]
-    return (w + y[jhat] - (1.0 - delta) * mval) / delta
+    if delta == 0.0:
+        return np.array([mval])
+    return np.append((w + y[jhat] - (1.0 - delta) * mval) / delta, mval)
 
 
-def _assemble(game, target, form, ordered, sizes, jhat, w, y, mval):
+def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
     """Build tables for a fixed y (and m for the constant form).
 
-    Returns (strategies, joint_cond, joint_init, margin) or None when a
-    row cannot be solved, which only happens on numerically degenerate y.
+    Returns (strategies, joint_cond, joint_init, margin): strategies per
+    controller, or joint tables for a correlated alliance, and the
+    smallest min(p, 1 - p) over the built rows.
     """
-    delta = form.delta if isinstance(form, ConstantContinuation) else None
-    joint_count = int(np.prod(sizes))
     count = game.profile_count
-    margins = []
-
+    rows = _maximin_rows(y, members, _row_betas(w, jhat, y, delta, mval))
+    margin = min(float(np.minimum(r, 1.0 - r).min()) for r in rows)
     if delta == 0.0:
         # conditionals never fire in a one-shot game; use repeat rows
-        joint_cond = np.zeros((count, joint_count))
-        joint_cond[np.arange(count), jhat] = 1.0
-        row_members = None
+        own = np.unravel_index(jhat, members)
+        cond = [np.eye(size)[idx] for size, idx in zip(members, own)]
+        init = [r[0] for r in rows]
+    elif delta is None:
+        cond = rows
+        init = [np.full(size, 1.0 / size) for size in members]
     else:
-        betas = _betas(w, jhat, y, delta, mval)
-        joint_cond = np.empty((count, joint_count))
-        row_members = []
-        for a in range(count):
-            if target.mode == "independent" and len(sizes) > 1:
-                members, margin = _product_row(y, sizes, float(betas[a]))
-                q = members[0]
-                for part in members[1:]:
-                    q = np.outer(q, part).ravel()
-                row_members.append(members)
-            else:
-                q, margin = _row_max_margin(y, float(betas[a]))
-            joint_cond[a] = q
-            margins.append(margin)
-
-    if delta is None:
-        joint_init = None
-        init_members = [MixedAction.uniform(m) for m in sizes]
-    else:
-        if target.mode == "independent" and len(sizes) > 1:
-            members, margin = _product_row(y, sizes, float(mval))
-            sigma = members[0]
-            for part in members[1:]:
-                sigma = np.outer(sigma, part).ravel()
-            init_members = [MixedAction(p) for p in members]
-        else:
-            sigma, margin = _row_max_margin(y, float(mval))
-            init_members = [MixedAction(sigma)] if len(sizes) == 1 else None
-        joint_init = sigma
-        margins.append(margin)
-
+        cond = [r[:count] for r in rows]
+        init = [r[count] for r in rows]
     if target.mode == "correlated" and len(sizes) > 1:
-        if joint_init is None:
-            joint_init = np.full(joint_count, 1.0 / joint_count)
-        return None, joint_cond, joint_init, float(min(margins))
-
-    # independent: per-member conditional tables
-    strategies = []
-    if len(sizes) == 1:
-        strategies.append(
-            MarkovStrategy(ordered[0].player, init_members[0], joint_cond))
-    else:
-        for k, base in enumerate(ordered):
-            table = np.empty((count, sizes[k]))
-            for a in range(count):
-                if delta == 0.0:
-                    row = np.zeros(sizes[k])
-                    row[game.profile_actions[a, base.player]] = 1.0
-                else:
-                    row = row_members[a][k]
-                table[a] = row
-            strategies.append(MarkovStrategy(base.player, init_members[k], table))
-    return tuple(strategies), None, None, float(min(margins))
+        return None, cond[0], init[0], margin
+    strategies = tuple(MarkovStrategy(base.player, MixedAction(p), table)
+                       for base, p, table in zip(ordered, init, cond))
+    return strategies, None, None, margin
 
 
 def _family_residual(form, joint_cond, joint_init, jhat, y, w):
@@ -431,17 +400,18 @@ def _family_residual(form, joint_cond, joint_init, jhat, y, w):
 
 
 def synthesize(game: GameSpec, schedule: ContinuationSchedule,
-               target: SynthesisTarget, *,
-               spread_caps: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 64.0),
-               ) -> SynthesisResult | Infeasible:
+               target: SynthesisTarget) -> SynthesisResult | Infeasible:
     """Find controller strategies enforcing ``target.relation``.
 
-    Tries, in order: the exact z-interval analysis (single controller with
-    two actions, infinite rounds), a two-column perturbation of the repeat
-    strategy (single controller), and the exact (min, max)-pair linear
-    programs over y.  The best feasible construction by margin wins.
-    Returns Infeasible with a conclusive certificate when the interval or
-    every pair LP is empty.
+    A single controller with two actions under infinite rounds is decided
+    by the exact z-interval analysis alone: it is the exact optimum over
+    every construction, and an empty interval is a conclusive certificate.
+    Every other target solves the (min, max)-pair linear programs over y,
+    one per pair and spread cap; infeasibility of all of them is the
+    conclusive ``exact-lp-empty`` certificate.  Among the feasible
+    solutions the one whose rows can all share the largest margin wins,
+    and each of its rows is built at its own maximin margin
+    (``SynthesisResult.margin`` is the smallest of them).
     """
     form = classify_schedule(schedule)
     if not isinstance(form, (InfiniteExpectedRounds, ConstantContinuation)):
@@ -456,11 +426,10 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     w = relation_vector(game, target.relation)
     delta = form.delta if isinstance(form, ConstantContinuation) else None
     joint_count = int(np.prod(sizes))
+    members = sizes if target.mode == "independent" else (joint_count,)
     scale = max(1.0, float(np.max(np.abs(w))))
 
-    candidates = []  # (margin, y_full, mval, note)
-
-    # (a) exact interval certificate
+    chosen = None  # (y_full, mval, note)
     if joint_count == 2 and delta is None:
         rep0 = (jhat == 0).astype(float)
         interval = _interval_rung(w, rep0)
@@ -472,58 +441,31 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
                        "in {0}; no Markov strategy of this controller can "
                        "reach the target",
             )
-        found = _interval_candidate(w, rep0, *interval)
-        if found is not None:
-            z, margin = found
-            candidates.append((margin, np.array([1.0 / z, 0.0]), None,
-                               "interval"))
-
-    # (b) two-column perturbation of the repeat strategy
-    if len(sizes) == 1 and delta is None:
-        rep_cols = np.zeros((game.profile_count, joint_count))
-        rep_cols[np.arange(game.profile_count), jhat] = 1.0
-        for c1, c2 in itertools.permutations(range(joint_count), 2):
-            lo, hi = -np.inf, np.inf
-            for a in range(game.profile_count):
-                if w[a] == 0.0:
+        z = _interval_z(w, rep0, *interval)
+        chosen = (np.array([1.0 / z, 0.0]), None, "interval")
+    else:
+        any_pair_feasible = False
+        best = 0.0
+        for lo, hi in itertools.permutations(range(joint_count), 2):
+            for cap in SPREAD_CAPS:
+                solved = _pair_lp(joint_count, jhat, w, delta, lo, hi,
+                                  cap * scale)
+                if solved is None:
                     continue
-                for rep_col, sign in ((rep_cols[a, c1], 1.0), (rep_cols[a, c2], -1.0)):
-                    b0, b1 = -rep_col / (sign * w[a]), (1.0 - rep_col) / (sign * w[a])
-                    if b0 > b1:
-                        b0, b1 = b1, b0
-                    lo, hi = max(lo, b0), min(hi, b1)
-            if lo > hi or (lo == 0.0 and hi == 0.0):
-                continue
-            phis = np.linspace(lo, hi, 801)
-            phis = phis[np.abs(phis) > 1e-12 * max(1.0, abs(lo), abs(hi))]
-            if phis.size == 0:
-                continue
-            cols1 = rep_cols[None, :, c1] + phis[:, None] * w[None, :]
-            cols2 = rep_cols[None, :, c2] - phis[:, None] * w[None, :]
-            both = np.concatenate([cols1, cols2], axis=1)
-            other = rep_cols[:, [c for c in range(joint_count)
-                                 if c not in (c1, c2)]]
-            fixed = float(np.minimum(other, 1.0 - other).min()) if other.size else np.inf
-            margins = np.minimum(np.minimum(both, 1.0 - both).min(axis=1), fixed)
-            best = int(np.argmax(margins))
-            phi = float(phis[best])
-            y_full = np.zeros(joint_count)
-            y_full[c1] = 0.5 / phi
-            y_full[c2] = -0.5 / phi
-            candidates.append((float(margins[best]), y_full, None, "two-column"))
-
-    # (c) exact pair LPs
-    any_pair_feasible = False
-    for lo, hi in itertools.permutations(range(joint_count), 2):
-        for cap in spread_caps:
-            solved = _pair_lp(joint_count, jhat, w, delta, lo, hi, cap * scale)
-            if solved is None:
-                continue
-            any_pair_feasible = True
-            y, mval, slack = solved
-            candidates.append((slack, y, mval, "pair-lp"))
-
-    if not candidates:
+                any_pair_feasible = True
+                y, mval, _ = solved
+                betas = _row_betas(w, jhat, y, delta, mval)
+                low, high = betas.min(keepdims=True), betas.max(keepdims=True)
+                eps = 1e-12 * max(1.0, float(np.abs(y).max()))
+                if low[0] < y.min() - eps or high[0] > y.max() + eps:
+                    continue
+                # one vertex-range check: skip what cannot beat the best
+                if chosen is not None \
+                        and not _reaches(y, members, best, low, high)[0]:
+                    continue
+                margin = float(_max_margin(y, members, low, high, best)[0])
+                if chosen is None or margin > best:
+                    best, chosen = margin, (y, mval, "pair-lp")
         if not any_pair_feasible:
             return Infeasible(
                 certificate="exact-lp-empty",
@@ -532,53 +474,38 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
                        "pair programs are infeasible; no Markov controller "
                        "tables reach the target under this schedule form",
             )
+    if chosen is None:
         return Infeasible(
             certificate="search-budget-exhausted",
             conclusive=False,
-            detail="feasible coefficient region found but no construction "
-                   "survived assembly",
+            detail="feasible coefficient region found but no solution "
+                   "keeps every row target between min(y) and max(y)",
         )
 
-    # assemble the actual tables; rank candidates by true margin
-    best_result = None
-    for _, y_full, mval, note in sorted(candidates, key=lambda c: -c[0]):
-        try:
-            assembled = _assemble(game, target, form, ordered, sizes, jhat,
-                                  w, y_full, mval)
-        except InvalidParamsError:
-            continue
-        if assembled is None:
-            continue
-        strategies, joint_cond, joint_init, margin = assembled
-        if strategies is not None:
-            cond_check = joint_conditionals(game, strategies)
-            init_check = joint_initial(strategies)
-        else:
-            cond_check = joint_cond
-            init_check = joint_init
-        residual = _family_residual(form, cond_check, init_check, jhat,
-                                    y_full, w)
-        if residual > 1e-8 * scale:
-            continue
-        if best_result is None or margin > best_result[0]:
-            best_result = (margin, strategies, joint_cond, joint_init,
-                           y_full, note)
-    if best_result is None:
+    y_full, mval, note = chosen
+    strategies, joint_cond, joint_init, margin = _assemble(
+        game, target, delta, ordered, sizes, members, jhat, w, y_full, mval)
+    if strategies is not None:
+        cond_check = joint_conditionals(game, strategies)
+        init_check = joint_initial(strategies)
+    else:
+        cond_check = joint_cond
+        init_check = joint_init
+    residual = _family_residual(form, cond_check, init_check, jhat, y_full, w)
+    if residual > 1e-8 * scale:
         return Infeasible(
             certificate="search-budget-exhausted",
             conclusive=False,
-            detail="candidate coefficients found but every assembled "
-                   "construction failed its residual check",
+            detail=f"the assembled construction misses the target by "
+                   f"{residual:.3g}",
         )
-    margin, strategies, joint_cond, joint_init, y_full, note = best_result
-    y_reduced = y_full[:-1] - y_full[-1]
     return SynthesisResult(
         target=target,
         form=form,
         strategies=strategies,
         joint_conditionals=joint_cond,
         joint_initial=joint_init,
-        y=y_reduced,
+        y=y_full[:-1] - y_full[-1],
         w=w,
         margin=margin,
         note=note,

@@ -16,11 +16,13 @@ from payoffcontrol import (
     UnsupportedScheduleError,
     build_game,
     detect_relations,
+    public_goods_game,
     relation_vector,
+    ruling_basis,
     synthesize,
     verify_relation,
 )
-from payoffcontrol.synthesis import _row_max_margin
+from payoffcontrol.synthesis import _max_margin, _maximin_rows
 
 
 def pin(player, value, n=2):
@@ -69,7 +71,8 @@ def test_pd_pin_matches_grid_oracle(pd, g):
 def test_pd_pin_margin_and_verification(pd, g, margin):
     target = SynthesisTarget(pin(1, g), controllers=(0,))
     result = synthesize(pd, Infinite(), target)
-    assert result.margin == pytest.approx(margin, abs=1e-3)
+    assert result.note == "interval"
+    assert result.margin == pytest.approx(margin, abs=1e-12)
     assert len(result.strategies) == 1
     assert result.strategies[0].player == 0
     report = verify_relation(pd, result.strategies, Infinite(),
@@ -209,17 +212,167 @@ def test_target_validation():
     assert SynthesisTarget(rel, controllers=(1, 0)).controllers == (0, 1)
 
 
-@given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=6),
-       st.floats(min_value=0.01, max_value=0.99))
-@settings(max_examples=200, deadline=None)
-def test_row_max_margin_properties(entries, frac):
+# ---------------------------------------------------------------------------
+# The maximin row builder against the constructions it replaced
+
+
+def _closed_form_margin(y, beta):
+    """Largest smallest entry of a distribution q with <y, q> = beta: the
+    optimum mixes the uniform distribution with the extreme component on
+    the side of beta."""
+    count = y.size
+    ymin, ymax, ybar = y.min(), y.max(), y.mean()
+    if beta >= ybar:
+        tau = (ymax - beta) / (count * (ymax - ybar))
+    else:
+        tau = (beta - ymin) / (count * (ybar - ymin))
+    return float(np.clip(tau, 0.0, 1.0 / count))
+
+
+def _scan_margin_2x2(y, beta, points=401):
+    """Best min(p1, 1-p1, p2, 1-p2) over a grid on p1 with p2 solved
+    exactly, for two two-action members; 0 when no grid point works."""
+    tensor = y.reshape(2, 2)
+    best = 0.0
+    for p1 in np.linspace(0.0, 1.0, points):
+        slope = (tensor[0, 0] - tensor[0, 1]) * p1 \
+            + (tensor[1, 0] - tensor[1, 1]) * (1.0 - p1)
+        offset = tensor[0, 1] * p1 + tensor[1, 1] * (1.0 - p1)
+        if abs(slope) < 1e-13:
+            if abs(offset - beta) > 1e-10:
+                continue
+            p2 = 0.5
+        else:
+            p2 = (beta - offset) / slope
+        if not -1e-12 <= p2 <= 1.0 + 1e-12:
+            continue
+        p2 = float(np.clip(p2, 0.0, 1.0))
+        best = max(best, min(p1, 1.0 - p1, p2, 1.0 - p2))
+    return best
+
+
+ROW_SIZES = [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 2, 2), (3, 2)]
+
+
+@given(st.sampled_from(ROW_SIZES).flatmap(lambda sizes: st.tuples(
+           st.just(sizes),
+           st.lists(st.floats(min_value=-5, max_value=5),
+                    min_size=int(np.prod(sizes)),
+                    max_size=int(np.prod(sizes))))),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_row_max_margin_properties(case, frac):
+    sizes, entries = case
     y = np.array(entries)
     lo, hi = y.min(), y.max()
+    beta = min(hi, lo + frac * (hi - lo))
+    scale = max(1.0, float(np.abs(y).max()))
+    rows = [r[0] for r in _maximin_rows(y, sizes, np.array([beta]))]
+    bound = float(_max_margin(y, sizes, np.array([beta]), np.array([beta]))[0])
+    product = rows[0]
+    for part in rows[1:]:
+        product = np.outer(product, part).ravel()
+    assert abs(y @ product - beta) <= 1e-12 * scale
+    for row in rows:
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(row >= bound)
+    # the margin synthesize reports; 1 - p may round one ulp below p's bound
+    margin = min(float(np.minimum(r, 1.0 - r).min()) for r in rows)
+    assert margin >= bound - 1e-15
     if hi - lo < 1e-6:
-        return
-    beta = lo + frac * (hi - lo)
-    q, tau = _row_max_margin(y, beta)
-    assert np.all(q >= -1e-12)
-    assert q.sum() == pytest.approx(1.0, abs=1e-12)
-    assert y @ q == pytest.approx(beta, abs=1e-9)
-    assert tau == pytest.approx(min(np.minimum(q, 1 - q)), abs=1e-9)
+        return  # both oracles accept rows off by their absolute tolerances
+    # The bisection compares in floating point without slack, so it stops
+    # where rounding of the vertex values hides the optimum: one ulp of
+    # scale in the value costs ulp * scale / spread in m when the range
+    # closes linearly (one member), and about its square root when it
+    # closes quadratically, as at the uniform point of a 2x2 saddle.
+    if len(sizes) == 1:
+        assert margin == pytest.approx(_closed_form_margin(y, beta),
+                                       abs=1e-14 * scale / (hi - lo))
+    if sizes == (2, 2):
+        assert margin >= _scan_margin_2x2(y, beta) - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Alliances of any size get interior rows
+
+
+def test_three_member_independent_pin_has_interior_rows():
+    game = public_goods_game(4, 3.0, 2.0)
+    rel = pin(3, 1.5, n=4)
+    target = SynthesisTarget(rel, controllers=(0, 1, 2))
+    for schedule, floor in ((Infinite(), 0.2), (Delta(0.9), 0.3)):
+        result = synthesize(game, schedule, target)
+        assert isinstance(result, SynthesisResult)
+        assert result.margin > floor
+        assert len(result.strategies) == 3
+        report = verify_relation(game, result.strategies, schedule, rel,
+                                 samples=100, seed=10)
+        assert report.passed
+        assert report.max_abs_violation < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Exactness guard: the built tables hold the defining identity to rounding.
+# The 1e-8 residual gate inside synthesize would let a clipping row builder
+# through; this bound would not.
+
+
+def _identity_gap(game, schedule, result):
+    """max |sum_j y_j u~_j - w| computed from the returned tables."""
+    if result.strategies is not None:
+        basis = ruling_basis(game, result.strategies, schedule)
+        return float(np.max(np.abs(result.y @ basis.vectors - result.w)))
+    players = list(result.target.controllers)
+    sizes = tuple(game.action_counts[p] for p in players)
+    jhat = np.ravel_multi_index(tuple(game.profile_actions[:, players].T),
+                                sizes)
+    rep = np.eye(int(np.prod(sizes)))[jhat]
+    delta = getattr(result.form, "delta", 1.0)
+    family = delta * result.joint_conditionals \
+        + (1.0 - delta) * result.joint_initial[None, :] - rep
+    return float(np.max(np.abs(family @ np.append(result.y, 0.0)
+                               - result.w)))
+
+
+FEASIBLE_TARGETS = (
+    [("pd", Infinite(), pin(1, g), (0,), "independent")
+     for g in FEASIBLE_PINS]
+    + [("pd", Delta(0.9), pin(1, 2.0), (0,), "independent"),
+       ("donation", Infinite(), PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0),
+        (0,), "independent"),
+       ("donation", Infinite(), PayoffRelation(alpha=(1.0, -1.0), gamma=0.0),
+        (0,), "independent"),
+       ("pgg", Infinite(), pin(2, 1.0, n=3), (0, 1), "independent"),
+       ("pgg", Infinite(), pin(0, 1.0, n=3), (0, 1), "independent"),
+       ("pgg", Infinite(), pin(2, 1.0, n=3), (0, 1), "correlated"),
+       ("pgg4", Infinite(), pin(3, 1.5, n=4), (0, 1, 2), "independent"),
+       ("pgg4", Delta(0.9), pin(3, 1.5, n=4), (0, 1, 2), "independent"),
+       ("one-shot", Delta(0.0), pin(1, 0.5), (0,), "independent")])
+
+
+def _target_id(case):
+    name, schedule, rel, controllers, mode = case
+    delta = getattr(schedule, "delta", None)
+    return (f"{name}-{'infinite' if delta is None else f'delta{delta:g}'}"
+            f"-alpha{','.join(f'{a:g}' for a in rel.alpha)}"
+            f"-gamma{rel.gamma:g}-{mode}")
+
+
+@pytest.mark.parametrize("name,schedule,rel,controllers,mode",
+                         FEASIBLE_TARGETS,
+                         ids=[_target_id(c) for c in FEASIBLE_TARGETS])
+def test_built_tables_hold_the_ruling_identity(request, name, schedule, rel,
+                                               controllers, mode):
+    if name == "pgg4":
+        game = public_goods_game(4, 3.0, 2.0)
+    elif name == "one-shot":
+        game = build_game([("A", "B"), ("A", "B")],
+                          [[0, 1], [0, 1], [0, 0], [0, 0]])
+    else:
+        game = request.getfixturevalue(name)
+    result = synthesize(game, schedule,
+                        SynthesisTarget(rel, controllers, mode))
+    assert isinstance(result, SynthesisResult)
+    scale = max(1.0, float(np.max(np.abs(result.w))))
+    assert _identity_gap(game, schedule, result) <= 1e-12 * scale

@@ -36,16 +36,15 @@ from .dynamics import (
     MixedAction,
     StrategyProfile,
     average_distribution,
-    batched_average,
     check_strategy,
     classify_schedule,
+    markov_average,
     profile_product,
 )
 from .errors import (
     DimensionMismatchError,
     InconsistentStrategyError,
     InvalidParamsError,
-    NoConvergenceError,
     NonFiniteEntryError,
     UnknownActionError,
     UnsupportedScheduleError,
@@ -390,9 +389,7 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     noise.
 
     All opponents are drawn at once and evaluated block by block with
-    ``batched_average``; a sample the batched solve cannot settle exactly
-    is re-run through ``average_distribution``, which skips it on
-    NoConvergenceError as before.
+    ``markov_average``; a sample whose average does not settle is skipped.
     """
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
@@ -416,15 +413,10 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     for conditionals, initials in drawn:
         _check_tables(conditionals, initials)
 
-    def opponents_of(k: int) -> tuple[MarkovStrategy, ...]:
-        return tuple(MarkovStrategy(p, MixedAction(init[k]), cond[k])
-                     for p, (cond, init) in zip(opponents, drawn))
-
     shared = {s.player: (s.conditionals, s.initial.probs) for s in strategies}
-    form = classify_schedule(schedule)
     n = game.profile_count
     payoffs = np.empty((samples, game.player_count))
-    kept = np.ones(samples, dtype=bool)
+    kept = np.empty(samples, dtype=bool)
     for start in range(0, samples, VERIFY_BLOCK):
         block = slice(start, min(start + VERIFY_BLOCK, samples))
         size = block.stop - start
@@ -433,23 +425,17 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
         conds, inits = zip(*(tables[p] for p in range(game.player_count)))
         m = np.broadcast_to(profile_product(game, conds), (size, n, n))
         v1 = np.broadcast_to(profile_product(game, inits), (size, n))
-        vbar, ok = batched_average(m, v1, form)
+        vbar, _, kept[block] = markov_average(m, v1, schedule)
         payoffs[block] = vbar @ game.payoffs
-        for k in start + np.flatnonzero(~ok):
-            profile = StrategyProfile(tuple(strategies) + opponents_of(k))
-            try:
-                dist = average_distribution(game, profile, schedule).dist
-            except NoConvergenceError:
-                kept[k] = False
-                continue
-            payoffs[k] = game.payoffs.T @ dist.probs
     residuals = np.abs(payoffs @ np.array(relation.alpha) + relation.gamma)
     boundary_mask = np.arange(samples) >= samples - n_boundary
     used = int(kept.sum())
     if used:
         worst = int(np.flatnonzero(kept)[np.argmax(residuals[kept])])
         worst_val = float(residuals[worst])
-        worst_opponents = opponents_of(worst)
+        worst_opponents = tuple(
+            MarkovStrategy(p, MixedAction(init[worst]), cond[worst])
+            for p, (cond, init) in zip(opponents, drawn))
     else:
         worst_val, worst_opponents = -1.0, ()
     return VerificationReport(

@@ -8,25 +8,31 @@ of interest is the p-weighted limiting average of the per-round profile
 distributions.  Payoffs evaluated against that average are the effective
 payoffs of the repeated game.
 
-The limiting average is computed exactly:
+One kernel, ``markov_average``, computes that average exactly for a whole
+stack of chains and every schedule.  A schedule is a list of explicit
+continuation values followed by a constant tail c: ``Infinite`` is no
+values and c = 1, ``Delta`` no values and c = delta, ``FiniteHorizon(T)``
+T - 1 ones and c = 0, ``Custom`` its values and tail.  The explicit rounds
+are summed as v1 M^(t-1); the tail is the resolvent average
+(1 - c) v (I - cM)^-1, whose c = 1 case is the Cesàro limit v P* (the
+long-run running average, for periodic and reducible chains too).  The
+tail takes one of two forms per chain:
 
-* infinite expected rounds: the chain's limit average from the initial
-  distribution, obtained from its recurrent classes and absorption
-  probabilities.  This equals the long-run running average for every
-  finite chain, periodic and reducible ones included.
-* constant continuation delta < 1: closed form
-  (1 - delta) * v1 * (I - delta*M)^-1.
-* finite horizon or explicit per-round values: exact weighted sum, with a
-  resolvent closed form for the constant tail.
+* one closed class: the resolvent system with its last equation replaced
+  by sum(x) = 1, which stays well conditioned as c -> 1;
+* several closed classes, or a first form that fails its a-posteriori
+  check: the projector form v P* + (1 - c)(v - v P*)(I - c(M - P*))^-1,
+  with P* from the strongly-connected-component decomposition.
 
-``batched_average`` evaluates a whole stack of chains at once for the two
-regimes that have ruling vectors and flags every chain it cannot settle
-exactly, so callers re-run only those through ``average_distribution``.
+A chain that neither form settles is reported, never returned as a number.
+``average_distribution`` is the kernel's one-chain case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,7 +50,6 @@ from .errors import (
     PlayerOutOfRangeError,
 )
 from .games import (
-    CLAMP_TOL,
     DIST_SUM_TOL,
     GameSpec,
     MixedAction,
@@ -54,6 +59,9 @@ from .games import (
 
 # Largest a-posteriori residual an exact average may carry.
 RESIDUAL_TOL = 1e-9
+
+# Most rounds a schedule may ask to be summed one by one.
+MAX_ROUNDS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +353,10 @@ def initial_distribution(game: GameSpec, profile: StrategyProfile) -> ProfileDis
 class AvgDistributionResult:
     """Limiting average with provenance.
 
-    method: "cesaro" (limit average of the chain), "closed_form_delta", or
-    "truncated_sum".  ``residual`` is an a-posteriori check value and is at
-    most the requested tolerance.
+    method: "cesaro" (infinite expected rounds), "closed_form_delta"
+    (constant continuation) or "truncated_sum" (any other schedule), as
+    ``classify_schedule`` sorts the schedule.  ``residual`` is the tail's
+    a-posteriori residual, at most RESIDUAL_TOL, and 0 without a tail.
     """
 
     dist: ProfileDistribution
@@ -356,35 +365,24 @@ class AvgDistributionResult:
 
 
 def _stationary(m: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of an irreducible stochastic matrix."""
-    n = m.shape[0]
-    if n == 1:
-        return np.ones(1)
-    a = (np.eye(n) - m).T
+    """Unique stationary distribution of an irreducible stochastic matrix:
+    (I - M)^T x = 0 with its last equation replaced by sum(x) = 1."""
+    a = (np.eye(len(m)) - m).T
     a[-1, :] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(len(m))
     b[-1] = 1.0
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None or not np.all(np.isfinite(x)) \
-            or np.max(np.abs(x @ m - x)) > RESIDUAL_TOL:
-        # fall back to the null space of (I - M)^T
-        _, s, vt = np.linalg.svd((np.eye(n) - m).T)
-        x = vt[-1]
-        if x.sum() < 0:
-            x = -x
-    x = np.clip(x, 0.0, None)
+    x = np.clip(np.linalg.solve(a, b), 0.0, None)
     return x / x.sum()
 
 
-def _limit_average(m: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """Exact limit of the running average of v1 M^(t-1) over t.
+def _projector(m: np.ndarray) -> np.ndarray:
+    """Cesàro limit projector P* = lim (1/T) sum_t M^t of one chain.
 
-    Decomposes the chain into recurrent classes and transient states; the
-    answer mixes the class stationary distributions with the absorption
-    probabilities from v1.  Valid for periodic and reducible chains.
+    Decomposes the chain into recurrent classes and transient states:
+    row i of P* is the absorption probability from i into each class
+    times that class's stationary distribution.  Valid for periodic and
+    reducible chains.  Raises LinAlgError when the absorption system is
+    singular.
     """
     n = m.shape[0]
     support = csr_matrix(m > 0.0)
@@ -394,104 +392,22 @@ def _limit_average(m: np.ndarray, v1: np.ndarray) -> np.ndarray:
     leaving = labels[rows] != labels[cols]
     closed[np.unique(labels[rows[leaving]])] = False
 
-    if n_comp == 1:
-        return _stationary(m)
-
     recurrent = [np.where(labels == k)[0] for k in range(n_comp) if closed[k]]
     transient = np.where(~closed[labels])[0]
-
-    weights = np.array([v1[states].sum() for states in recurrent])
+    absorb = np.zeros((n, len(recurrent)))
+    for k, states in enumerate(recurrent):
+        absorb[states, k] = 1.0
     if transient.size:
-        q = m[np.ix_(transient, transient)]
-        lhs = np.eye(transient.size) - q
+        lhs = np.eye(transient.size) - m[np.ix_(transient, transient)]
         rhs = np.column_stack(
             [m[np.ix_(transient, states)].sum(axis=1) for states in recurrent])
-        absorb = np.linalg.solve(lhs, rhs)
-        weights = weights + v1[transient] @ absorb
+        absorb[transient] = np.linalg.solve(lhs, rhs)
 
-    vbar = np.zeros(n)
-    for states, weight in zip(recurrent, weights):
-        if weight <= 0.0:
-            continue
-        vbar[states] += weight * _stationary(m[np.ix_(states, states)])
-    return vbar
-
-
-def _discounted_average(m: np.ndarray, v1: np.ndarray, delta: float) -> np.ndarray:
-    """(1 - delta) * v1 * (I - delta M)^-1, the constant-continuation average."""
-    n = m.shape[0]
-    lhs = (np.eye(n) - delta * m).T
-    return np.linalg.solve(lhs, (1.0 - delta) * v1)
-
-
-def average_distribution(game: GameSpec, profile: StrategyProfile,
-                         schedule: ContinuationSchedule,
-                         tol: float = 1e-12,
-                         max_iter: int = 10 ** 6) -> AvgDistributionResult:
-    """p-weighted limiting average of the per-round profile distributions.
-
-    All schedule regimes are computed exactly; ``tol`` bounds the reported
-    residual and ``max_iter`` caps the number of explicitly summed rounds
-    for finite-horizon and custom schedules.
-    """
-    v1 = initial_distribution(game, profile).probs
-    m = transition_matrix(game, profile)
-    kind = classify_schedule(schedule)
-
-    if isinstance(kind, InfiniteExpectedRounds):
-        vbar = _limit_average(m, v1)
-        residual = float(np.abs(vbar @ m - vbar).sum())
-        if residual > max(tol, RESIDUAL_TOL):
-            raise NoConvergenceError(
-                f"limit average residual {residual:.3e} exceeds tolerance")
-        return AvgDistributionResult(ProfileDistribution(vbar), "cesaro", residual)
-
-    if isinstance(kind, ConstantContinuation):
-        delta = kind.delta
-        vbar = _discounted_average(m, v1, delta)
-        residual = float(np.abs(vbar @ (np.eye(len(v1)) - delta * m)
-                                - (1.0 - delta) * v1).sum())
-        if residual > max(tol, RESIDUAL_TOL):
-            raise NoConvergenceError(
-                f"closed form residual {residual:.3e} exceeds tolerance")
-        return AvgDistributionResult(
-            ProfileDistribution(vbar), "closed_form_delta", residual)
-
-    # finite horizon or custom: exact weighted sum.  Once the continuation
-    # becomes constant (the custom tail) the remaining sum is a resolvent.
-    explicit = len(schedule.values) if isinstance(schedule, Custom) else None
-    num = v1.copy()
-    den = 1.0
-    v = v1
-    p = 1.0
-    t = 1
-    while True:
-        if isinstance(schedule, Custom) and t > explicit:
-            tail = schedule.tail
-            p_next = p * tail
-            if p_next <= 0.0:
-                break
-            v_next = v @ m
-            if tail >= 1.0:  # diverging tail, handled by the limit average
-                return average_distribution(game, profile, Infinite(), tol, max_iter)
-            resolvent = np.linalg.solve((np.eye(len(v1)) - tail * m).T, v_next)
-            num += p_next * resolvent
-            den += p_next / (1.0 - tail)
-            break
-        c = schedule.continuation(t)
-        p_next = p * c
-        if p_next <= 0.0:
-            break
-        if t + 1 > max_iter:
-            raise NoConvergenceError(
-                f"weighted sum needs more than max_iter={max_iter} rounds")
-        v = v @ m
-        num += p_next * v
-        den += p_next
-        p = p_next
-        t += 1
-    vbar = num / den
-    return AvgDistributionResult(ProfileDistribution(vbar), "truncated_sum", 0.0)
+    pstar = np.zeros((n, n))
+    for k, states in enumerate(recurrent):
+        pstar[:, states] = np.outer(absorb[:, k],
+                                    _stationary(m[np.ix_(states, states)]))
+    return pstar
 
 
 def single_closed_class(m: np.ndarray) -> np.ndarray:
@@ -500,16 +416,19 @@ def single_closed_class(m: np.ndarray) -> np.ndarray:
 
     That holds exactly when some state is reachable from every state.
     Reachability is the boolean closure of M > 0 by repeated squaring, on
-    the same support that ``_limit_average`` decomposes.
+    the same support that ``_projector`` decomposes.
     """
     n = m.shape[-1]
     reach = (m > 0.0) | np.eye(n, dtype=bool)
     span = 1
-    while span < n:
+    while True:
+        single = reach.all(axis=-2).any(axis=-1)
+        # paths of up to n - 1 steps reach every state that can be reached
+        if span >= n - 1 or single.all():
+            return single
         step = reach.astype(float)
         reach = (step @ step) > 0.0
         span *= 2
-    return reach.all(axis=-2).any(axis=-1)
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -528,63 +447,152 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def batched_average(m: np.ndarray, v1: np.ndarray,
-                    form: Classification) -> tuple[np.ndarray, np.ndarray]:
-    """Limiting averages of a stack of chains in one stacked solve.
+def _settled(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Per row of ``_normalized`` output: residual within RESIDUAL_TOL and
+    sum within ProfileDistribution's tolerance of 1.  Normalizing already
+    put every entry in [0, 1]; a non-finite row fails both comparisons."""
+    return (residual <= RESIDUAL_TOL) & (np.abs(x.sum(axis=-1) - 1.0) <= DIST_SUM_TOL)
 
-    ``m`` is (N, n, n), ``v1`` is (N, n).  Returns ``(vbar, ok)``: where
-    ``ok`` is False the row of ``vbar`` is meaningless and the sample must
-    be re-run through ``average_distribution``, which then succeeds,
-    raises or skips exactly as it would on its own.  A sample is not ok
-    when its chain has more than one closed class (infinite expected
-    rounds only), when its solve is singular or non-finite, when its
-    residual exceeds RESIDUAL_TOL, or when it fails ProfileDistribution's
-    range or sum check.  Schedules of neither regime mark every sample.
 
-    * infinite expected rounds: a single closed class makes the limit
-      average the unique stationary distribution, the solution of the
-      row-replaced system (I - M)^T x = 0, sum(x) = 1.
-    * constant continuation delta: (I - delta M)^T x = (1 - delta) v1.
+def _normalized(x: np.ndarray, lhs: np.ndarray,
+                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solved rows clipped at 0 and scaled to sum 1, with their residuals
+    |x lhs - rhs|_1."""
+    x = np.maximum(x, 0.0)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x, np.abs((x[:, None, :] @ lhs)[:, 0] - rhs).sum(axis=-1)
+
+
+def _tail_average(m: np.ndarray, u: np.ndarray,
+                  c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1 - c) u (I - cM)^-1 for each chain, the Cesàro limit at c = 1,
+    with its residual |x (I - cM) - (1 - c) u|_1 and whether it is
+    ``_settled``.
+
+    A chain with one closed class solves the row-replaced resolvent: the
+    last equation of x (I - cM) = (1 - c) u becomes sum(x) = 1, which
+    removes the eigenvalue that vanishes as c -> 1.  A chain with several
+    closed classes, or whose solve is not settled, takes the projector
+    form u P* + (1 - c)(u - u P*)(I - c(M - P*))^-1.
     """
-    count, n = v1.shape
-    vbar = np.zeros((count, n))
-    ok = np.zeros(count, dtype=bool)
+    n = u.shape[-1]
     eye = np.eye(n)
-    if isinstance(form, InfiniteExpectedRounds):
-        rows = np.flatnonzero(single_closed_class(m))
-        chain = m[rows]
-        a = np.swapaxes(eye - chain, -1, -2).copy()
+    single = single_closed_class(m)
+    lhs = eye - c * m
+    rhs = (1.0 - c) * u
+    # a singular or nearly singular solve leaves non-finite or huge rows,
+    # which _settled rejects
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        a = np.swapaxes(lhs, -1, -2).copy()
         a[:, -1, :] = 1.0
-        b = np.zeros((rows.size, n, 1))
-        b[:, -1, 0] = 1.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.clip(_solve_stack(a, b), 0.0, None)
-            x /= x.sum(axis=-1, keepdims=True)
-        residual = np.abs((x[:, None, :] @ chain)[:, 0] - x).sum(axis=-1)
-    elif isinstance(form, ConstantContinuation):
-        rows = np.arange(count)
-        lhs = eye - form.delta * m
-        rhs = (1.0 - form.delta) * v1
-        x = _solve_stack(np.swapaxes(lhs, -1, -2), rhs[..., None])
-        residual = np.abs((x[:, None, :] @ lhs)[:, 0] - rhs).sum(axis=-1)
-    else:
-        return vbar, ok
-    with np.errstate(invalid="ignore"):
-        good = (np.all(np.isfinite(x), axis=-1)
-                & (residual <= RESIDUAL_TOL)
-                & np.all(x >= -CLAMP_TOL, axis=-1)
-                & np.all(x <= 1.0 + CLAMP_TOL, axis=-1)
-                & (np.abs(x.sum(axis=-1) - 1.0) <= DIST_SUM_TOL))
-    ok[rows[good]] = True
-    vbar[rows[good]] = np.clip(x[good], 0.0, 1.0)
-    return vbar, ok
+        a[~single] = eye  # placeholder: these take the projector form
+        b = rhs.copy()
+        b[:, -1] = 1.0
+        x, residual = _normalized(_solve_stack(a, b[..., None]), lhs, rhs)
+        settled = single & _settled(x, residual)
+        if not settled.all():
+            redo = np.flatnonzero(~settled)
+            pstar = np.empty((redo.size, n, n))
+            for i, k in enumerate(redo):
+                try:
+                    pstar[i] = _projector(m[k])
+                except np.linalg.LinAlgError:
+                    pstar[i] = np.nan
+            base = (u[redo, None, :] @ pstar)[:, 0]
+            if c < 1.0:
+                a = np.swapaxes(lhs[redo] + c * pstar, -1, -2)
+                base += _solve_stack(a, (rhs[redo] - (1.0 - c) * base)[..., None])
+            x[redo], residual[redo] = _normalized(base, lhs[redo], rhs[redo])
+            settled[redo] = _settled(x[redo], residual[redo])
+    return x, residual, settled
+
+
+def _continuations(schedule: ContinuationSchedule) -> tuple[tuple[float, ...], float]:
+    """The schedule as explicit continuation values c(1..k) followed by a
+    constant continuation c for every later round."""
+    if isinstance(schedule, Infinite):
+        return (), 1.0
+    if isinstance(schedule, Delta):
+        return (), schedule.delta
+    if isinstance(schedule, FiniteHorizon):
+        # any horizon past the round cap fails it the same way
+        return (1.0,) * (min(schedule.rounds, MAX_ROUNDS + 1) - 1), 0.0
+    if isinstance(schedule, Custom):
+        return schedule.values, schedule.tail
+    raise InvalidParamsError(f"unknown schedule {schedule!r}")
+
+
+def markov_average(m: np.ndarray, v1: np.ndarray,
+                   schedule: ContinuationSchedule
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p-weighted limiting averages of a stack of chains.
+
+    ``m`` is (N, n, n), ``v1`` is (N, n).  Returns ``(vbar, residual,
+    settled)``.  The explicit rounds of the schedule are summed by stacked
+    products v M until the survival weight reaches 0, so a finite horizon
+    solves nothing and is always settled.  A live constant tail c is one
+    ``_tail_average`` from the distribution of the round it starts; a
+    chain is settled when that average is finite, its residual is at most
+    RESIDUAL_TOL and it passes ProfileDistribution's range and sum checks.
+    An unsettled row of ``vbar`` is 0.  Raises NoConvergenceError when the
+    schedule needs more than MAX_ROUNDS explicit rounds.
+    """
+    values, c = _continuations(schedule)
+    survival = list(itertools.accumulate(values, operator.mul, initial=1.0))
+    rounds = survival.index(0.0) if 0.0 in survival else len(survival)
+    if rounds > MAX_ROUNDS:
+        raise NoConvergenceError(
+            f"weighted sum needs more than MAX_ROUNDS={MAX_ROUNDS} rounds")
+    # round k + 1 opens the tail when it is reached and the tail is live
+    opens_tail = rounds == len(survival) and c > 0.0
+    v = v1[:, None, :]
+    num = np.zeros(v.shape)
+    den = 0.0
+    for t, w in enumerate(survival[:rounds]):
+        if t:
+            v = v @ m
+        if t < rounds - opens_tail:
+            num += w * v
+            den += w
+    num, v = num[:, 0], v[:, 0]
+    if not opens_tail:
+        return num / den, np.zeros(len(v1)), np.ones(len(v1), dtype=bool)
+    x, residual, settled = _tail_average(m, v, c)
+    # (num + p/(1 - c) x) / (den + p/(1 - c)), scaled to hold at c = 1
+    p = survival[rounds - 1]
+    scale = den * (1.0 - c) + p
+    vbar = num * ((1.0 - c) / scale) + x * (p / scale)
+    vbar[~settled] = 0.0
+    return vbar, residual, settled
+
+
+_METHODS = {InfiniteExpectedRounds: "cesaro",
+            ConstantContinuation: "closed_form_delta",
+            OtherSchedule: "truncated_sum"}
+
+
+def average_distribution(game: GameSpec, profile: StrategyProfile,
+                         schedule: ContinuationSchedule) -> AvgDistributionResult:
+    """p-weighted limiting average of the per-round profile distributions:
+    the one-chain case of ``markov_average``.
+
+    Raises NoConvergenceError when the average does not settle.
+    """
+    method = _METHODS[type(classify_schedule(schedule))]
+    v1 = initial_distribution(game, profile).probs
+    m = transition_matrix(game, profile)
+    vbar, residual, settled = markov_average(m[None], v1[None], schedule)
+    if not settled[0]:
+        raise NoConvergenceError(
+            f"{method} average did not settle (residual {residual[0]:.3e})")
+    return AvgDistributionResult(
+        ProfileDistribution(vbar[0]), method, float(residual[0]))
 
 
 def effective_payoffs(game: GameSpec, profile: StrategyProfile,
-                      schedule: ContinuationSchedule,
-                      tol: float = 1e-12) -> np.ndarray:
+                      schedule: ContinuationSchedule) -> np.ndarray:
     """Per-player payoffs against the limiting average distribution."""
-    result = average_distribution(game, profile, schedule, tol=tol)
+    result = average_distribution(game, profile, schedule)
     return game.payoffs.T @ result.dist.probs
 
 

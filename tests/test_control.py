@@ -10,8 +10,11 @@ from payoffcontrol import (
     InvalidParamsError,
     MarkovStrategy,
     MixedAction,
+    NoConvergenceError,
     PayoffRelation,
     StrategyProfile,
+    SynthesisResult,
+    SynthesisTarget,
     UnsupportedScheduleError,
     average_distribution,
     build_game,
@@ -26,6 +29,7 @@ from payoffcontrol import (
     repeat_strategy,
     ruling_basis,
     sample_markov_strategy,
+    synthesize,
     verify_relation,
 )
 from payoffcontrol.control import _draw_opponents, sample_markov_tables
@@ -332,6 +336,40 @@ def test_verify_matches_per_sample_average(request, case, schedule):
                     rtol=0, atol=1e-12)
     np.testing.assert_array_equal(report.boundary_mask,
                                   np.arange(samples) >= samples // 2)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_verify_near_one_continuation(donation, eps):
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
+    schedule = Delta(1.0 - eps)
+    result = synthesize(donation, schedule,
+                        SynthesisTarget(rel, controllers=(0,)))
+    assert isinstance(result, SynthesisResult)
+    report = verify_relation(donation, result.strategies, schedule, rel,
+                             samples=1000, seed=0)
+    assert report.samples_skipped == 0
+    assert report.passed
+    assert report.max_abs_violation <= 1e-12
+
+
+def test_verify_counts_unsettled_samples_as_skipped(pd):
+    # the leaky player-1 table of the PD pin u2 = 2.5 at delta 0.5 (see
+    # test_leaky_class_fails_as_no_convergence), played under Infinite
+    controller = MarkovStrategy(0, MixedAction(np.array([0.75, 0.25])), np.array(
+        [[1.0, 8.2833045977892539e-17], [0.0, 1.0], [0.5, 0.5], [0.0, 1.0]]))
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.5)
+    report = verify_relation(pd, [controller], Infinite(), rel, samples=1000,
+                             seed=1)
+    assert report.samples_used + report.samples_skipped == 1000
+    assert report.samples_used > 0
+    assert report.payoffs.shape == (report.samples_used, 2)
+
+
+def test_verify_refuses_schedule_past_round_cap(pd):
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
+    with pytest.raises(NoConvergenceError):
+        verify_relation(pd, [wsls_pd(0)], FiniteHorizon(10 ** 6 + 1), rel,
+                        samples=10)
 
 
 def test_verify_same_seed_is_deterministic(pgg, alliance_pin_out):

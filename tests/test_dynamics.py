@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from payoffcontrol import (
     MarkovStrategy,
     MissingRoundCapError,
     MixedAction,
+    NoConvergenceError,
     OtherSchedule,
     StrategyProfile,
     average_distribution,
@@ -30,9 +33,10 @@ from payoffcontrol import (
 )
 from payoffcontrol.control import sample_markov_tables
 from payoffcontrol.dynamics import (
+    MAX_ROUNDS,
     _solve_stack,
-    batched_average,
     initial_distribution,
+    markov_average,
     profile_product,
     single_closed_class,
 )
@@ -196,6 +200,11 @@ def test_infinite_periodic_chain(pd):
         markov(1, flip, initial=[1.0, 0.0])))
     res = average_distribution(pd, profile, Infinite())
     assert_allclose(res.dist.probs, [0.5, 0, 0, 0.5], atol=1e-12)
+    # near 1 the discounted weights alternate: 1/(1 + delta), delta/(1 + delta)
+    delta = 1.0 - 1e-9
+    res = average_distribution(pd, profile, Delta(delta))
+    assert_allclose(res.dist.probs, [1 / (1 + delta), 0, 0, delta / (1 + delta)],
+                    rtol=0, atol=1e-12)
 
 
 def test_infinite_reducible_two_classes(pd):
@@ -203,9 +212,10 @@ def test_infinite_reducible_two_classes(pd):
     profile = StrategyProfile((
         repeat_strategy(pd, 0, initial=MixedAction(np.array([0.3, 0.7]))),
         repeat_strategy(pd, 1, initial=MixedAction(np.array([0.3, 0.7])))))
-    res = average_distribution(pd, profile, Infinite())
     # CD and DC are also absorbing here, so v1 is already stationary
-    assert_allclose(res.dist.probs, [0.09, 0.21, 0.21, 0.49], atol=1e-12)
+    for schedule in (Infinite(), Delta(1.0 - 1e-9)):
+        res = average_distribution(pd, profile, schedule)
+        assert_allclose(res.dist.probs, [0.09, 0.21, 0.21, 0.49], atol=1e-12)
 
 
 def _truncated_oracle(game, profile, schedule, terms):
@@ -261,6 +271,49 @@ def test_custom_divergent_tail_routes_to_limit_average(pd):
     res = average_distribution(pd, profile, Custom((0.9, 0.9), tail=1.0))
     ref = average_distribution(pd, profile, Infinite())
     assert_allclose(res.dist.probs, ref.dist.probs, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_delta_near_one_converges_to_infinite(donation, equalizer_strategy,
+                                              eps):
+    # avg(Delta(1 - eps)) - avg(Infinite) is eps times a bounded deviation
+    # term; 200 is about twice the largest factor over these draws
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        profile = StrategyProfile((equalizer_strategy, sample_markov_strategy(
+            rng, donation, 1, boundary=True)))
+        near = average_distribution(donation, profile, Delta(1.0 - eps))
+        limit = average_distribution(donation, profile, Infinite())
+        assert np.max(np.abs(near.dist.probs - limit.dist.probs)) <= 200 * eps
+
+
+def test_leaky_class_fails_as_no_convergence(pd):
+    # the player-1 table synth writes for the PD pin u2 = 2.5 at delta 0.5:
+    # its first row leaks 8.3e-17, so a class that is closed in all but
+    # rounding makes the absorption system singular
+    controller = MarkovStrategy(0, MixedAction(np.array([0.75, 0.25])), np.array(
+        [[1.0, 8.2833045977892539e-17], [0.0, 1.0], [0.5, 0.5], [0.0, 1.0]]))
+    rng = np.random.default_rng(0)
+    failed = 0
+    for _ in range(400):
+        profile = StrategyProfile((controller, sample_markov_strategy(
+            rng, pd, 1, boundary=True)))
+        try:
+            average_distribution(pd, profile, Infinite())
+        except NoConvergenceError:
+            failed += 1
+    assert failed < 400
+
+
+def test_round_cap_is_checked_before_summing(pd):
+    profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError):
+        average_distribution(pd, profile, FiniteHorizon(MAX_ROUNDS + 1))
+    assert time.perf_counter() - start < 1.0
+    # a zero continuation ends the sum before the cap is reached
+    res = average_distribution(pd, profile, Custom((0.0,) + (1.0,) * MAX_ROUNDS))
+    assert_allclose(res.dist.probs, [1.0, 0, 0, 0])
 
 
 def test_cesaro_estimate_agrees_with_exact(donation):
@@ -372,21 +425,33 @@ def test_batched_average_matches_per_sample(donation, pin_strategy, case,
         else pin_strategy
     m, v1, opponents = _donation_stack(donation, controller, 200,
                                        case != "interior", seed=41)
-    vbar, ok = batched_average(m, v1, classify_schedule(schedule))
+    vbar, residual, settled = markov_average(m, v1, schedule)
+    assert settled.all()
+    assert residual.max() <= 1e-12
+    classes = np.array([_closed_class_count(mk) for mk in m])
     for k, opponent in enumerate(opponents):
         profile = StrategyProfile((controller, opponent))
         assert_allclose(transition_matrix(donation, profile), m[k], rtol=0,
                         atol=0)
-        if ok[k]:
-            ref = average_distribution(donation, profile, schedule)
-            assert_allclose(vbar[k], ref.dist.probs, rtol=0, atol=1e-12)
-    if case == "repeat" and isinstance(schedule, Infinite):
+        ref = average_distribution(donation, profile, schedule)
+        assert_allclose(vbar[k], ref.dist.probs, rtol=0, atol=1e-12)
+        if isinstance(schedule, Delta):
+            # 0.9^500 is below 1e-22: the truncated series is exact here
+            oracle = _truncated_oracle(donation, profile, schedule, 500)
+            assert_allclose(vbar[k], oracle, rtol=0, atol=1e-12)
+        elif classes[k] == 1:
+            # one closed class: the stationary distribution is unique
+            assert_allclose(vbar[k] @ m[k], vbar[k], rtol=0, atol=1e-12)
+    if case == "repeat":
         # replaying its own action keeps the controller's action forever:
-        # one closed class per action, so every chain takes the
-        # decomposition path
-        assert not ok.any()
+        # one closed class per action, so every chain needs the projector
+        assert (classes > 1).all()
+        if isinstance(schedule, Infinite):
+            for k in range(10):
+                approx = cesaro_average_estimate(m[k], v1[k], tol=1e-7)
+                assert_allclose(vbar[k], approx, rtol=0, atol=1e-4)
     elif case == "interior":
-        assert ok.all()
+        assert (classes == 1).all()
 
 
 def test_single_closed_class_gate_is_exact(donation, equalizer_strategy):
@@ -401,14 +466,19 @@ def test_single_closed_class_gate_is_exact(donation, equalizer_strategy):
 
 
 def test_batched_average_routes_reducible_and_singular():
-    # the first chain has two absorbing states, so the gate sends it to
-    # the decomposition; the second, periodic with one closed class, is
-    # solved in the stack
+    # the first chain has two absorbing states and takes the projector
+    # form; the second, periodic with one closed class, the row-replaced
+    # system
     m = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
     v1 = np.array([[0.5, 0.5], [1.0, 0.0]])
-    vbar, ok = batched_average(m, v1, InfiniteExpectedRounds())
-    np.testing.assert_array_equal(ok, [False, True])
-    assert_allclose(vbar[1], [0.5, 0.5], atol=1e-15)
+    assert [_closed_class_count(mk) for mk in m] == [2, 1]
+    np.testing.assert_array_equal(single_closed_class(m), [False, True])
+    vbar, residual, settled = markov_average(m, v1, Infinite())
+    assert settled.all()
+    for k in range(2):
+        approx = cesaro_average_estimate(m[k], v1[k], tol=1e-9)
+        assert_allclose(vbar[k], approx, rtol=0, atol=1e-6)
+    assert_allclose(vbar, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-15)
     # a singular member of a stack gets a NaN row, the others are solved
     a = np.stack([np.zeros((2, 2)), np.eye(2)])
     x = _solve_stack(a, np.ones((2, 2, 1)))
@@ -418,6 +488,14 @@ def test_batched_average_routes_reducible_and_singular():
 
 def test_batched_average_other_schedule_marks_every_sample(donation,
                                                           pin_strategy):
-    m, v1, _ = _donation_stack(donation, pin_strategy, 5, False, seed=2)
-    _, ok = batched_average(m, v1, classify_schedule(FiniteHorizon(3)))
-    assert not ok.any()
+    # a finite horizon is summed round by round: nothing is solved, so
+    # every chain settles with residual 0
+    m, v1, opponents = _donation_stack(donation, pin_strategy, 5, False,
+                                       seed=2)
+    vbar, residual, settled = markov_average(m, v1, FiniteHorizon(3))
+    assert settled.all()
+    np.testing.assert_array_equal(residual, 0.0)
+    for k, opponent in enumerate(opponents):
+        profile = StrategyProfile((pin_strategy, opponent))
+        oracle = _truncated_oracle(donation, profile, FiniteHorizon(3), 3)
+        assert_allclose(vbar[k], oracle, rtol=0, atol=1e-15)

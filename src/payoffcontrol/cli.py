@@ -108,6 +108,13 @@ def _schedule_for(args, doc_schedule):
     return Infinite()
 
 
+def _load_strategies(args):
+    """Game, strategy blocks and schedule of a subcommand's files."""
+    game = parse_game_file(args.game).game
+    sdoc = parse_strategy_file(args.strategy, game)
+    return game, sdoc.strategies, _schedule_for(args, sdoc.schedule)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -156,12 +163,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = parse_game_file(args.game)
-    game = doc.game
-    sdoc = parse_strategy_file(args.strategy, game)
-    schedule = _schedule_for(args, sdoc.schedule)
+    game, strategies, schedule = _load_strategies(args)
     relation = _relation_from_args(args, game)
-    report = verify_relation(game, sdoc.strategies, schedule, relation,
+    report = verify_relation(game, strategies, schedule, relation,
                              samples=args.samples, tol=args.tol,
                              seed=args.seed)
     status = "pass" if report.passed else "FAIL"
@@ -180,11 +184,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    doc = parse_game_file(args.game)
-    game = doc.game
-    sdoc = parse_strategy_file(args.strategy, game)
-    schedule = _schedule_for(args, sdoc.schedule)
-    relations = detect_relations(game, sdoc.strategies, schedule,
+    game, strategies, schedule = _load_strategies(args)
+    relations = detect_relations(game, strategies, schedule,
                                  tol=args.tol)
     print(f"found {len(relations)} relation(s)")
     for relation in relations:
@@ -193,15 +194,12 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = parse_game_file(args.game)
-    game = doc.game
-    sdoc = parse_strategy_file(args.strategy, game)
-    schedule = _schedule_for(args, sdoc.schedule)
-    if len(sdoc.strategies) != game.player_count:
+    game, strategies, schedule = _load_strategies(args)
+    if len(strategies) != game.player_count:
         raise InvalidParamsError(
             f"simulate needs a strategy block for every player; got "
-            f"{len(sdoc.strategies)} of {game.player_count}")
-    profile = StrategyProfile(tuple(sdoc.strategies))
+            f"{len(strategies)} of {game.player_count}")
+    profile = StrategyProfile(tuple(strategies))
     result = monte_carlo_play(game, profile, schedule,
                               episodes=args.samples, seed=args.seed,
                               max_rounds=args.max_rounds)
@@ -238,14 +236,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    doc = parse_game_file(args.game)
-    game = doc.game
-    sdoc = parse_strategy_file(args.strategy, game)
-    schedule = _schedule_for(args, sdoc.schedule)
-    if len(sdoc.strategies) != 1:
+    game, strategies, schedule = _load_strategies(args)
+    if len(strategies) != 1:
         raise InvalidParamsError(
             "falsify expects exactly one controller strategy block")
-    strategy = sdoc.strategies[0]
+    strategy = strategies[0]
     action = game.action_index(strategy.player, args.action)
     column = strategy.conditionals[:, action]
     repeat = (game.profile_actions[:, strategy.player] == action).astype(float)

@@ -22,7 +22,7 @@ gamma * 1, then the effective payoffs obey sum_i alpha_i * ubar_i + gamma
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .dynamics import (
     InfiniteExpectedRounds,
     MarkovStrategy,
     MixedAction,
-    StrategyProfile,
+    # unused here, but the benchmark tracer rebinds this name
     average_distribution,
     check_strategy,
     classify_schedule,
@@ -45,11 +45,10 @@ from .errors import (
     DimensionMismatchError,
     InconsistentStrategyError,
     InvalidParamsError,
-    NonFiniteEntryError,
-    UnknownActionError,
+    NoConvergenceError,
     UnsupportedScheduleError,
 )
-from .games import MIXED_SUM_TOL, GameSpec
+from .games import MIXED_SUM_TOL, GameSpec, check_rows
 
 RANK_TOL = 1e-9
 
@@ -161,22 +160,17 @@ def joint_conditionals(game: GameSpec,
                        strategies: Sequence[MarkovStrategy]) -> np.ndarray:
     """(profile_count, J) joint conditional table of independent controllers,
     J ranging over joint actions in lexicographic order."""
-    ordered, _, sizes, _ = _controller_setup(game, strategies)
-    count = game.profile_count
-    joint = np.ones((count, int(np.prod(sizes))))
-    reshaped = joint.reshape((count,) + sizes)
-    for axis, strat in enumerate(ordered):
-        shape = [count] + [1] * len(sizes)
-        shape[axis + 1] = sizes[axis]
-        reshaped *= strat.conditionals.reshape(shape)
-    return reshaped.reshape(count, -1)
+    joint = np.ones((game.profile_count, 1))
+    for strat in _controller_setup(game, strategies)[0]:
+        joint = (joint[:, :, None] * strat.conditionals[:, None, :]) \
+            .reshape(len(joint), -1)
+    return joint
 
 
 def joint_initial(strategies: Sequence[MarkovStrategy]) -> np.ndarray:
     """Joint initial distribution of independent controllers."""
-    ordered = sorted(strategies, key=lambda s: s.player)
     sigma = np.ones(1)
-    for strat in ordered:
+    for strat in sorted(strategies, key=lambda s: s.player):
         sigma = np.outer(sigma, strat.initial.probs).ravel()
     return sigma
 
@@ -224,11 +218,8 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
     provenance = tuple(
         tuple(int(x) for x in np.unravel_index(j, sizes))
         for j in range(joint_count - 1))
-    if vectors.size:
-        svals = np.linalg.svd(vectors, compute_uv=False)
-        rank = int(np.sum(svals > RANK_TOL * max(svals[0], 1.0)))
-    else:
-        rank = 0
+    svals = np.linalg.svd(vectors, compute_uv=False)
+    rank = int(np.sum(svals > RANK_TOL * max(svals[0], 1.0)))
     return RulingBasis(vectors, players, form, provenance, rank)
 
 
@@ -236,12 +227,21 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
 # Detection
 
 
-def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space, SVD threshold relative."""
-    u, s, vt = np.linalg.svd(matrix)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
+def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Reduced row-echelon form of a basis with orthonormal rows: the
+    pivots are the columns that leave the span of the columns before them
+    by more than ``tol`` and become the identity, so the result depends
+    only on the row space.  Entries within ``tol`` of 0 become 0."""
+    pivots, span = [], np.zeros((len(rows), 0))
+    for j, col in enumerate(rows.T):
+        residual = col - span @ (span.T @ col)
+        if np.linalg.norm(residual) > tol:
+            pivots.append(j)
+            span = np.column_stack([span, residual / np.linalg.norm(residual)])
+    reduced = np.linalg.solve(rows[:, pivots], rows)
+    reduced[np.abs(reduced) <= tol] = 0.0
+    reduced[:, pivots] = np.eye(len(pivots))
+    return reduced
 
 
 def detect_relations(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -250,34 +250,26 @@ def detect_relations(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """Enforced linear payoff relations of the given controller strategies.
 
     Solves [u_1 ... u_n, 1] (alpha; gamma) = [u~_1 ... u~_r] y for nonzero
-    (alpha, gamma).  Relations are returned in canonical form, pairwise
-    independent, with trivial relations (w = 0) removed.  A repeat
-    strategy, whose ruling vectors all vanish, yields an empty list.
+    (alpha, gamma) and returns the rows of the reduced row-echelon form of
+    the solution space, trivial directions (w = 0) projected out, so the
+    output depends only on the enforced relations.  A repeat strategy,
+    whose ruling vectors all vanish, yields an empty list.
     """
     basis = ruling_basis(game, strategies, schedule)
-    count = game.profile_count
-    u_aug = np.column_stack([game.payoffs, np.ones(count)])
-    block = np.column_stack([u_aug, -basis.vectors.T]) if basis.vectors.size \
-        else u_aug
-    null = _null_space(block, tol)
+    u_aug = np.column_stack([game.payoffs, np.ones(game.profile_count)])
+    _, svals, vt = np.linalg.svd(np.column_stack([u_aug, -basis.vectors.T]))
+    null = vt[int(np.sum(svals > tol * svals[0])):].T
     if null.size == 0:
         return []
-    n1 = game.player_count + 1
-    images = u_aug @ null[:n1, :]
+    images = u_aug @ null[:game.player_count + 1, :]
     u, s, _ = np.linalg.svd(images, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         return []
-    keep = np.where(s > tol * s[0])[0]
-    relations = []
-    for k in keep:
-        coeffs, *_ = np.linalg.lstsq(u_aug, u[:, k], rcond=None)
-        # coefficients at rank-tolerance level are noise, not structure
-        coeffs[np.abs(coeffs) <= tol * np.max(np.abs(coeffs))] = 0.0
-        rel = PayoffRelation(tuple(coeffs[:-1]), coeffs[-1])
-        if not is_trivial(game, rel, tol):
-            relations.append(rel)
-    relations.sort(key=lambda r: tuple(r.coefficients()))
-    return relations
+    # least-norm coefficients of the enforced w: no trivial direction
+    coeffs = np.linalg.lstsq(u_aug, u[:, s > tol * s[0]], rcond=None)[0]
+    relations = [PayoffRelation(tuple(row[:-1]), row[-1])
+                 for row in _rref(np.linalg.qr(coeffs)[0].T, tol)]
+    return [rel for rel in relations if not is_trivial(game, rel, tol)]
 
 
 def enforces_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -286,8 +278,6 @@ def enforces_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """True when w for ``relation`` lies in the span of the ruling basis."""
     basis = ruling_basis(game, strategies, schedule)
     w = relation_vector(game, relation)
-    if not basis.vectors.size:
-        return False
     coeffs, *_ = np.linalg.lstsq(basis.vectors.T, w, rcond=None)
     fitted = basis.vectors.T @ coeffs
     scale = max(1.0, float(np.max(np.abs(w))))
@@ -352,9 +342,8 @@ def sample_markov_strategy(rng: np.random.Generator, game: GameSpec,
 def _draw_opponents(rng: np.random.Generator, game: GameSpec,
                     opponents: Sequence[int], samples: int,
                     n_boundary: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Conditional and initial tables of every sampled opponent, one
-    (conditionals, initials) pair per opponent player; the last
-    ``n_boundary`` samples are boundary draws."""
+    """One (conditionals, initials) pair of stacked tables per opponent
+    player; the last ``n_boundary`` samples are boundary draws."""
     drawn = []
     for player in opponents:
         interior = sample_markov_tables(rng, game, player, samples - n_boundary)
@@ -363,17 +352,16 @@ def _draw_opponents(rng: np.random.Generator, game: GameSpec,
     return drawn
 
 
-def _check_tables(conditionals: np.ndarray, initials: np.ndarray) -> None:
-    """The MarkovStrategy and MixedAction checks, over a stack of draws."""
-    for table, what, sum_tol in ((conditionals, "conditional table", 1e-12),
-                                 (initials, "initial mixed action",
-                                  MIXED_SUM_TOL)):
-        if not np.all(np.isfinite(table)):
-            raise NonFiniteEntryError(f"{what} has a non-finite entry")
-        if np.any(table < -1e-12) or np.any(table > 1.0 + 1e-12):
-            raise InvalidParamsError(f"{what} entries must lie in [0, 1]")
-        if np.any(np.abs(table.sum(axis=-1) - 1.0) > sum_tol):
-            raise InvalidParamsError(f"{what} rows must sum to 1")
+def _average_stack(game: GameSpec, schedule: ContinuationSchedule,
+                   tables: dict[int, tuple[np.ndarray, np.ndarray]],
+                   size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``markov_average`` of ``size`` chains; ``tables`` maps every player
+    to (conditionals, initial), shared or stacked along a leading axis."""
+    conds, inits = zip(*(tables[p] for p in range(game.player_count)))
+    n = game.profile_count
+    m = np.broadcast_to(profile_product(game, conds), (size, n, n))
+    v1 = np.broadcast_to(profile_product(game, inits), (size, n))
+    return markov_average(m, v1, schedule)
 
 
 def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -401,31 +389,24 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
         raise DimensionMismatchError(
             f"relation has {len(relation.alpha)} alpha coefficients for "
             f"{game.player_count} players")
-    controllers = sorted(s.player for s in strategies)
-    if len(set(controllers)) != len(controllers):
-        raise InconsistentStrategyError("duplicate player in strategy profile")
-    for strat in strategies:
-        check_strategy(game, strat)
-    opponents = [p for p in range(game.player_count) if p not in controllers]
+    shared = {s.player: (s.conditionals, s.initial.probs)
+              for s in _controller_setup(game, strategies)[0]}
+    opponents = [p for p in range(game.player_count) if p not in shared]
     rng = np.random.default_rng(seed)
     n_boundary = int(round(samples * boundary_fraction))
     drawn = _draw_opponents(rng, game, opponents, samples, n_boundary)
     for conditionals, initials in drawn:
-        _check_tables(conditionals, initials)
+        check_rows(conditionals, MIXED_SUM_TOL, "conditional")
+        check_rows(initials, MIXED_SUM_TOL, "initial mixed action")
 
-    shared = {s.player: (s.conditionals, s.initial.probs) for s in strategies}
-    n = game.profile_count
     payoffs = np.empty((samples, game.player_count))
     kept = np.empty(samples, dtype=bool)
     for start in range(0, samples, VERIFY_BLOCK):
         block = slice(start, min(start + VERIFY_BLOCK, samples))
-        size = block.stop - start
         tables = {**shared, **{p: (cond[block], init[block])
                                for p, (cond, init) in zip(opponents, drawn)}}
-        conds, inits = zip(*(tables[p] for p in range(game.player_count)))
-        m = np.broadcast_to(profile_product(game, conds), (size, n, n))
-        v1 = np.broadcast_to(profile_product(game, inits), (size, n))
-        vbar, _, kept[block] = markov_average(m, v1, schedule)
+        vbar, _, kept[block] = _average_stack(game, schedule, tables,
+                                              block.stop - start)
         payoffs[block] = vbar @ game.payoffs
     residuals = np.abs(payoffs @ np.array(relation.alpha) + relation.gamma)
     boundary_mask = np.arange(samples) >= samples - n_boundary
@@ -466,13 +447,10 @@ class FalsificationReport:
 
 
 def _project_rows(table: np.ndarray) -> np.ndarray:
+    """Rows clipped to [0, 1] and scaled to sum 1; a zero row turns uniform."""
     table = np.clip(table, 0.0, 1.0)
-    sums = table.sum(axis=-1, keepdims=True)
-    flat = sums <= 0.0
-    if np.any(flat):
-        table = np.where(flat, 1.0, table)
-        sums = table.sum(axis=-1, keepdims=True)
-    return table / sums
+    table = np.where(table.sum(axis=-1, keepdims=True) > 0.0, table, 1.0)
+    return table / table.sum(axis=-1, keepdims=True)
 
 
 def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -486,64 +464,82 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     ``threshold`` certifies that the candidate is not a ruling vector
     under this schedule; not exceeding it within the budget proves
     nothing and is reported as inconclusive.
+
+    The restarts run in lockstep, VERIFY_BLOCK at a time: each trial
+    evaluates every restart still refining at that step as one stack.
+    Among equal best values the first restart wins.
     """
     candidate = np.asarray(candidate, dtype=float)
     if candidate.shape != (game.profile_count,):
         raise DimensionMismatchError(
             f"candidate has shape {candidate.shape}, expected "
             f"({game.profile_count},)")
-    controllers = sorted(s.player for s in strategies)
+    controllers = {s.player for s in strategies}
     opponents = [p for p in range(game.player_count) if p not in controllers]
     if not opponents:
         raise InvalidParamsError("no free opponent to search over")
-    rng = np.random.default_rng(seed)
+    shared = {s.player: (s.conditionals, s.initial.probs)
+              for s in _controller_setup(game, strategies)[0]}
     count = game.profile_count
+    sizes = [game.action_counts[p] for p in opponents]
+    # one flat vector per restart: per opponent, its initial then its rows
+    ends = np.cumsum([m * (count + 1) for m in sizes])
+    restarts = max(1, budget)
+    flats = np.random.default_rng(seed).random((restarts, ends[-1]))
 
-    def assemble(flats):
-        drawn = []
-        for player, flat in zip(opponents, flats):
-            m = game.action_counts[player]
-            init = _project_rows(flat[:m][None, :])[0]
-            cond = _project_rows(flat[m:].reshape(count, m))
-            drawn.append(MarkovStrategy(player, MixedAction(init), cond))
-        return tuple(drawn)
+    def tables(flat):
+        return {p: (_project_rows(part[:, m:].reshape(-1, count, m)),
+                    _project_rows(part[:, :m]))
+                for p, m, part in zip(opponents, sizes,
+                                      np.split(flat, ends[:-1], axis=1))}
 
-    def objective(flats):
-        profile = StrategyProfile(tuple(strategies) + assemble(flats))
-        vbar = average_distribution(game, profile, schedule).dist.probs
-        return abs(float(candidate @ vbar))
+    def objective(flat):
+        vbar, residual, settled = _average_stack(
+            game, schedule, {**shared, **tables(flat)}, len(flat))
+        if not settled.all():
+            raise NoConvergenceError(f"trial average did not settle "
+                                     f"(residual {residual[~settled][0]:.3e})")
+        # a dot product per chain: the same sum wherever it sits in the stack
+        return np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
 
-    best_val = -1.0
-    best = None
-    sizes = [(game.action_counts[p]) * (count + 1) for p in opponents]
-    for _ in range(max(1, budget)):
-        flats = [rng.random(sz) for sz in sizes]
-        value = objective(flats)
-        for step in (0.3, 0.1, 0.03):
-            improved = True
-            sweeps = 0
-            while improved and sweeps < 3:
-                improved = False
-                sweeps += 1
-                for which, flat in enumerate(flats):
-                    for i in range(flat.size):
-                        base = flat[i]
-                        for direction in (step, -step):
-                            flat[i] = float(np.clip(base + direction, 0.0, 1.0))
-                            trial = objective(flats)
-                            if trial > value + 1e-15:
-                                value = trial
-                                base = flat[i]
-                                improved = True
-                        flat[i] = base
-        if value > best_val:
-            best_val = value
-            best = assemble(flats)
-    found = best_val > threshold
+    values = np.concatenate([
+        _refine(flats[start:start + VERIFY_BLOCK], objective)
+        for start in range(0, restarts, VERIFY_BLOCK)])
+    best = int(np.argmax(values))
+    found = bool(values[best] > threshold)
+    counterexample = tuple(
+        MarkovStrategy(p, MixedAction(init[0]), cond[0])
+        for p, (cond, init) in tables(flats[best:best + 1]).items()) \
+        if found else None
     return FalsificationReport(
         candidate=candidate,
-        achieved=float(best_val),
+        achieved=float(values[best]),
         threshold=threshold,
-        counterexample=best if found else None,
+        counterexample=counterexample,
         conclusive=found,
     )
+
+
+def _refine(flat: np.ndarray, objective) -> np.ndarray:
+    """Coordinatewise ascent from every row of ``flat`` (updated in place)
+    at steps 0.3, 0.1 and 0.03, at most three sweeps each; a row leaves a
+    step after a sweep that improved nothing.  Returns the values reached."""
+    value = objective(flat)
+    for step in (0.3, 0.1, 0.03):
+        live = np.arange(len(flat))
+        for _ in range(3):
+            improved = np.zeros(len(flat), dtype=bool)
+            for i in range(flat.shape[1]):
+                base = flat[live, i]
+                for direction in (step, -step):
+                    flat[live, i] = np.clip(base + direction, 0.0, 1.0)
+                    trial = objective(flat[live])
+                    better = trial > value[live] + 1e-15
+                    value[live[better]] = trial[better]
+                    improved[live[better]] = True
+                    base = np.where(better, flat[live, i], base)
+                flat[live, i] = base
+            live = live[improved[live]]
+            if not live.size:
+                break
+    return value

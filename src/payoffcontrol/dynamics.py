@@ -46,15 +46,16 @@ from .errors import (
     InvalidParamsError,
     MissingRoundCapError,
     NoConvergenceError,
-    NonFiniteEntryError,
     PlayerOutOfRangeError,
 )
 from .games import (
     DIST_SUM_TOL,
+    MIXED_SUM_TOL,
     GameSpec,
     MixedAction,
     ProfileDistribution,
     _readonly,
+    check_rows,
 )
 
 # Largest a-posteriori residual an exact average may carry.
@@ -119,12 +120,13 @@ class Custom(ContinuationSchedule):
     tail: float = 0.0
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        for v in vals + (float(self.tail),):
-            if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-                raise InvalidParamsError(f"continuation value {v!r} outside [0, 1]")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "tail", float(self.tail))
+        vals = np.array([*self.values, self.tail], dtype=float)
+        inside = (vals >= 0.0) & (vals <= 1.0)  # NaN fails both
+        if not inside.all():
+            bad = float(vals[np.argmin(inside)])
+            raise InvalidParamsError(f"continuation value {bad!r} outside [0, 1]")
+        object.__setattr__(self, "values", tuple(vals[:-1].tolist()))
+        object.__setattr__(self, "tail", float(vals[-1]))
 
     def continuation(self, t: int) -> float:
         if t <= len(self.values):
@@ -243,20 +245,8 @@ class MarkovStrategy:
         if table.ndim != 2 or table.shape[1] != len(self.initial):
             raise DimensionMismatchError(
                 "conditional table must have one column per own action")
-        if not np.all(np.isfinite(table)):
-            raise NonFiniteEntryError("conditional table has a non-finite entry")
-        if np.any(table < -1e-12) or np.any(table > 1.0 + 1e-12):
-            raise InvalidParamsError("conditional entries must lie in [0, 1]")
-        sums = table.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > 1e-12)[0]
-        if bad.size:
-            raise InvalidParamsError(
-                f"conditional row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
-        object.__setattr__(self, "conditionals", _readonly(np.clip(table, 0.0, 1.0)))
-
-    @property
-    def action_count(self) -> int:
-        return len(self.initial)
+        object.__setattr__(self, "conditionals", _readonly(
+            check_rows(table, MIXED_SUM_TOL, "conditional")))
 
     def is_strict(self) -> bool:
         """True unless the strategy ignores the previous profile entirely."""

@@ -44,7 +44,7 @@ from .dynamics import (
     MarkovStrategy,
 )
 from .errors import ParseError, PayoffControlError, ValidationError
-from .games import GameSpec, MixedAction, build_game
+from .games import MIXED_SUM_TOL, GameSpec, MixedAction, build_game, check_rows
 
 
 @dataclass(frozen=True)
@@ -188,30 +188,16 @@ def _parse_strategy_block(reader, header_tokens, lineno, game: GameSpec):
     init_lineno, init_tokens = item
     init = _floats(reader, init_tokens[1:], init_lineno, size,
                    "initial probability")
-    rows = []
-    row_linenos = []
-    for _ in range(game.profile_count):
-        row_lineno, row = _numeric_row(reader, size, "conditional")
-        rows.append(row)
-        row_linenos.append(row_lineno)
-    try:
-        initial = MixedAction(np.array(init))
-    except PayoffControlError as exc:
-        raise ValidationError(f"initial distribution: {exc}",
-                              path=reader.path, line=init_lineno) from None
-    for row_lineno, row in zip(row_linenos, rows):
-        total = sum(row)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(
-                f"conditional row sums to {total:.12g}, expected 1",
-                path=reader.path, line=row_lineno)
-        if min(row) < -1e-12 or max(row) > 1.0 + 1e-12:
-            raise ValidationError("conditional row has entries outside [0, 1]",
-                                  path=reader.path, line=row_lineno)
-    try:
-        return MarkovStrategy(player, initial, np.array(rows))
-    except PayoffControlError as exc:
-        raise ValidationError(str(exc), path=reader.path, line=lineno) from None
+    row_linenos, rows = zip(*[_numeric_row(reader, size, "conditional")
+                              for _ in range(game.profile_count)])
+    for values, what, linenos in ((init, "initial distribution", [init_lineno]),
+                                  (rows, "conditional", row_linenos)):
+        try:
+            check_rows(np.array(values), MIXED_SUM_TOL, what)
+        except PayoffControlError as exc:
+            raise ValidationError(str(exc), path=reader.path,
+                                  line=linenos[exc.row]) from None
+    return MarkovStrategy(player, MixedAction(np.array(init)), np.array(rows))
 
 
 def _parse_document(path, game: GameSpec | None):

@@ -39,17 +39,41 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_probs(vec: np.ndarray, sum_tol: float, what: str) -> np.ndarray:
+def check_rows(table: np.ndarray, sum_tol: float, what: str) -> np.ndarray:
+    """Check a (..., k) array of probability rows and return it clipped to
+    [0, 1]: entries finite and within CLAMP_TOL of [0, 1], rows summing to
+    1 within ``sum_tol``.  An error names the first failing row by its
+    index in C order over the leading axes, also kept in its ``row``."""
+    lo, hi = table.min(), table.max()
+    if -CLAMP_TOL <= lo and hi <= 1.0 + CLAMP_TOL:  # NaN fails both
+        sums = table.sum(axis=-1)
+        if abs(sums - 1.0).max() <= sum_tol:
+            return table.clip(0.0, 1.0) if lo < 0.0 or hi > 1.0 else table
+    rows = table.reshape(-1, table.shape[-1])
+    finite = np.isfinite(rows)
+    sums = np.where(finite, rows, 0.0).sum(axis=1)
+    for error, bad, message in (
+            (NonFiniteEntryError, ~finite.all(axis=1),
+             "has a non-finite entry"),
+            (InvalidParamsError,
+             ((rows < -CLAMP_TOL) | (rows > 1.0 + CLAMP_TOL)).any(axis=1),
+             "has an entry outside [0, 1]"),
+            (InvalidParamsError, abs(sums - 1.0) > sum_tol,
+             "sums to {!r}, expected 1")):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            name = what if table.ndim == 1 else f"{what} row {i}"
+            exc = error(f"{name} {message.format(float(sums[i]))}")
+            exc.row = i
+            raise exc
+
+
+def _prob_vector(values, sum_tol: float, what: str) -> np.ndarray:
+    """Read-only checked copy of a non-empty probability vector."""
+    vec = np.asarray(values, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise DimensionMismatchError(f"{what} must be a non-empty vector")
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteEntryError(f"{what} contains a non-finite entry")
-    if np.any(vec < -CLAMP_TOL) or np.any(vec > 1.0 + CLAMP_TOL):
-        raise InvalidParamsError(f"{what} has an entry outside [0, 1]")
-    total = float(vec.sum())
-    if abs(total - 1.0) > sum_tol:
-        raise InvalidParamsError(f"{what} sums to {total!r}, expected 1")
-    return np.clip(vec, 0.0, 1.0)
+    return _readonly(check_rows(vec, sum_tol, what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +83,8 @@ class MixedAction:
     probs: np.ndarray
 
     def __post_init__(self):
-        cleaned = _check_probs(np.asarray(self.probs, dtype=float),
-                               MIXED_SUM_TOL, "mixed action")
-        object.__setattr__(self, "probs", _readonly(cleaned))
+        object.__setattr__(self, "probs", _prob_vector(
+            self.probs, MIXED_SUM_TOL, "mixed action"))
 
     @classmethod
     def point(cls, size: int, index: int) -> "MixedAction":
@@ -87,9 +110,8 @@ class ProfileDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        cleaned = _check_probs(np.asarray(self.probs, dtype=float),
-                               DIST_SUM_TOL, "profile distribution")
-        object.__setattr__(self, "probs", _readonly(cleaned))
+        object.__setattr__(self, "probs", _prob_vector(
+            self.probs, DIST_SUM_TOL, "profile distribution"))
 
     @classmethod
     def point_mass(cls, size: int, index: int) -> "ProfileDistribution":

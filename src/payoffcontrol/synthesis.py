@@ -175,7 +175,8 @@ def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray,
     elementwise.  ``floor`` is either 0 or a margin already known to reach.
 
     The comparison carries no tolerance, so the walk in _maximin_rows finds
-    its crossing at the returned m without clipping.
+    its crossing at the returned m without clipping.  A range within
+    ``_slack`` of min(y) or max(y) has only a rounding margin and gets 0.
     """
     top = 1.0 / max(sizes)
     below = np.full(lo.shape, floor)
@@ -186,7 +187,14 @@ def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray,
         ok = _reaches(y, sizes, mid, lo, hi)
         below = np.where(ok, mid, below)
         above = np.where(ok, above, mid)
-    return below
+    slack = _slack(y)
+    return np.where((lo <= y.min() + slack) | (hi >= y.max() - slack),
+                    0.0, below)
+
+
+def _slack(y: np.ndarray) -> float:
+    """A few ulps of the scale of y: the rounding a vertex value carries."""
+    return 4.0 * np.finfo(float).eps * max(1.0, float(np.abs(y).max()))
 
 
 def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
@@ -195,9 +203,11 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
     row at its own maximin margin.  Returns one (len(betas), s_k) array
     per member.
 
-    A beta outside [min(y), max(y)] by rounding gets margin 0 and the
-    nearest corner.
+    A beta within ``_slack`` of min(y) or max(y), or outside them by
+    rounding, gets margin 0 and that corner; the walk takes any vertex
+    whose value lies that close to beta exactly.
     """
+    slack = _slack(y)
     margins = _max_margin(y, sizes, betas, betas)
     values = _vertex_values(y, sizes, margins)
     rows = [np.empty((betas.size, size)) for size in sizes]
@@ -210,13 +220,13 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
         weights = [0.0] * len(sizes)
         current, value = list(start), float(grid[start])
         for k in range(len(sizes)):
-            if value >= beta:
+            if value >= beta - slack:
                 break
             if current[k] == end[k]:
                 continue
             current[k] = end[k]
             after = float(grid[tuple(current)])
-            weights[k] = 1.0 if after < beta \
+            weights[k] = 1.0 if after <= beta + slack \
                 else (beta - value) / (after - value)
             value = after
         for k, size in enumerate(sizes):

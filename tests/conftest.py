@@ -5,6 +5,8 @@ from payoffcontrol import (
     MarkovStrategy,
     MixedAction,
     NoConvergenceError,
+    StrategyProfile,
+    average_distribution,
     donation_game,
     prisoners_dilemma,
     public_goods_game,
@@ -46,6 +48,69 @@ def cesaro_average_estimate(m, v1, tol=1e-6, max_iter=10 ** 6, window=100):
             prev = avg
     raise NoConvergenceError(
         f"running average still moving after {max_iter} iterations")
+
+
+def _project_rows(table):
+    table = np.clip(table, 0.0, 1.0)
+    sums = table.sum(axis=-1, keepdims=True)
+    flat = sums <= 0.0
+    if np.any(flat):
+        table = np.where(flat, 1.0, table)
+        sums = table.sum(axis=-1, keepdims=True)
+    return table / sums
+
+
+def falsify_sequential(game, strategies, schedule, candidate, budget, seed):
+    """Reference search for ``falsify_candidate``: the same restarts and
+    coordinate sweeps, one restart after another and one
+    ``average_distribution`` per trial.  Returns (achieved, best opponent
+    strategies)."""
+    controllers = sorted(s.player for s in strategies)
+    opponents = [p for p in range(game.player_count) if p not in controllers]
+    rng = np.random.default_rng(seed)
+    count = game.profile_count
+
+    def assemble(flats):
+        drawn = []
+        for player, flat in zip(opponents, flats):
+            m = game.action_counts[player]
+            init = _project_rows(flat[:m][None, :])[0]
+            cond = _project_rows(flat[m:].reshape(count, m))
+            drawn.append(MarkovStrategy(player, MixedAction(init), cond))
+        return tuple(drawn)
+
+    def objective(flats):
+        profile = StrategyProfile(tuple(strategies) + assemble(flats))
+        vbar = average_distribution(game, profile, schedule).dist.probs
+        return abs(float(candidate @ vbar))
+
+    best_val = -1.0
+    best = None
+    sizes = [(game.action_counts[p]) * (count + 1) for p in opponents]
+    for _ in range(max(1, budget)):
+        flats = [rng.random(sz) for sz in sizes]
+        value = objective(flats)
+        for step in (0.3, 0.1, 0.03):
+            improved = True
+            sweeps = 0
+            while improved and sweeps < 3:
+                improved = False
+                sweeps += 1
+                for flat in flats:
+                    for i in range(flat.size):
+                        base = flat[i]
+                        for direction in (step, -step):
+                            flat[i] = float(np.clip(base + direction, 0.0, 1.0))
+                            trial = objective(flats)
+                            if trial > value + 1e-15:
+                                value = trial
+                                base = flat[i]
+                                improved = True
+                        flat[i] = base
+        if value > best_val:
+            best_val = value
+            best = assemble(flats)
+    return best_val, best
 
 
 def markov(player, *cols, initial=None):

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from payoffcontrol import (
+    Custom,
     Delta,
+    DimensionMismatchError,
     FiniteHorizon,
+    InconsistentStrategyError,
     Infinite,
     InvalidParamsError,
     MarkovStrategy,
@@ -24,6 +29,7 @@ from payoffcontrol import (
     is_trivial,
     joint_conditionals,
     joint_initial,
+    public_goods_game,
     relation_vector,
     repeat_indicator,
     repeat_strategy,
@@ -32,11 +38,15 @@ from payoffcontrol import (
     synthesize,
     verify_relation,
 )
+from payoffcontrol import control, dynamics
 from payoffcontrol.control import _draw_opponents, sample_markov_tables
 
+import conftest
 from conftest import (
     ALLIANCE_FREE,
+    ALLIANCE_PIN_OUT,
     FREE_COLS,
+    falsify_sequential,
     markov,
     wsls_pd,
 )
@@ -442,3 +452,193 @@ def test_sample_markov_strategy_is_one_table_draw(donation):
                                       1, boundary=True)
     np.testing.assert_array_equal(strategy.conditionals, cond[0])
     np.testing.assert_array_equal(strategy.initial.probs, init[0])
+
+
+# ---------------------------------------------------------------------------
+# Falsification in lockstep against the sequential search
+
+
+def _column_candidate(game, strategy, action):
+    """The infinite-form ruling vector of one action of a controller."""
+    repeat = (game.profile_actions[:, strategy.player] == action).astype(float)
+    return strategy.conditionals[:, action] - repeat
+
+
+def _falsify_case(request, case):
+    """(game, controllers, candidate) of a named falsification case."""
+    if case == "pd-wsls-C":
+        game, wsls = request.getfixturevalue("pd"), wsls_pd(0)
+        return game, [wsls], _column_candidate(game, wsls, 0)
+    if case == "pgg-alliance-u3-player1":
+        # one member of the outsider pin alone, with two free opponents
+        member = markov(0, ALLIANCE_PIN_OUT[0])
+        game = request.getfixturevalue("pgg")
+        return game, [member], _column_candidate(game, member, 0)
+    game = request.getfixturevalue("donation")
+    pin = request.getfixturevalue("pin_strategy")
+    action = game.action_index(0, case.split("-")[-1])
+    return game, [pin], _column_candidate(game, pin, action)
+
+
+def _assert_same_search(report, achieved, best, threshold=1e-6):
+    assert abs(report.achieved - achieved) <= 1e-15
+    assert report.conclusive == (achieved > threshold)
+    if not report.conclusive:
+        assert report.counterexample is None
+        return
+    for mine, theirs in zip(report.counterexample, best, strict=True):
+        assert mine.player == theirs.player
+        assert np.array_equal(mine.conditionals, theirs.conditionals)
+        assert np.array_equal(mine.initial.probs, theirs.initial.probs)
+
+
+FALSIFY_CASES = ["donation-C1", "donation-C2", "donation-D", "pd-wsls-C",
+                 "pgg-alliance-u3-player1"]
+FALSIFY_SCHEDULES = [FiniteHorizon(2), FiniteHorizon(10),
+                     Custom((0.9, 0.5), tail=0.8), Delta(0.9), Infinite()]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("schedule", FALSIFY_SCHEDULES,
+                         ids=["horizon2", "horizon10", "custom", "delta0.9",
+                              "infinite"])
+@pytest.mark.parametrize("case", FALSIFY_CASES)
+def test_falsify_matches_sequential_search(request, case, schedule, seed):
+    game, controllers, candidate = _falsify_case(request, case)
+    report = falsify_candidate(game, controllers, schedule, candidate,
+                               budget=3, seed=seed)
+    achieved, best = falsify_sequential(game, controllers, schedule,
+                                        candidate, 3, seed)
+    _assert_same_search(report, achieved, best)
+
+
+def test_falsify_blocks_and_first_best(monkeypatch, request):
+    # seven restarts in blocks of 3, 3 and 1; the best value is reached
+    # by restarts in different blocks, and the first of them must win
+    monkeypatch.setattr(control, "VERIFY_BLOCK", 3)
+    finals, chains, calls = [], [], []
+    refine, stack = control._refine, control._average_stack
+
+    def recording(flat, objective):
+        values = refine(flat, objective)
+        finals.append((flat.copy(), values.copy()))
+        return values
+
+    def counting_stack(game, schedule, tables, size):
+        chains.append(size)
+        return stack(game, schedule, tables, size)
+
+    def counting_average(*args):
+        calls.append(1)
+        return average_distribution(*args)
+
+    monkeypatch.setattr(control, "_refine", recording)
+    monkeypatch.setattr(control, "_average_stack", counting_stack)
+    monkeypatch.setattr(conftest, "average_distribution", counting_average)
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    report = falsify_candidate(game, controllers, FiniteHorizon(2),
+                               candidate, budget=7, seed=1)
+    assert [len(values) for _, values in finals] == [3, 3, 1]
+    flats = np.concatenate([flat for flat, _ in finals])
+    values = np.concatenate([values for _, values in finals])
+    ties = np.flatnonzero(values == values.max())
+    assert ties[0] // 3 != ties[-1] // 3
+    assert not np.array_equal(flats[ties[0]], flats[ties[-1]])
+    achieved, best = falsify_sequential(game, controllers, FiniteHorizon(2),
+                                        candidate, 7, 1)
+    _assert_same_search(report, achieved, best)
+    # a restart leaves a step exactly where the sequential search moves on,
+    # so both evaluate the same number of chains
+    assert sum(chains) == len(calls)
+
+
+def test_falsify_builds_no_per_trial_objects(monkeypatch, request):
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("falsify used the per-trial object path")
+
+    monkeypatch.setattr(control, "average_distribution", refuse)
+    monkeypatch.setattr(dynamics, "average_distribution", refuse)
+    monkeypatch.setattr(StrategyProfile, "__post_init__", refuse)
+    built = []
+    post_init = MarkovStrategy.__post_init__
+
+    def counting(self):
+        built.append(self.player)
+        post_init(self)
+
+    monkeypatch.setattr(MarkovStrategy, "__post_init__", counting)
+    report = falsify_candidate(game, controllers, FiniteHorizon(2),
+                               candidate, budget=4, seed=0)
+    assert report.conclusive and built == [1]
+    built.clear()
+    report = falsify_candidate(game, controllers, Infinite(), candidate,
+                               budget=4, seed=0)
+    assert not report.conclusive and built == []
+
+
+def test_falsify_argument_errors(donation, pgg, pin_strategy):
+    candidate = np.zeros(donation.profile_count)
+    with pytest.raises(DimensionMismatchError):
+        falsify_candidate(donation, [pin_strategy], FiniteHorizon(2),
+                          np.zeros(4))
+    with pytest.raises(InvalidParamsError):
+        falsify_candidate(donation, [pin_strategy, markov(1, *FREE_COLS)],
+                          FiniteHorizon(2), candidate)
+    twice = [markov(0, ALLIANCE_PIN_OUT[0]), markov(0, ALLIANCE_PIN_OUT[1])]
+    with pytest.raises(InconsistentStrategyError):
+        falsify_candidate(pgg, twice, FiniteHorizon(2),
+                          np.zeros(pgg.profile_count))
+
+
+def test_falsify_unsettled_trial_raises(monkeypatch, request):
+    kernel = control.markov_average
+
+    def last_unsettled(m, v1, schedule):
+        vbar, residual, settled = kernel(m, v1, schedule)
+        settled[-1] = False
+        return vbar, residual, settled
+
+    monkeypatch.setattr(control, "markov_average", last_unsettled)
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    with pytest.raises(NoConvergenceError):
+        falsify_candidate(game, controllers, Infinite(), candidate,
+                          budget=2, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Canonical detect output
+
+
+PGG4_PIN_ROWS = np.array([[1.0, 0.0, -1.0, 0.0, 0.0],
+                          [0.0, 1.0, -1.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0, -1.5]])
+
+
+@pytest.mark.parametrize("schedule", [Infinite(), Delta(0.9)],
+                         ids=["infinite", "delta0.9"])
+def test_detect_is_reduced_row_echelon(monkeypatch, schedule):
+    game = public_goods_game(4, 3.0, 2.0)
+    rel = PayoffRelation(alpha=(0.0, 0.0, 0.0, 1.0), gamma=-1.5)
+    result = synthesize(game, schedule, SynthesisTarget(rel, (0, 1, 2)))
+    strategies = result.strategies
+
+    def rows(found):
+        return np.array([r.coefficients() for r in found])
+
+    reference = rows(detect_relations(game, strategies, schedule))
+    assert_allclose(reference, PGG4_PIN_ROWS, atol=1e-9)
+    assert_allclose(rows(detect_relations(game, strategies[::-1], schedule)),
+                    reference, atol=1e-12)
+    basis = ruling_basis(game, strategies, schedule)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        order = rng.permutation(len(basis.vectors))
+        scales = rng.uniform(0.1, 10.0, len(order)) \
+            * rng.choice([-1.0, 1.0], len(order))
+        shuffled = dataclasses.replace(
+            basis, vectors=basis.vectors[order] * scales[:, None])
+        monkeypatch.setattr(control, "ruling_basis", lambda *a: shuffled)
+        assert_allclose(rows(detect_relations(game, strategies, schedule)),
+                        reference, atol=1e-9)

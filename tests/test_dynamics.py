@@ -288,9 +288,10 @@ def test_delta_near_one_converges_to_infinite(donation, equalizer_strategy,
 
 
 def test_leaky_class_fails_as_no_convergence(pd):
-    # the player-1 table synth writes for the PD pin u2 = 2.5 at delta 0.5:
-    # its first row leaks 8.3e-17, so a class that is closed in all but
-    # rounding makes the absorption system singular
+    # a hand-written table whose first row leaks 8.3e-17 where the exact
+    # entry is 0 (synth wrote it for the PD pin u2 = 2.5 at delta 0.5
+    # before its rows snapped to exact corners): a class that is closed in
+    # all but rounding makes the absorption system singular
     controller = MarkovStrategy(0, MixedAction(np.array([0.75, 0.25])), np.array(
         [[1.0, 8.2833045977892539e-17], [0.0, 1.0], [0.5, 0.5], [0.0, 1.0]]))
     rng = np.random.default_rng(0)
@@ -499,3 +500,17 @@ def test_batched_average_other_schedule_marks_every_sample(donation,
         profile = StrategyProfile((pin_strategy, opponent))
         oracle = _truncated_oracle(donation, profile, FiniteHorizon(3), 3)
         assert_allclose(vbar[k], oracle, rtol=0, atol=1e-15)
+
+
+def test_custom_names_the_first_bad_value():
+    with pytest.raises(InvalidParamsError, match=r"value 1\.5 outside"):
+        Custom((0.5, 1.5, float("nan")))
+    with pytest.raises(InvalidParamsError, match="value nan outside"):
+        Custom((0.5, float("nan"), 1.5))
+    with pytest.raises(InvalidParamsError, match=r"value -0\.25 outside"):
+        Custom((0.5,), tail=-0.25)
+    with pytest.raises(InvalidParamsError, match="value inf outside"):
+        Custom((float("inf"),))
+    schedule = Custom([1, 0.5], tail=1)
+    assert schedule.values == (1.0, 0.5) and schedule.tail == 1.0
+    assert all(type(v) is float for v in schedule.values + (schedule.tail,))

@@ -182,6 +182,18 @@ def test_conditional_row_sum_checked(tmp_path, pd):
     assert ":4" in str(err.value)
 
 
+@pytest.mark.parametrize("lines, line", [
+    (["initial 0.5 0.6", "0.5 0.5", "0.5 0.5", "0.5 0.5", "0.5 0.5"], 2),
+    (["initial 0.5 0.5", "0.5 0.5", "0.5 0.5", "1.5 -0.5", "0.5 0.5"], 5),
+    (["initial 0.5 0.5", "0.5 0.5", "0.5 0.5", "0.5 0.5", "nan 0.5"], 6)])
+def test_strategy_block_errors_name_their_line(tmp_path, pd, lines, line):
+    out = tmp_path / "bad.strategy"
+    out.write_text("\n".join(["strategy.1"] + lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        parse_strategy_file(out, pd)
+    assert f":{line}:" in str(err.value)
+
+
 def test_strategy_block_in_schedule_file_rejected(tmp_path):
     out = tmp_path / "sched.txt"
     out.write_text("schedule infinite\nstrategy.1\ninitial 0.5 0.5\n")

@@ -9,6 +9,7 @@ from payoffcontrol import (
     GameSpec,
     IndexOutOfRangeError,
     InvalidParamsError,
+    MarkovStrategy,
     MixedAction,
     NonFiniteEntryError,
     PlayerOutOfRangeError,
@@ -24,6 +25,7 @@ from payoffcontrol import (
     profile_index,
     public_goods_game,
 )
+from payoffcontrol.games import check_rows
 
 
 def test_pd_payoff_table():
@@ -154,3 +156,45 @@ def test_game_equality_and_vector(pd):
     assert pd == other
     assert pd != prisoners_dilemma(3.0, 0.0, 5.0, 2.0)
     assert_allclose(pd.payoff_vector(1), [3, 5, 0, 1])
+
+
+def test_check_rows_names_the_first_bad_row():
+    table = np.full((2, 3, 2), 0.5)
+    assert check_rows(table, 1e-12, "conditional") is table
+    bad = table.copy()
+    bad[1, 2] = [0.5, 0.4]
+    with pytest.raises(InvalidParamsError,
+                       match=r"^conditional row 5 sums to 0\.9, expected 1$"):
+        check_rows(bad, 1e-12, "conditional")
+    bad = table.copy()
+    bad[0, 1] = [np.inf, -np.inf]
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(NonFiniteEntryError,
+                       match="^conditional row 1 has a non-finite entry$"):
+        check_rows(bad, 1e-12, "conditional")
+    bad = table.copy()
+    bad[1, 0] = [1.5, -0.5]
+    with pytest.raises(InvalidParamsError, match=r"^conditional row 3 has "
+                       r"an entry outside \[0, 1\]$"):
+        check_rows(bad, 1e-12, "conditional")
+
+
+def test_check_rows_clips_within_clamp_tolerance():
+    near = np.array([[1.0 + 5e-13, -5e-13], [0.25, 0.75]])
+    clipped = check_rows(near, 1e-12, "conditional")
+    assert_allclose(clipped, [[1.0, 0.0], [0.25, 0.75]], rtol=0, atol=0)
+    assert near[0, 0] > 1.0  # the input is left as it was
+
+
+def test_probability_messages():
+    with pytest.raises(InvalidParamsError,
+                       match=r"^mixed action sums to 0\.9, expected 1$"):
+        MixedAction(np.array([0.5, 0.4]))
+    with pytest.raises(NonFiniteEntryError, match="^profile distribution has"):
+        ProfileDistribution(np.array([np.nan, 1.0]))
+    with pytest.raises(DimensionMismatchError):
+        MixedAction(np.array([[0.5, 0.5]]))
+    table = np.array([[1.0, 0.0], [0.5, 0.4], [0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(InvalidParamsError,
+                       match=r"^conditional row 1 sums to 0\.9, expected 1$"):
+        MarkovStrategy(0, MixedAction.uniform(2), table)

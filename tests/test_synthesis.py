@@ -22,7 +22,11 @@ from payoffcontrol import (
     synthesize,
     verify_relation,
 )
-from payoffcontrol.synthesis import _max_margin, _maximin_rows
+from payoffcontrol.synthesis import (
+    _family_residual,
+    _max_margin,
+    _maximin_rows,
+)
 
 
 def pin(player, value, n=2):
@@ -79,6 +83,25 @@ def test_pd_pin_margin_and_verification(pd, g, margin):
                              target.relation, samples=150, seed=5)
     assert report.passed
     assert report.max_abs_violation < 1e-8
+
+
+def test_pd_pin_rows_hold_exact_zeros(pd):
+    # at delta 0.5 the first row's target sits on min(y), so its exact
+    # maximin row is the corner (1, 0); rounding in the margin bisection
+    # must not leak into the 0
+    target = SynthesisTarget(pin(1, 2.5), controllers=(0,))
+    result = synthesize(pd, Delta(0.5), target)
+    strategy = result.strategies[0]
+    assert strategy.conditionals[0].tolist() == [1.0, 0.0]
+    residual = _family_residual(result.form, strategy.conditionals,
+                                strategy.initial.probs,
+                                pd.profile_actions[:, 0],
+                                np.append(result.y, 0.0), result.w)
+    assert residual <= 1e-8 * max(1.0, float(np.abs(result.w).max()))
+    report = verify_relation(pd, result.strategies, Delta(0.5),
+                             target.relation, samples=400, seed=1)
+    assert report.passed
+    assert report.samples_skipped == 0
 
 
 @pytest.mark.parametrize("g", [-4.0, -1.0, 0.0, 1.0, 4.0])

@@ -21,6 +21,7 @@ from .control import (
     PayoffRelation,
     detect_relations,
     falsify_candidate,
+    ruling_family,
     verify_relation,
 )
 from .dynamics import (
@@ -244,15 +245,14 @@ def _cmd_falsify(args) -> int:
     action = game.action_index(strategy.player, args.action)
     column = strategy.conditionals[:, action]
     repeat = (game.profile_actions[:, strategy.player] == action).astype(float)
-    if args.form == "infinite":
-        candidate = column - repeat
-    else:
+    form = InfiniteExpectedRounds()
+    if args.form == "constant":
         form = classify_schedule(schedule)
         if not isinstance(form, ConstantContinuation):
             raise InvalidParamsError(
                 "--form constant needs a constant-continuation schedule")
-        sigma = float(strategy.initial.probs[action])
-        candidate = form.delta * column + (1.0 - form.delta) * sigma - repeat
+    candidate = ruling_family(form, column,
+                              float(strategy.initial.probs[action]), repeat)
     report = falsify_candidate(game, [strategy], schedule, candidate,
                                budget=args.budget, seed=args.seed,
                                threshold=args.threshold)
@@ -352,10 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so every call shares one
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

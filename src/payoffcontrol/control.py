@@ -191,6 +191,15 @@ def repeat_indicator(game: GameSpec, controllers: Sequence[int],
     return mask.astype(float)
 
 
+def ruling_family(form: Classification, conditionals: np.ndarray,
+                  initial, repeat: np.ndarray) -> np.ndarray:
+    """Ruling vectors as columns: q - rep under infinite rounds, else
+    d q + (1 - d) sigma - rep with sigma = ``initial``."""
+    if isinstance(form, InfiniteExpectedRounds):
+        return conditionals - repeat
+    return form.delta * conditionals + (1.0 - form.delta) * initial - repeat
+
+
 def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
                  schedule: ContinuationSchedule) -> RulingBasis:
     """Build the ruling-vector family of the given controller strategies.
@@ -204,16 +213,9 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
             "schedule supports no ruling vectors: expected rounds are finite "
             "and the continuation probability is not constant")
     ordered, players, sizes, jhat = _controller_setup(game, strategies)
-    count = game.profile_count
     joint_count = int(np.prod(sizes))
-    q = joint_conditionals(game, ordered)
-    rep = np.zeros((count, joint_count))
-    rep[np.arange(count), jhat] = 1.0
-    if isinstance(form, InfiniteExpectedRounds):
-        family = q - rep
-    else:
-        sigma = joint_initial(ordered)
-        family = form.delta * q + (1.0 - form.delta) * sigma[None, :] - rep
+    family = ruling_family(form, joint_conditionals(game, ordered),
+                           joint_initial(ordered), np.eye(joint_count)[jhat])
     vectors = family.T[:-1]  # family sums to zero; drop the last joint action
     provenance = tuple(
         tuple(int(x) for x in np.unravel_index(j, sizes))

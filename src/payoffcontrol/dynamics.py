@@ -612,14 +612,15 @@ def monte_carlo_play(game: GameSpec, profile: StrategyProfile,
     """Simulate repeated play and estimate effective payoffs.
 
     Episodes run in lockstep with a single seeded generator, so results
-    are reproducible for a fixed seed.  A round cap is required for the
-    Infinite schedule and optional otherwise.
+    are reproducible for a fixed seed.  A round cap is required whenever
+    the expected number of rounds diverges and optional otherwise.
     """
     check_profile(game, profile)
     if episodes < 1:
         raise InvalidParamsError("episodes must be >= 1")
-    if isinstance(schedule, Infinite) and max_rounds is None:
-        raise MissingRoundCapError("Infinite schedule needs max_rounds")
+    form = classify_schedule(schedule)
+    if max_rounds is None and isinstance(form, InfiniteExpectedRounds):
+        raise MissingRoundCapError("infinite expected rounds need max_rounds")
     rng = np.random.default_rng(seed)
     n = game.player_count
     actions = game.profile_actions

@@ -14,14 +14,6 @@ with sigma the controllers' joint initial distribution.  Each constrained
 row q (and sigma under continuation) must therefore reach a value
 beta = <y, q> fixed by y.
 
-Coefficients.  A distribution q with <y, q> = beta exists exactly when
-beta lies between min(y) and max(y), so for a fixed y feasibility is a set
-of linear inequalities.  Which component attains the min or the max is
-unknown, but enumerating the (min, max) index pair keeps everything
-linear: each pair gives a small linear program in (y, slack), and the
-target is feasible if and only if some pair admits a solution.
-Infeasibility of every pair is therefore a proof, not a search failure.
-
 Rows.  One builder makes every probability row.  An alliance is a list of
 members with sizes s_k, and a row is a product p_1 x ... x p_q: one member
 per controller for independent alliances, a single member over the J
@@ -33,8 +25,19 @@ shrink as m grows, so the largest m whose range still holds beta is found
 by bisection on m.  A walk from the minimizing to the maximizing vertex
 combination, switching one member at a time, then crosses beta on one
 linear segment, which is solved exactly.  Every row sits at its own
-maximin; candidates from the linear programs are ranked by the margin all
-their rows can share.
+maximin.
+
+Coefficients.  Some q in the margin-m sets reaches beta exactly when beta
+lies between the smallest and largest vertex value, and at a fixed m the
+vertex values V = A(m) y are linear in y.  Fixing the pair (lo, hi) of
+vertex combinations that attain them keeps everything linear: one block
+over (Y, z, M) with w entering as z w, every row target and every vertex
+value in [V_lo, V_hi], and V_hi - V_lo <= 1.  All blocks are stacked into
+one linear program that maximizes the sum of the z; m is reached when some
+z is positive, with y = Y / z.  At m = 0 this is the existence question
+itself, so z = 0 in every block is a proof, not a search failure.
+Bisection on m finds the largest margin reached, and every solution is
+only a proposal, kept by the exact margin of its y.
 
 For a single controller with two actions under infinite rounds every
 construction is s = rep + z*w with z = 1/y.  An exact interval
@@ -49,6 +52,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .control import (
@@ -58,6 +62,7 @@ from .control import (
     joint_conditionals,
     joint_initial,
     relation_vector,
+    ruling_family,
 )
 from .dynamics import (
     Classification,
@@ -88,7 +93,7 @@ class SynthesisTarget:
         players = tuple(sorted(set(self.controllers)))
         if not players:
             raise InvalidParamsError("at least one controller is required")
-        if players != tuple(self.controllers) and set(players) != set(self.controllers):
+        if len(players) != len(self.controllers):
             raise InvalidParamsError("duplicate controller player")
         object.__setattr__(self, "controllers", players)
         if self.mode not in ("independent", "correlated"):
@@ -127,8 +132,10 @@ class Infeasible:
     """No construction exists (conclusive) or none was found (inconclusive).
 
     certificate: "exact-interval-empty" for the single-controller
-    two-action interval proof, "exact-lp-empty" when every (min, max)
-    linear program is infeasible, "search-budget-exhausted" otherwise.
+    two-action interval proof, "exact-lp-empty" when the margin-0 program
+    solves to optimality with z = 0 in every (min, max) block, and
+    "search-budget-exhausted" when the solver fails at margin 0 or no
+    solution survives the exact checks.
     """
 
     certificate: str
@@ -136,8 +143,9 @@ class Infeasible:
     detail: str
 
 
-SPREAD_CAPS = (2.0, 4.0, 8.0, 16.0, 64.0)
-"""Caps on max(y) - min(y), in units of max(1, max |w|), for each pair LP."""
+MARGIN_HALVINGS = 30
+"""Halvings of [0, 1/max(s_k)] in the search for the largest margin some
+pair program still reaches."""
 
 BISECTION_STEPS = 60
 """Halvings of [0, 1/max(s_k)]: the bisection ends within 2^-61 of the
@@ -169,17 +177,15 @@ def _reaches(y, sizes, m, lo, hi) -> np.ndarray:
     return (values.min(axis=1) <= lo) & (values.max(axis=1) >= hi)
 
 
-def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray,
-                floor: float = 0.0) -> np.ndarray:
-    """Largest m >= floor whose margin-m sets reach all of [lo, hi],
-    elementwise.  ``floor`` is either 0 or a margin already known to reach.
+def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Largest m whose margin-m sets reach all of [lo, hi], elementwise.
 
     The comparison carries no tolerance, so the walk in _maximin_rows finds
     its crossing at the returned m without clipping.  A range within
     ``_slack`` of min(y) or max(y) has only a rounding margin and gets 0.
     """
     top = 1.0 / max(sizes)
-    below = np.full(lo.shape, floor)
+    below = np.zeros(lo.shape)
     above = np.full(lo.shape, top)
     below[_reaches(y, sizes, above, lo, hi)] = top
     for _ in range(BISECTION_STEPS):
@@ -252,10 +258,8 @@ def _interval_rung(w: np.ndarray, rep0: np.ndarray):
     for wa, on in zip(w, rep0):
         if wa == 0.0:
             continue
-        bounds = (-1.0, 0.0) if on else (0.0, 1.0)
-        a, b = (bounds[0] / wa, bounds[1] / wa)
-        if a > b:
-            a, b = b, a
+        ends = (-1.0, 0.0) if on else (0.0, 1.0)
+        a, b = sorted(end / wa for end in ends)
         lo, hi = max(lo, a), min(hi, b)
     if lo > hi or (lo == 0.0 and hi == 0.0):
         return None
@@ -282,73 +286,110 @@ def _interval_z(w, rep0, lo, hi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise linear programs over y
+# The stacked margin-m programs over y
 
 
-def _pair_lp(joint_count, jhat, w, delta, lo, hi, spread_cap):
-    """Max-slack LP fixing which joint action attains min(y) and max(y).
+def _margin_program(members, jhat, w, delta, m, pairs):
+    """One linprog over the (lo, hi) blocks of ``pairs`` at margin m.
 
-    Variables: y (last pinned to 0), slack t >= 0, and for the
-    constant-continuation form the scalar m = <y, sigma>.
+    Block variables: Y (last entry pinned to 0), the scale z >= 0 of w,
+    and under continuation M = <Y, sigma>.  With V = A(m) Y the margin-m
+    vertex values, every row target (profile rows scaled by delta) and
+    every V_j lie in [V_lo, V_hi], V_hi - V_lo <= 1, and the sum of the z
+    is maximized.  Returns the (blocks, variables) solution, or None when
+    the solver reports no optimum.
     """
-    has_m = delta is not None
-    nvar = joint_count + 1 + (1 if has_m else 0)
-    t_idx = joint_count
-    m_idx = joint_count + 1
-    rows_ub, rhs_ub = [], []
-    rows_eq, rhs_eq = [], []
+    joint_count = int(np.prod(members))
+    nvar = joint_count + (1 if delta is None else 2)
+    # V_j as linear forms in the variables; A(m) is symmetric
+    values = np.zeros((joint_count, nvar))
+    values[:, :joint_count] = [_vertex_values(e, members, m)[0]
+                               for e in np.eye(joint_count)]
+    # each row target times its scale, as a linear form
+    profile = np.zeros((len(w), nvar))
+    profile[np.arange(len(w)), jhat] = 1.0
+    profile[:, joint_count] = w
+    target, scale, equal = profile, np.ones(len(w)), None
+    if delta is not None:
+        init = np.eye(nvar)[-1:]  # M
+        if delta == 0.0:
+            # one-shot: the initial row carries every profile as an equality
+            target, scale, equal = init, np.ones(1), init - profile
+        else:
+            profile[:, -1] = delta - 1.0
+            target = np.vstack([profile, init])
+            scale = np.append(np.full(len(w), delta), 1.0)
+    lo, hi = values[pairs[:, 0], None], values[pairs[:, 1], None]
+    blocks = np.concatenate([scale[:, None] * lo - target,
+                             target - scale[:, None] * hi,
+                             lo - values, values - hi, hi - lo], axis=1)
+    bound = np.zeros(blocks.shape[1])
+    bound[-1] = 1.0  # V_hi - V_lo <= 1; every other row is homogeneous
+    cost = np.zeros((len(pairs), nvar))
+    cost[:, joint_count] = -1.0
+    box = [(None, None)] * (joint_count - 1) + [(0.0, 0.0), (0.0, None)] \
+        + [(None, None)] * (nvar - joint_count - 1)
+    res = linprog(
+        cost.ravel(), A_ub=sparse.block_diag(list(blocks), format="csr"),
+        b_ub=np.tile(bound, len(pairs)),
+        A_eq=None if equal is None
+        else sparse.block_diag([equal] * len(pairs), format="csr"),
+        b_eq=None if equal is None else np.zeros(len(pairs) * len(w)),
+        bounds=box * len(pairs), method="highs")
+    return res.x.reshape(len(pairs), nvar) if res.status == 0 else None
 
-    def add(rows, rhs, coeffs, bound):
-        row = np.zeros(nvar)
-        for idx, val in coeffs:
-            row[idx] += val
-        rows.append(row)
-        rhs.append(bound)
 
-    for j in range(joint_count):
-        if j != lo:
-            add(rows_ub, rhs_ub, [(lo, 1.0), (j, -1.0)], 0.0)
-        if j != hi:
-            add(rows_ub, rhs_ub, [(j, 1.0), (hi, -1.0)], 0.0)
-    add(rows_ub, rhs_ub, [(hi, 1.0), (lo, -1.0)], spread_cap)
+def _search_margin(members, jhat, w, delta):
+    """(y, mval) of the best exact margin met in the bisection on m, or
+    the Infeasible outcome.
 
-    if delta is None:
-        for a, wa in enumerate(w):
-            add(rows_ub, rhs_ub,
-                [(lo, 1.0), (int(jhat[a]), -1.0), (t_idx, 1.0)], wa)
-            add(rows_ub, rhs_ub,
-                [(int(jhat[a]), 1.0), (hi, -1.0), (t_idx, 1.0)], -wa)
-    elif delta > 0.0:
-        for a, wa in enumerate(w):
-            add(rows_ub, rhs_ub,
-                [(lo, delta), (int(jhat[a]), -1.0), (m_idx, 1.0 - delta),
-                 (t_idx, delta)], wa)
-            add(rows_ub, rhs_ub,
-                [(hi, -delta), (int(jhat[a]), 1.0), (m_idx, -(1.0 - delta)),
-                 (t_idx, delta)], -wa)
-        add(rows_ub, rhs_ub, [(lo, 1.0), (m_idx, -1.0), (t_idx, 1.0)], 0.0)
-        add(rows_ub, rhs_ub, [(m_idx, 1.0), (hi, -1.0), (t_idx, 1.0)], 0.0)
-    else:
-        # one-shot: the initial distribution carries the whole constraint
-        for a, wa in enumerate(w):
-            add(rows_eq, rhs_eq, [(m_idx, 1.0), (int(jhat[a]), -1.0)], wa)
-        add(rows_ub, rhs_ub, [(lo, 1.0), (m_idx, -1.0), (t_idx, 1.0)], 0.0)
-        add(rows_ub, rhs_ub, [(m_idx, 1.0), (hi, -1.0), (t_idx, 1.0)], 0.0)
-
-    cost = np.zeros(nvar)
-    cost[t_idx] = -1.0
-    bounds = [(None, None)] * joint_count + [(0.0, None)]
-    bounds[joint_count - 1] = (0.0, 0.0)
-    if has_m:
-        bounds.append((None, None))
-    res = linprog(cost, A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                  A_eq=np.array(rows_eq) if rows_eq else None,
-                  b_eq=np.array(rhs_eq) if rhs_eq else None,
-                  bounds=bounds, method="highs")
-    if res.status != 0:
-        return None
-    y = res.x[:joint_count]
-    return y, (float(res.x[m_idx]) if has_m else None), float(res.x[t_idx])
+    Each solve proposes y = Y/z from its block with the largest z, which
+    counts by the margin all its rows can share, unless a row target falls
+    outside [min(y), max(y)] by more than rounding.  Blocks whose z is 0 at
+    the lower bound are dropped, since the margin-m sets shrink as m
+    grows; a solver failure at m > 0 means m is not reached.
+    """
+    joint_count = int(np.prod(members))
+    pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
+    below, above, m = 0.0, 1.0 / max(members), 0.0
+    best, chosen = 0.0, None
+    for _ in range(MARGIN_HALVINGS + 1):
+        x = _margin_program(members, jhat, w, delta, m, pairs)
+        z = np.zeros(1) if x is None else x[:, joint_count]
+        if z.max() > 0.0:
+            below, pick = m, int(np.argmax(z))
+            y = x[pick, :joint_count] / z[pick]
+            mval = None if delta is None else x[pick, -1] / z[pick]
+            betas = _row_betas(w, jhat, y, delta, mval)
+            low, high = betas.min(keepdims=True), betas.max(keepdims=True)
+            eps = 1e-12 * max(1.0, float(np.abs(y).max()))
+            if low[0] >= y.min() - eps and high[0] <= y.max() + eps:
+                margin = float(_max_margin(y, members, low, high)[0])
+                if chosen is None or margin > best:
+                    best, chosen = margin, (y, mval)
+            pairs = pairs[z > 0.0]
+        elif m > 0.0:
+            above = m
+        elif x is None:
+            return Infeasible(
+                certificate="search-budget-exhausted",
+                conclusive=False,
+                detail="the margin-0 program reports no optimum")
+        else:
+            return Infeasible(
+                certificate="exact-lp-empty",
+                conclusive=True,
+                detail=f"all {len(pairs)} (min, max) pair blocks admit only "
+                       "z = 0; no Markov controller tables reach the "
+                       "target under this schedule form")
+        m = 0.5 * (below + above)
+    if chosen is None:
+        return Infeasible(
+            certificate="search-budget-exhausted",
+            conclusive=False,
+            detail="no proposed solution keeps every row target between "
+                   "min(y) and max(y)")
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +437,8 @@ def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
 
 def _family_residual(form, joint_cond, joint_init, jhat, y, w):
     """Max deviation of sum_j y_j u~_j from w for the assembled tables."""
-    count, joint_count = joint_cond.shape
-    rep = np.zeros((count, joint_count))
-    rep[np.arange(count), jhat] = 1.0
-    if isinstance(form, InfiniteExpectedRounds):
-        family = joint_cond - rep
-    else:
-        sigma = joint_init if joint_init is not None \
-            else np.full(joint_count, 1.0 / joint_count)
-        family = form.delta * joint_cond \
-            + (1.0 - form.delta) * sigma[None, :] - rep
+    rep = np.eye(joint_cond.shape[1])[jhat]
+    family = ruling_family(form, joint_cond, joint_init, rep)
     return float(np.max(np.abs(family @ y - w)))
 
 
@@ -416,12 +449,12 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     A single controller with two actions under infinite rounds is decided
     by the exact z-interval analysis alone: it is the exact optimum over
     every construction, and an empty interval is a conclusive certificate.
-    Every other target solves the (min, max)-pair linear programs over y,
-    one per pair and spread cap; infeasibility of all of them is the
-    conclusive ``exact-lp-empty`` certificate.  Among the feasible
-    solutions the one whose rows can all share the largest margin wins,
-    and each of its rows is built at its own maximin margin
-    (``SynthesisResult.margin`` is the smallest of them).
+    Every other target bisects on the margin m, solving all (min, max)
+    pair blocks at each m as one linear program; z = 0 in every block at
+    m = 0 is the conclusive ``exact-lp-empty`` certificate.  The solution
+    whose y reaches the largest exact margin wins, and each of its rows is
+    built at its own maximin margin (``SynthesisResult.margin`` is the
+    smallest of them).
     """
     form = classify_schedule(schedule)
     if not isinstance(form, (InfiniteExpectedRounds, ConstantContinuation)):
@@ -439,7 +472,6 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     members = sizes if target.mode == "independent" else (joint_count,)
     scale = max(1.0, float(np.max(np.abs(w))))
 
-    chosen = None  # (y_full, mval, note)
     if joint_count == 2 and delta is None:
         rep0 = (jhat == 0).astype(float)
         interval = _interval_rung(w, rep0)
@@ -449,66 +481,26 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
                 conclusive=True,
                 detail="the per-profile bounds on z = 1/y intersect at most "
                        "in {0}; no Markov strategy of this controller can "
-                       "reach the target",
-            )
+                       "reach the target")
         z = _interval_z(w, rep0, *interval)
-        chosen = (np.array([1.0 / z, 0.0]), None, "interval")
+        y_full, mval, note = np.array([1.0 / z, 0.0]), None, "interval"
     else:
-        any_pair_feasible = False
-        best = 0.0
-        for lo, hi in itertools.permutations(range(joint_count), 2):
-            for cap in SPREAD_CAPS:
-                solved = _pair_lp(joint_count, jhat, w, delta, lo, hi,
-                                  cap * scale)
-                if solved is None:
-                    continue
-                any_pair_feasible = True
-                y, mval, _ = solved
-                betas = _row_betas(w, jhat, y, delta, mval)
-                low, high = betas.min(keepdims=True), betas.max(keepdims=True)
-                eps = 1e-12 * max(1.0, float(np.abs(y).max()))
-                if low[0] < y.min() - eps or high[0] > y.max() + eps:
-                    continue
-                # one vertex-range check: skip what cannot beat the best
-                if chosen is not None \
-                        and not _reaches(y, members, best, low, high)[0]:
-                    continue
-                margin = float(_max_margin(y, members, low, high, best)[0])
-                if chosen is None or margin > best:
-                    best, chosen = margin, (y, mval, "pair-lp")
-        if not any_pair_feasible:
-            return Infeasible(
-                certificate="exact-lp-empty",
-                conclusive=True,
-                detail=f"all {joint_count * (joint_count - 1)} (min, max) "
-                       "pair programs are infeasible; no Markov controller "
-                       "tables reach the target under this schedule form",
-            )
-    if chosen is None:
-        return Infeasible(
-            certificate="search-budget-exhausted",
-            conclusive=False,
-            detail="feasible coefficient region found but no solution "
-                   "keeps every row target between min(y) and max(y)",
-        )
+        found = _search_margin(members, jhat, w, delta)
+        if isinstance(found, Infeasible):
+            return found
+        (y_full, mval), note = found, "pair-lp"
 
-    y_full, mval, note = chosen
     strategies, joint_cond, joint_init, margin = _assemble(
         game, target, delta, ordered, sizes, members, jhat, w, y_full, mval)
-    if strategies is not None:
-        cond_check = joint_conditionals(game, strategies)
-        init_check = joint_initial(strategies)
-    else:
-        cond_check = joint_cond
-        init_check = joint_init
-    residual = _family_residual(form, cond_check, init_check, jhat, y_full, w)
+    built = (joint_cond, joint_init) if strategies is None \
+        else (joint_conditionals(game, strategies), joint_initial(strategies))
+    residual = _family_residual(form, *built, jhat, y_full, w)
     if residual > 1e-8 * scale:
         return Infeasible(
             certificate="search-budget-exhausted",
             conclusive=False,
             detail=f"the assembled construction misses the target by "
-                   f"{residual:.3g}",
-        )
+                   f"{residual:.3g}")
     return SynthesisResult(
         target=target,
         form=form,

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from payoffcontrol import Infinite, PayoffRelation, verify_relation
+from payoffcontrol import Custom, Infinite, PayoffRelation, verify_relation
+from payoffcontrol import cli
 from payoffcontrol.cli import main
 from payoffcontrol.fileio import (
     parse_game_file,
     parse_strategy_file,
+    schedule_line,
     write_strategy_file,
 )
 
@@ -57,6 +59,15 @@ def test_synth_conclusive_infeasible_exit(capsys):
                           "--gamma", "-1")
     assert code == 3
     assert stdout.startswith("infeasible: exact-interval-empty")
+
+
+def test_synth_duplicate_controllers_exit_2(capsys):
+    code, stdout, stderr = run(capsys, "synth", "--game", PGG,
+                               "--controllers", "1,1", "--alpha", "0,0,1",
+                               "--gamma", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert "duplicate controller player" in stderr
 
 
 def test_synth_correlated_refuses_out(tmp_path, capsys):
@@ -192,6 +203,23 @@ def test_simulate_full_profile(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_simulate_custom_tail_of_one_needs_round_cap(tmp_path, capsys):
+    game = parse_game_file(PD).game
+    path = tmp_path / "profile.strategy"
+    write_strategy_file(path, game, [wsls_pd(0), wsls_pd(1)])
+    tail = tmp_path / "tail.schedule"
+    tail.write_text(schedule_line(Custom((0.9,), tail=1.0)) + "\n",
+                    encoding="utf-8")
+    argv = ["simulate", "--game", PD, "--strategy", str(path),
+            "--schedule", f"custom:{tail}", "--samples", "10"]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert "max_rounds" in stderr
+    code, stdout, _ = run(capsys, *argv, "--max-rounds", "20")
+    assert code == 0
+    assert stdout.startswith("10 episodes")
+
+
 def test_simulate_requires_all_players(tmp_path, capsys):
     code, _, stderr = run(capsys, "simulate", "--game", DONATION,
                           "--strategy", PIN, "--schedule", "horizon:2")
@@ -226,6 +254,16 @@ def test_falsify_true_ruling_vector_inconclusive(capsys):
 
 # ---------------------------------------------------------------------------
 # usage errors
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("parser rebuilt")
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    for _ in range(2):
+        code, stdout, _ = run(capsys, "classify", "--schedule", "delta:0.5")
+        assert code == 0
+        assert stdout.startswith("constant continuation delta=0.5")
 
 
 def test_unknown_subcommand_exits_2(capsys):

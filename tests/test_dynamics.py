@@ -377,6 +377,18 @@ def test_monte_carlo_requires_cap_for_infinite(pd):
     assert res.mean_rounds == 50.0
 
 
+def test_monte_carlo_requires_cap_for_custom_tail_of_one(pd):
+    # the expected round count diverges, so an uncapped run never ends
+    profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
+    schedule = Custom((0.9,), tail=1.0)
+    assert isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
+    with pytest.raises(MissingRoundCapError):
+        monte_carlo_play(pd, profile, schedule, episodes=10, seed=0)
+    res = monte_carlo_play(pd, profile, schedule, episodes=10, seed=0,
+                           max_rounds=20)
+    assert res.mean_rounds <= 20.0
+
+
 def test_monte_carlo_single_episode_has_zero_se(pd):
     profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
     res = monte_carlo_play(pd, profile, FiniteHorizon(3), episodes=1, seed=9)

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from payoffcontrol import (
     Delta,
@@ -22,6 +25,7 @@ from payoffcontrol import (
     synthesize,
     verify_relation,
 )
+from payoffcontrol import synthesis
 from payoffcontrol.synthesis import (
     _family_residual,
     _max_margin,
@@ -233,6 +237,82 @@ def test_target_validation():
     with pytest.raises(InvalidParamsError):
         SynthesisTarget(rel, controllers=(0,), mode="joint")
     assert SynthesisTarget(rel, controllers=(1, 0)).controllers == (0, 1)
+    # a repeated player is an error, not a smaller controller set
+    with pytest.raises(InvalidParamsError, match="duplicate controller"):
+        SynthesisTarget(rel, controllers=(0, 0))
+    with pytest.raises(InvalidParamsError, match="duplicate controller"):
+        SynthesisTarget(rel, controllers=(1, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# The stacked margin programs
+
+
+@pytest.mark.parametrize("case", ["donation-equalizer", "one-shot-pd-pin"])
+def test_lp_certificate_costs_one_program(monkeypatch, donation, pd, case):
+    if case == "donation-equalizer":
+        game, schedule = donation, Delta(0.9)
+        target = SynthesisTarget(PayoffRelation((1.0, -1.0), 0.0), (0,))
+    else:
+        game, schedule = pd, Delta(0.0)
+        target = SynthesisTarget(pin(1, 2.0), (0,))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(synthesis, "linprog", counted)
+    result = synthesize(game, schedule, target)
+    assert isinstance(result, Infeasible)
+    assert result.certificate == "exact-lp-empty"
+    assert result.conclusive
+    assert len(calls) == 1
+
+
+def test_solver_failure_is_no_certificate(monkeypatch, donation):
+    # a program the solver does not finish proves nothing
+    def unfinished(*args, **kwargs):
+        return SimpleNamespace(status=4, x=None)  # numerical difficulties
+    monkeypatch.setattr(synthesis, "linprog", unfinished)
+    target = SynthesisTarget(PayoffRelation((0.0, 1.0), -2.0), (0,))
+    result = synthesize(donation, Delta(0.9), target)
+    assert isinstance(result, Infeasible)
+    assert result.certificate == "search-budget-exhausted"
+    assert not result.conclusive
+
+
+@pytest.mark.parametrize("name,target,margin", [
+    ("donation", SynthesisTarget(PayoffRelation((0.0, 1.0), -2.0), (0,)),
+     1 / 7),
+    ("pgg4", SynthesisTarget(pin(3, 1.5, n=4), (0, 1, 2)), 1 / 3)],
+    ids=["donation-pin", "pgg4-alliance-pin"])
+def test_margin_itself_is_maximized(request, name, target, margin):
+    game = public_goods_game(4, 3.0, 2.0) if name == "pgg4" \
+        else request.getfixturevalue(name)
+    result = synthesize(game, Infinite(), target)
+    assert isinstance(result, SynthesisResult)
+    assert result.margin >= margin - 1e-7
+    report = verify_relation(game, result.strategies, Infinite(),
+                             target.relation, samples=100, seed=3)
+    assert report.passed
+    assert report.max_abs_violation < 1e-12
+
+
+@pytest.mark.parametrize("schedule", [Infinite(), Delta(0.5), Delta(0.9)])
+def test_target_on_the_controllers_own_action(schedule):
+    # w depends on the controller's action alone and vanishes on two of
+    # them, so a block that does not order its vertex values has an
+    # unbounded ray; the ordered blocks keep every program bounded
+    game = build_game([("A", "B", "C"), ("X", "Y")],
+                      [[0, c] for c in (1, 1, 2) for _ in range(2)])
+    target = SynthesisTarget(pin(1, 1.0), (0,))
+    result = synthesize(game, schedule, target)
+    assert isinstance(result, SynthesisResult)
+    assert result.note == "pair-lp"
+    report = verify_relation(game, result.strategies, schedule,
+                             target.relation, samples=100, seed=4)
+    assert report.passed
+    assert report.max_abs_violation < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -525,7 +525,9 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
 def _refine(flat: np.ndarray, objective) -> np.ndarray:
     """Coordinatewise ascent from every row of ``flat`` (updated in place)
     at steps 0.3, 0.1 and 0.03, at most three sweeps each; a row leaves a
-    step after a sweep that improved nothing.  Returns the values reached."""
+    step after a sweep that improved nothing.  A trial that clipping leaves
+    at the current value is the current chain, so it is not evaluated.
+    Returns the values reached."""
     value = objective(flat)
     for step in (0.3, 0.1, 0.03):
         live = np.arange(len(flat))
@@ -534,12 +536,18 @@ def _refine(flat: np.ndarray, objective) -> np.ndarray:
             for i in range(flat.shape[1]):
                 base = flat[live, i]
                 for direction in (step, -step):
-                    flat[live, i] = np.clip(base + direction, 0.0, 1.0)
-                    trial = objective(flat[live])
-                    better = trial > value[live] + 1e-15
-                    value[live[better]] = trial[better]
-                    improved[live[better]] = True
-                    base = np.where(better, flat[live, i], base)
+                    shifted = np.clip(base + direction, 0.0, 1.0)
+                    moving = shifted != base
+                    rows = live[moving]
+                    if not rows.size:
+                        continue
+                    flat[rows, i] = shifted[moving]
+                    trial = objective(flat[rows])
+                    better = trial > value[rows] + 1e-15
+                    value[rows[better]] = trial[better]
+                    improved[rows[better]] = True
+                    base[moving] = np.where(better, shifted[moving],
+                                            base[moving])
                 flat[live, i] = base
             live = live[improved[live]]
             if not live.size:

@@ -36,8 +36,18 @@ value in [V_lo, V_hi], and V_hi - V_lo <= 1.  All blocks are stacked into
 one linear program that maximizes the sum of the z; m is reached when some
 z is positive, with y = Y / z.  At m = 0 this is the existence question
 itself, so z = 0 in every block is a proof, not a search failure.
-Bisection on m finds the largest margin reached, and every solution is
-only a proposal, kept by the exact margin of its y.
+
+The margin then rises by a Newton-scaled ascent.  At the best exact
+margin so far each block gets a slack t that moves its row targets away
+from V_lo and V_hi at the average rates at which those grow from there
+to m = 1/max(s_k), and one program maximizes the sum of the t: t is the
+block's step.  The search jumps to the exact margin of the proposal with
+the largest t; for a single member the vertex values are linear in m and
+this is the normalized Dinkelbach method for generalized fractional
+programs (Crouzeix, Ferland & Schaible 1985).  A block with t = 0 holds
+no y beyond the best margin, so the search ends when no block has room
+left.  Every solution is only a proposal, kept by the exact margin of
+its y.
 
 For a single controller with two actions under infinite rounds every
 construction is s = rep + z*w with z = 1/y.  An exact interval
@@ -48,6 +58,7 @@ function, so it lies at an interval end or at a crossing of its lines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -143,13 +154,29 @@ class Infeasible:
     detail: str
 
 
-MARGIN_HALVINGS = 30
-"""Halvings of [0, 1/max(s_k)] in the search for the largest margin some
-pair program still reaches."""
+ASCENT_STEPS = 30
+"""Cap on the slack programs of one margin search; each one adopts a
+proposal whose exact margin beats every earlier one."""
+
+SLACK_TOL = 1e-9
+"""Slack t up to which a block counts as having no room beyond the best
+margin (LP tolerance)."""
+
+RATE_FLOOR = 1e-9
+"""Least rate of a vertex value in m that a slack program uses, so every
+row target bounds t."""
+
+SLACK_SOLVER_TOL = 1e-10
+"""Primal and dual feasibility tolerance of the slack programs.  Near the
+optimum the remaining rise can lie below the solver's default 1e-7 (4e-8
+for the pgg4 correlated pin at delta = 1 - 1e-6), where t would read 0."""
 
 BISECTION_STEPS = 60
 """Halvings of [0, 1/max(s_k)]: the bisection ends within 2^-61 of the
 largest margin whose range comparison holds in floating point."""
+
+BATCH_DEPTH = 4
+"""Halvings whose 2^BATCH_DEPTH - 1 candidate midpoints one call tests."""
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +207,40 @@ def _reaches(y, sizes, m, lo, hi) -> np.ndarray:
 def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Largest m whose margin-m sets reach all of [lo, hi], elementwise.
 
-    The comparison carries no tolerance, so the walk in _maximin_rows finds
-    its crossing at the returned m without clipping.  A range within
-    ``_slack`` of min(y) or max(y) has only a rounding margin and gets 0.
+    A bisection of [0, 1/max(s_k)] in BISECTION_STEPS halvings, taken
+    BATCH_DEPTH halvings per round: each round tests every midpoint the
+    next BATCH_DEPTH halvings could visit in one call, then follows the
+    bisection's path through them, so the result is the plain bisection's
+    bit for bit.  The comparison carries no tolerance, so the walk in
+    _maximin_rows finds its crossing at the returned m without clipping.
+    A range within ``_slack`` of min(y) or max(y) has only a rounding
+    margin and gets 0.
     """
     top = 1.0 / max(sizes)
     below = np.zeros(lo.shape)
     above = np.full(lo.shape, top)
     below[_reaches(y, sizes, above, lo, hi)] = top
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (below + above)
-        ok = _reaches(y, sizes, mid, lo, hi)
-        below = np.where(ok, mid, below)
-        above = np.where(ok, above, mid)
+    span = 2 ** BATCH_DEPTH
+    rows = np.arange(lo.size)
+    for _ in range(BISECTION_STEPS // BATCH_DEPTH):
+        # the midpoints of the bracket, level by level, as bisection
+        # computes them
+        points = np.empty((lo.size, span + 1))
+        points[:, 0], points[:, span] = below, above
+        stride = span
+        while stride > 1:
+            points[:, stride // 2::stride] = 0.5 * (
+                points[:, :-1:stride] + points[:, stride::stride])
+            stride //= 2
+        ok = _reaches(y, sizes, points[:, 1:-1].ravel(),
+                      np.repeat(lo, span - 1), np.repeat(hi, span - 1))
+        ok = ok.reshape(lo.size, span - 1)
+        left, right = np.zeros(lo.size, int), np.full(lo.size, span)
+        for _ in range(BATCH_DEPTH):
+            mid = (left + right) // 2
+            good = ok[rows, mid - 1]
+            left, right = np.where(good, mid, left), np.where(good, right, mid)
+        below, above = points[rows, left], points[rows, right]
     slack = _slack(y)
     return np.where((lo <= y.min() + slack) | (hi >= y.max() - slack),
                     0.0, below)
@@ -210,8 +258,11 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
     per member.
 
     A beta within ``_slack`` of min(y) or max(y), or outside them by
-    rounding, gets margin 0 and that corner; the walk takes any vertex
-    whose value lies that close to beta exactly.
+    rounding, gets margin 0 and that corner; at margin 0 the walk takes
+    any vertex whose value lies that close to beta exactly.  At a positive
+    margin it interpolates whenever a vertex value lies below beta, so a
+    row held at its maximin (where the bisection leaves the extreme vertex
+    value a few ulps below beta) is not biased to one side.
     """
     slack = _slack(y)
     margins = _max_margin(y, sizes, betas, betas)
@@ -225,14 +276,15 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
         # 0 after it
         weights = [0.0] * len(sizes)
         current, value = list(start), float(grid[start])
+        near = slack if margins[r] == 0.0 else 0.0
         for k in range(len(sizes)):
-            if value >= beta - slack:
+            if value >= beta - near:
                 break
             if current[k] == end[k]:
                 continue
             current[k] = end[k]
             after = float(grid[tuple(current)])
-            weights[k] = 1.0 if after <= beta + slack \
+            weights[k] = 1.0 if after <= beta + near \
                 else (beta - value) / (after - value)
             value = after
         for k, size in enumerate(sizes):
@@ -289,34 +341,50 @@ def _interval_z(w, rep0, lo, hi) -> float:
 # The stacked margin-m programs over y
 
 
-def _margin_program(members, jhat, w, delta, m, pairs):
+def _vertex_map(members, m) -> np.ndarray:
+    """A(m) with V = A(m) Y the margin-m vertex values: the Kronecker
+    product of the member factors (1 - s_k m) I + m 11^T, symmetric."""
+    return functools.reduce(np.kron, [(1.0 - size * m) * np.eye(size) + m
+                                      for size in members])
+
+
+def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     """One linprog over the (lo, hi) blocks of ``pairs`` at margin m.
 
     Block variables: Y (last entry pinned to 0), the scale z >= 0 of w,
     and under continuation M = <Y, sigma>.  With V = A(m) Y the margin-m
     vertex values, every row target (profile rows scaled by delta) and
-    every V_j lie in [V_lo, V_hi], V_hi - V_lo <= 1, and the sum of the z
-    is maximized.  Returns the (blocks, variables) solution, or None when
-    the solver reports no optimum.
+    every V_j lie in [V_lo, V_hi], and V_hi - V_lo <= 1.
+
+    Without ``previous`` the sum of the z is maximized.  Given the blocks'
+    previous solutions, each block gains a last variable t >= 0 that keeps
+    its row targets t * c inside [V_lo, V_hi] and the sum of the t is
+    maximized; c are the average rates at which the previous Y's V_lo and
+    -V_hi grow from m to 1/max(s_k), floored at RATE_FLOOR.  So t estimates
+    how much further the block's margin can rise: for a single member V is
+    linear in m and this is the normalized Dinkelbach step.
+
+    Returns the (blocks, variables) solution, or None when the solver
+    reports no optimum.
     """
     joint_count = int(np.prod(members))
-    nvar = joint_count + (1 if delta is None else 2)
-    # V_j as linear forms in the variables; A(m) is symmetric
+    nvar = joint_count + (1 if delta is None else 2) + (previous is not None)
+    top = 1.0 / max(members)
+    # V_j as linear forms in the variables
     values = np.zeros((joint_count, nvar))
-    values[:, :joint_count] = [_vertex_values(e, members, m)[0]
-                               for e in np.eye(joint_count)]
+    values[:, :joint_count] = _vertex_map(members, m)
     # each row target times its scale, as a linear form
     profile = np.zeros((len(w), nvar))
     profile[np.arange(len(w)), jhat] = 1.0
     profile[:, joint_count] = w
     target, scale, equal = profile, np.ones(len(w)), None
     if delta is not None:
-        init = np.eye(nvar)[-1:]  # M
+        init = np.eye(nvar)[joint_count + 1:joint_count + 2]  # M
         if delta == 0.0:
             # one-shot: the initial row carries every profile as an equality
             target, scale, equal = init, np.ones(1), init - profile
         else:
-            profile[:, -1] = delta - 1.0
+            profile[:, joint_count + 1] = delta - 1.0
             target = np.vstack([profile, init])
             scale = np.append(np.full(len(w), delta), 1.0)
     lo, hi = values[pairs[:, 0], None], values[pairs[:, 1], None]
@@ -325,64 +393,97 @@ def _margin_program(members, jhat, w, delta, m, pairs):
                              lo - values, values - hi, hi - lo], axis=1)
     bound = np.zeros(blocks.shape[1])
     bound[-1] = 1.0  # V_hi - V_lo <= 1; every other row is homogeneous
-    cost = np.zeros((len(pairs), nvar))
-    cost[:, joint_count] = -1.0
     box = [(None, None)] * (joint_count - 1) + [(0.0, 0.0), (0.0, None)] \
-        + [(None, None)] * (nvar - joint_count - 1)
+        + [(None, None)] * (delta is not None)
+    cost = np.zeros((len(pairs), nvar))
+    options = None
+    if previous is None:
+        cost[:, joint_count] = -1.0
+    else:
+        growth = previous[:, :joint_count] @ (
+            _vertex_map(members, top) - _vertex_map(members, m)) / (top - m)
+        ends = np.arange(len(pairs))
+        rates = np.concatenate([scale * growth[ends, pairs[:, 0], None],
+                                -scale * growth[ends, pairs[:, 1], None]],
+                               axis=1)
+        blocks[:, :rates.shape[1], -1] = np.maximum(rates, RATE_FLOOR)
+        cost[:, -1] = -1.0
+        box.append((0.0, top - m))  # no margin exceeds 1/max(s_k)
+        options = {"primal_feasibility_tolerance": SLACK_SOLVER_TOL,
+                   "dual_feasibility_tolerance": SLACK_SOLVER_TOL}
     res = linprog(
         cost.ravel(), A_ub=sparse.block_diag(list(blocks), format="csr"),
         b_ub=np.tile(bound, len(pairs)),
         A_eq=None if equal is None
         else sparse.block_diag([equal] * len(pairs), format="csr"),
         b_eq=None if equal is None else np.zeros(len(pairs) * len(w)),
-        bounds=box * len(pairs), method="highs")
+        bounds=box * len(pairs), method="highs", options=options)
     return res.x.reshape(len(pairs), nvar) if res.status == 0 else None
 
 
-def _search_margin(members, jhat, w, delta):
-    """(y, mval) of the best exact margin met in the bisection on m, or
-    the Infeasible outcome.
+def _proposal(solution, members, jhat, w, delta):
+    """(margin, (y, mval)) of one block's solution, y = Y/z: the exact
+    margin all its rows can share, or None when a row target falls
+    outside [min(y), max(y)] by more than rounding."""
+    joint_count = int(np.prod(members))
+    z = solution[joint_count]
+    y = solution[:joint_count] / z
+    mval = None if delta is None else solution[joint_count + 1] / z
+    betas = _row_betas(w, jhat, y, delta, mval)
+    low, high = betas.min(keepdims=True), betas.max(keepdims=True)
+    eps = 1e-12 * max(1.0, float(np.abs(y).max()))
+    if low[0] < y.min() - eps or high[0] > y.max() + eps:
+        return None
+    return float(_max_margin(y, members, low, high)[0]), (y, mval)
 
-    Each solve proposes y = Y/z from its block with the largest z, which
-    counts by the margin all its rows can share, unless a row target falls
-    outside [min(y), max(y)] by more than rounding.  Blocks whose z is 0 at
-    the lower bound are dropped, since the margin-m sets shrink as m
-    grows; a solver failure at m > 0 means m is not reached.
+
+def _search_margin(members, jhat, w, delta):
+    """(y, mval) of the best exact margin met in the ascent, or the
+    Infeasible outcome.
+
+    The margin-0 program decides existence.  Each later program runs at
+    the best exact margin so far and proposes, from its block with the
+    largest slack t, a y that is adopted when its exact margin beats the
+    best.  A block whose t is 0 holds no y reaching beyond the best margin,
+    so it is dropped; when no block has room left the search is done.
     """
     joint_count = int(np.prod(members))
     pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
-    below, above, m = 0.0, 1.0 / max(members), 0.0
+    x = _margin_program(members, jhat, w, delta, 0.0, pairs)
+    if x is None:
+        return Infeasible(
+            certificate="search-budget-exhausted",
+            conclusive=False,
+            detail="the margin-0 program reports no optimum")
+    z = x[:, joint_count]
+    if not z.max() > 0.0:
+        return Infeasible(
+            certificate="exact-lp-empty",
+            conclusive=True,
+            detail=f"all {len(pairs)} (min, max) pair blocks admit only "
+                   "z = 0; no Markov controller tables reach the "
+                   "target under this schedule form")
     best, chosen = 0.0, None
-    for _ in range(MARGIN_HALVINGS + 1):
-        x = _margin_program(members, jhat, w, delta, m, pairs)
-        z = np.zeros(1) if x is None else x[:, joint_count]
-        if z.max() > 0.0:
-            below, pick = m, int(np.argmax(z))
-            y = x[pick, :joint_count] / z[pick]
-            mval = None if delta is None else x[pick, -1] / z[pick]
-            betas = _row_betas(w, jhat, y, delta, mval)
-            low, high = betas.min(keepdims=True), betas.max(keepdims=True)
-            eps = 1e-12 * max(1.0, float(np.abs(y).max()))
-            if low[0] >= y.min() - eps and high[0] <= y.max() + eps:
-                margin = float(_max_margin(y, members, low, high)[0])
-                if chosen is None or margin > best:
-                    best, chosen = margin, (y, mval)
-            pairs = pairs[z > 0.0]
-        elif m > 0.0:
-            above = m
-        elif x is None:
-            return Infeasible(
-                certificate="search-budget-exhausted",
-                conclusive=False,
-                detail="the margin-0 program reports no optimum")
-        else:
-            return Infeasible(
-                certificate="exact-lp-empty",
-                conclusive=True,
-                detail=f"all {len(pairs)} (min, max) pair blocks admit only "
-                       "z = 0; no Markov controller tables reach the "
-                       "target under this schedule form")
-        m = 0.5 * (below + above)
+    found = _proposal(x[np.argmax(z)], members, jhat, w, delta)
+    if found is not None:
+        best, chosen = found
+    keep = z > 0.0
+    for _ in range(ASCENT_STEPS):
+        if best >= 1.0 / max(members):
+            break  # no margin exceeds 1/max(s_k)
+        pairs, x = pairs[keep], x[keep]
+        x = _margin_program(members, jhat, w, delta, best, pairs, x)
+        if x is None:
+            break
+        t, z = x[:, -1], x[:, joint_count]
+        keep = t > SLACK_TOL
+        if not np.any(keep & (z > 0.0)):
+            break
+        found = _proposal(x[np.argmax(np.where(z > 0.0, t, 0.0))],
+                          members, jhat, w, delta)
+        if found is None or (chosen is not None and found[0] <= best):
+            break
+        best, chosen = found
     if chosen is None:
         return Infeasible(
             certificate="search-budget-exhausted",
@@ -415,6 +516,12 @@ def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
     smallest min(p, 1 - p) over the built rows.
     """
     count = game.profile_count
+    if delta:
+        # the profile rows target the value the initial row reaches as
+        # built, so its rounding is not carried into every profile
+        init = _maximin_rows(y, members, np.array([mval]))
+        mval = float(y @ functools.reduce(np.multiply.outer,
+                                          [part[0] for part in init]).ravel())
     rows = _maximin_rows(y, members, _row_betas(w, jhat, y, delta, mval))
     margin = min(float(np.minimum(r, 1.0 - r).min()) for r in rows)
     if delta == 0.0:
@@ -449,12 +556,14 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     A single controller with two actions under infinite rounds is decided
     by the exact z-interval analysis alone: it is the exact optimum over
     every construction, and an empty interval is a conclusive certificate.
-    Every other target bisects on the margin m, solving all (min, max)
-    pair blocks at each m as one linear program; z = 0 in every block at
-    m = 0 is the conclusive ``exact-lp-empty`` certificate.  The solution
-    whose y reaches the largest exact margin wins, and each of its rows is
-    built at its own maximin margin (``SynthesisResult.margin`` is the
-    smallest of them).
+    Every other target solves all (min, max) pair blocks as one linear
+    program at margin 0, where z = 0 in every block is the conclusive
+    ``exact-lp-empty`` certificate, and then raises the margin by a
+    Newton-scaled ascent: each slack program at the best margin so far
+    proposes a y, and the search moves to that y's exact margin until no
+    block has room left.  The solution whose y reaches the largest exact
+    margin wins, and each of its rows is built at its own maximin margin
+    (``SynthesisResult.margin`` is the smallest of them).
     """
     form = classify_schedule(schedule)
     if not isinstance(form, (InfiniteExpectedRounds, ConstantContinuation)):

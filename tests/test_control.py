@@ -512,6 +512,32 @@ def test_falsify_matches_sequential_search(request, case, schedule, seed):
     _assert_same_search(report, achieved, best)
 
 
+def _refine_every_trial(flat, objective, still):
+    """The lockstep coordinate ascent of ``control._refine`` evaluating
+    every live row at every trial, as the sequential search does; appends
+    to ``still`` how many rows of each trial clipping left in place."""
+    value = objective(flat)
+    for step in (0.3, 0.1, 0.03):
+        live = np.arange(len(flat))
+        for _ in range(3):
+            improved = np.zeros(len(flat), dtype=bool)
+            for i in range(flat.shape[1]):
+                base = flat[live, i]
+                for direction in (step, -step):
+                    flat[live, i] = np.clip(base + direction, 0.0, 1.0)
+                    still.append(int(np.sum(flat[live, i] == base)))
+                    trial = objective(flat[live])
+                    better = trial > value[live] + 1e-15
+                    value[live[better]] = trial[better]
+                    improved[live[better]] = True
+                    base = np.where(better, flat[live, i], base)
+                flat[live, i] = base
+            live = live[improved[live]]
+            if not live.size:
+                break
+    return value
+
+
 def test_falsify_blocks_and_first_best(monkeypatch, request):
     # seven restarts in blocks of 3, 3 and 1; the best value is reached
     # by restarts in different blocks, and the first of them must win
@@ -548,8 +574,46 @@ def test_falsify_blocks_and_first_best(monkeypatch, request):
                                         candidate, 7, 1)
     _assert_same_search(report, achieved, best)
     # a restart leaves a step exactly where the sequential search moves on,
-    # so both evaluate the same number of chains
+    # so evaluating every trial costs as many chains as the sequential
+    # search; the search skips exactly the trials clipping leaves in place
+    skipping, still = sum(chains), []
+    chains.clear()
+    monkeypatch.setattr(control, "_refine", lambda flat, objective:
+                        _refine_every_trial(flat, objective, still))
+    every = falsify_candidate(game, controllers, FiniteHorizon(2),
+                              candidate, budget=7, seed=1)
+    _assert_same_search(every, achieved, best)
     assert sum(chains) == len(calls)
+    assert skipping == len(calls) - sum(still)
+
+
+def test_refine_skips_trials_that_cannot_move(monkeypatch, request):
+    # a budget-10 donation C1 search: a probability at 0 or 1 pushed
+    # further out is the current chain, which cannot improve
+    rows, still = [], []
+    stack = control._average_stack
+
+    def counting_stack(game, schedule, tables, size):
+        rows.append(size)
+        return stack(game, schedule, tables, size)
+
+    monkeypatch.setattr(control, "_average_stack", counting_stack)
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    report = falsify_candidate(game, controllers, FiniteHorizon(2),
+                               candidate, budget=10, seed=2)
+    skipping = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(control, "_refine", lambda flat, objective:
+                        _refine_every_trial(flat, objective, still))
+    every = falsify_candidate(game, controllers, FiniteHorizon(2),
+                              candidate, budget=10, seed=2)
+    assert report.achieved == every.achieved
+    for mine, theirs in zip(report.counterexample, every.counterexample,
+                            strict=True):
+        assert np.array_equal(mine.conditionals, theirs.conditionals)
+        assert np.array_equal(mine.initial.probs, theirs.initial.probs)
+    assert skipping == sum(rows) - sum(still)
+    assert skipping < 0.8 * sum(rows)
 
 
 def test_falsify_builds_no_per_trial_objects(monkeypatch, request):

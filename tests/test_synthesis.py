@@ -1,3 +1,5 @@
+import itertools
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,10 +28,15 @@ from payoffcontrol import (
     verify_relation,
 )
 from payoffcontrol import synthesis
+from payoffcontrol.control import _controller_setup
+from payoffcontrol.dynamics import repeat_strategy
+from payoffcontrol.fileio import parse_game_file
 from payoffcontrol.synthesis import (
     _family_residual,
+    _margin_program,
     _max_margin,
     _maximin_rows,
+    _reaches,
 )
 
 
@@ -298,6 +305,87 @@ def test_margin_itself_is_maximized(request, name, target, margin):
     assert report.max_abs_violation < 1e-12
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+# the synthesis targets of the roundtrip benchmark workload:
+# (game, controllers, relation, mode)
+BENCHMARK_TARGETS = {
+    "donation-pin": ("donation3.game", (0,),
+                     PayoffRelation((0.0, 1.0), -2.0), "independent"),
+    "donation-equalizer": ("donation3.game", (0,),
+                           PayoffRelation((1.0, -1.0), 0.0), "independent"),
+    "pd-pin-2.5": ("pd.game", (0,), pin(1, 2.5), "independent"),
+    "pgg3-outsider-pin": ("pgg3.game", (0, 1), pin(2, 1.0, n=3),
+                          "independent"),
+    "pgg3-outsider-pin-correlated": ("pgg3.game", (0, 1), pin(2, 1.0, n=3),
+                                     "correlated"),
+    "pgg4-alliance-pin": ("pgg4", (0, 1, 2), pin(3, 1.5, n=4),
+                          "independent"),
+    "pgg4-alliance-pin-correlated": ("pgg4", (0, 1, 2), pin(3, 1.5, n=4),
+                                     "correlated"),
+}
+
+
+def _benchmark_case(name):
+    """(game, target) of a named benchmark target."""
+    game_name, controllers, rel, mode = BENCHMARK_TARGETS[name]
+    game = public_goods_game(4, 3.0, 2.0) if game_name == "pgg4" \
+        else parse_game_file(DATA / game_name).game
+    return game, SynthesisTarget(rel, controllers, mode)
+
+
+@pytest.mark.parametrize("name,schedule,margin", [
+    ("donation-pin", Infinite(), 1 / 7),
+    ("donation-pin", Delta(0.9), 1 / 7),
+    ("pgg4-alliance-pin", Infinite(), 1 / 3),
+    ("pgg4-alliance-pin-correlated", Infinite(), 1 / 12),
+    ("pd-pin-2.5", Delta(0.9), 9 / 58)],
+    ids=["donation-pin-infinite", "donation-pin-delta0.9",
+         "pgg4-independent-infinite", "pgg4-correlated-infinite",
+         "pd-pin-delta0.9"])
+def test_margin_reaches_the_exact_optimum(name, schedule, margin):
+    game, target = _benchmark_case(name)
+    result = synthesize(game, schedule, target)
+    assert isinstance(result, SynthesisResult)
+    assert result.margin == pytest.approx(margin, abs=1e-12)
+
+
+def test_ascent_needs_few_programs(monkeypatch):
+    # the margin-0 program, one slack program per rise of the margin, and
+    # the one that finds no room left
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(synthesis, "linprog", counted)
+    game, target = _benchmark_case("donation-pin")
+    result = synthesize(game, Infinite(), target)
+    assert isinstance(result, SynthesisResult)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("schedule", [Infinite(), Delta(0.9)],
+                         ids=["infinite", "delta0.9"])
+@pytest.mark.parametrize("name", list(BENCHMARK_TARGETS))
+def test_no_block_reaches_past_the_margin(name, schedule):
+    # every (lo, hi) block of the margin program admits only z = 0 just
+    # above the reported margin, so no controller tables do better
+    game, target = _benchmark_case(name)
+    result = synthesize(game, schedule, target)
+    margin = result.margin if isinstance(result, SynthesisResult) else 0.0
+    _, _, sizes, jhat = _controller_setup(
+        game, [repeat_strategy(game, p) for p in target.controllers])
+    joint_count = int(np.prod(sizes))
+    members = sizes if target.mode == "independent" else (joint_count,)
+    pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
+    x = _margin_program(members, jhat, relation_vector(game, target.relation),
+                        getattr(schedule, "delta", None), margin + 1e-7,
+                        pairs)
+    assert x is not None
+    assert np.all(x[:, joint_count] == 0.0)
+
+
 @pytest.mark.parametrize("schedule", [Infinite(), Delta(0.5), Delta(0.9)])
 def test_target_on_the_controllers_own_action(schedule):
     # w depends on the controller's action alone and vanishes on two of
@@ -394,6 +482,40 @@ def test_row_max_margin_properties(case, frac):
                                        abs=1e-14 * scale / (hi - lo))
     if sizes == (2, 2):
         assert margin >= _scan_margin_2x2(y, beta) - 1e-6
+
+
+def _bisected_margin(y, sizes, lo, hi, steps=60):
+    """Sixty plain halvings of [0, 1/max(s_k)] on the range comparison."""
+    top = 1.0 / max(sizes)
+    below = np.zeros(lo.shape)
+    above = np.full(lo.shape, top)
+    below[_reaches(y, sizes, above, lo, hi)] = top
+    for _ in range(steps):
+        mid = 0.5 * (below + above)
+        ok = _reaches(y, sizes, mid, lo, hi)
+        below = np.where(ok, mid, below)
+        above = np.where(ok, above, mid)
+    return below
+
+
+def test_batched_margin_search_matches_bisection():
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        sizes = ROW_SIZES[rng.integers(len(ROW_SIZES))]
+        y = rng.uniform(-5.0, 5.0, int(np.prod(sizes)))
+        if rng.random() < 0.3:
+            y = np.round(y)  # ties between vertex values
+        ends = y.min() + rng.random((2, 3)) * (y.max() - y.min())
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
+        if rng.random() < 0.5:
+            hi = lo.copy()
+        got = _max_margin(y, sizes, lo, hi)
+        top = 1.0 / max(sizes)
+        assert np.all(_reaches(y, sizes, got, lo, hi) | (got == 0.0))
+        want = _bisected_margin(y, sizes, lo, hi)
+        slack = 4.0 * np.finfo(float).eps * max(1.0, float(np.abs(y).max()))
+        want[(lo <= y.min() + slack) | (hi >= y.max() - slack)] = 0.0
+        assert np.all(np.abs(got - want) <= top * 2.0 ** -50)
 
 
 # ---------------------------------------------------------------------------

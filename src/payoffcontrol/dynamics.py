@@ -30,6 +30,7 @@ A chain that neither form settles is reported, never returned as a number.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -63,6 +64,10 @@ RESIDUAL_TOL = 1e-9
 
 # Most rounds a schedule may ask to be summed one by one.
 MAX_ROUNDS = 10 ** 6
+
+# Cells per row of a Monte Carlo draw's lookup table; a power of 2, so that
+# u * DRAW_CELLS is exact.
+DRAW_CELLS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +517,14 @@ def _continuations(schedule: ContinuationSchedule) -> tuple[tuple[float, ...], f
     raise InvalidParamsError(f"unknown schedule {schedule!r}")
 
 
+def _survival(values: Sequence[float]) -> tuple[list[float], int]:
+    """Survival products p(1..k+1) of explicit continuation values c(1..k),
+    and how many of those rounds are reached: the products never rise, so
+    the reached rounds (p > 0) come first."""
+    survival = list(itertools.accumulate(values, operator.mul, initial=1.0))
+    return survival, survival.index(0.0) if 0.0 in survival else len(survival)
+
+
 def markov_average(m: np.ndarray, v1: np.ndarray,
                    schedule: ContinuationSchedule
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -528,8 +541,7 @@ def markov_average(m: np.ndarray, v1: np.ndarray,
     schedule needs more than MAX_ROUNDS explicit rounds.
     """
     values, c = _continuations(schedule)
-    survival = list(itertools.accumulate(values, operator.mul, initial=1.0))
-    rounds = survival.index(0.0) if 0.0 in survival else len(survival)
+    survival, rounds = _survival(values)
     if rounds > MAX_ROUNDS:
         raise NoConvergenceError(
             f"weighted sum needs more than MAX_ROUNDS={MAX_ROUNDS} rounds")
@@ -594,10 +606,15 @@ def effective_payoffs(game: GameSpec, profile: StrategyProfile,
 class MonteCarloResult:
     """Pooled per-round payoff averages over simulated episodes.
 
-    means[i] estimates the effective payoff of player i: the total realized
-    payoff across all episodes divided by the total number of realized
-    rounds.  ``std_errors`` come from the usual ratio-estimator expansion
-    and are zero when only one episode was played.
+    Each episode's length is drawn before it is played, from the
+    schedule's survival probabilities and capped at the round cap, and
+    every round is one draw from the joint chain (see
+    ``monte_carlo_play``).  means[i] estimates the effective payoff of
+    player i: the total realized payoff across all episodes divided by the
+    total number of realized rounds (the ratio estimator).
+    ``std_errors`` come from the usual ratio-estimator expansion over
+    per-episode payoff sums and lengths, and are zero when only one
+    episode was played.  ``mean_rounds`` is the average episode length.
     """
 
     means: np.ndarray
@@ -606,64 +623,135 @@ class MonteCarloResult:
     mean_rounds: float
 
 
+class _RowSampler:
+    """Inverse-CDF draws from the probability rows of a (k, n) array.
+
+    Row s owns the search keys ``2s + cumsum(rows[s])`` followed by the
+    sentinel ``2s + 1.5``, so a query ``2s + u`` with u in [0, 1) lands
+    inside row s even when rounding leaves it at or past the row's sum.
+    A draw is the first column whose cumulative probability exceeds u, or
+    the row's last column of positive probability (the sentinel's target)
+    when none does; a column of probability 0 is never drawn.
+
+    Most draws skip the search: [0, 1) is cut into DRAW_CELLS equal cells
+    per row, and a cell that no key falls strictly inside stores its draw.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        k, n = rows.shape
+        keys = np.empty((k, n + 1))
+        np.cumsum(rows, axis=1, out=keys[:, :n])
+        keys[:, n] = 1.5
+        keys += 2.0 * np.arange(k)[:, None]
+        targets = np.tile(np.arange(n + 1), (k, 1))
+        targets[:, n] = n - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        self.keys, self.targets = keys.ravel(), targets.ravel()
+        edges = 2.0 * np.arange(k)[:, None] + np.arange(DRAW_CELLS + 1) / DRAW_CELLS
+        lo = np.searchsorted(self.keys, edges[:, :-1].ravel(), side="right")
+        hi = np.searchsorted(self.keys, edges[:, 1:].ravel(), side="left")
+        self.cells = np.where(lo == hi, self.targets[lo], -1)
+
+    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The draw from row ``state[i]`` by the uniform ``u[i]``."""
+        drawn = self.cells.take(state * DRAW_CELLS
+                                + (u * DRAW_CELLS).astype(np.intp))
+        split = np.flatnonzero(drawn < 0)
+        if split.size:
+            drawn[split] = self.search(state[split], u[split])
+        return drawn
+
+    def search(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``draw`` by binary search alone."""
+        return self.targets[np.searchsorted(self.keys, 2.0 * state + u,
+                                            side="right")]
+
+
+def _episode_lengths(rng: np.random.Generator, schedule: ContinuationSchedule,
+                     episodes: int, max_rounds: int | None) -> np.ndarray:
+    """Drawn length of each episode under ``schedule``, at most
+    ``max_rounds``, sorted longest first.
+
+    ``FiniteHorizon(T)`` plays T rounds and draws nothing.  Otherwise,
+    with the schedule as explicit values c(1..k) and a constant tail c
+    (``_continuations``), one uniform u per episode is compared with the
+    survival products p(1..k+1): the episode reaches every round t <= k + 1
+    with u < p(t).  An episode that reaches round k + 1 plays a further
+    geometric number of rounds with continuation c (none at c = 0; up to
+    the cap at c = 1).  Everything is checked before any draw: a cap below
+    1 is invalid, and without a cap, infinite expected rounds or a
+    reachable tail of 1 raise MissingRoundCapError.
+    """
+    if max_rounds is not None and max_rounds < 1:
+        raise InvalidParamsError("max_rounds must be >= 1")
+    if isinstance(schedule, FiniteHorizon):
+        # not through _continuations, which cuts a horizon past MAX_ROUNDS
+        rounds = schedule.rounds
+        return np.full(episodes, rounds if max_rounds is None
+                       else min(rounds, max_rounds))
+    values, c = _continuations(schedule)
+    if max_rounds is not None:
+        values = values[:max_rounds - 1]  # later rounds are never played
+    survival, reached = _survival(values)
+    if max_rounds is None and (
+            isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
+            or (c == 1.0 and reached == len(survival))):
+        raise MissingRoundCapError("infinite expected rounds need max_rounds")
+    lengths = np.searchsorted(np.negative(survival), -rng.random(episodes),
+                              side="left")
+    tail = np.flatnonzero(lengths == len(survival))
+    # uncapped, the check above leaves no episode in a tail of 1
+    if c == 1.0 and max_rounds is not None:
+        lengths[tail] = max_rounds
+    elif 0.0 < c < 1.0:
+        lengths[tail] += rng.geometric(1.0 - c, tail.size) - 1
+    if max_rounds is not None:
+        np.minimum(lengths, max_rounds, out=lengths)
+    return -np.sort(-lengths)
+
+
 def monte_carlo_play(game: GameSpec, profile: StrategyProfile,
                      schedule: ContinuationSchedule, episodes: int,
                      seed: int, max_rounds: int | None = None) -> MonteCarloResult:
     """Simulate repeated play and estimate effective payoffs.
 
-    Episodes run in lockstep with a single seeded generator, so results
-    are reproducible for a fixed seed.  A round cap is required whenever
-    the expected number of rounds diverges and optional otherwise.
+    Play continues independently of what is played, so every episode's
+    length is drawn first (``_episode_lengths``, which also checks the
+    round cap) and the episodes are ordered longest first: the episodes
+    alive in round t are then a prefix of the episode array.  Each round
+    draws every live episode's next profile with one uniform from the
+    cumulative rows of the joint chain, ``transition_matrix`` plus a start
+    row holding ``initial_distribution`` for round 1.  Memory grows with
+    the number of episodes, never with rounds.
+
+    One seeded generator draws the lengths and then the rounds, so results
+    are reproducible for a fixed seed.  (This sampler replaced per-player
+    draws in every round, so the same seed gives different numbers than
+    before it.)  A round cap is required whenever an episode could play
+    forever and optional otherwise.
     """
-    check_profile(game, profile)
+    m = transition_matrix(game, profile)
+    v1 = initial_distribution(game, profile).probs
     if episodes < 1:
         raise InvalidParamsError("episodes must be >= 1")
-    form = classify_schedule(schedule)
-    if max_rounds is None and isinstance(form, InfiniteExpectedRounds):
-        raise MissingRoundCapError("infinite expected rounds need max_rounds")
     rng = np.random.default_rng(seed)
-    n = game.player_count
-    actions = game.profile_actions
-    strides = np.array([int(np.prod(game.action_counts[i + 1:])) for i in range(n)])
+    lengths = _episode_lengths(rng, schedule, episodes, max_rounds)
+    sampler = _RowSampler(np.vstack([m, v1]))
 
-    payoff_sums = np.zeros((episodes, n))
-    round_counts = np.zeros(episodes)
-    active = np.arange(episodes)
+    payoff_sums = np.zeros((episodes, game.player_count))
+    state = np.full(episodes, len(v1))  # the start row
+    ends = (-lengths).tolist()  # ascending
+    for t in range(1, int(lengths[0]) + 1):
+        alive = bisect.bisect_right(ends, -t)
+        live = state[:alive]
+        live[:] = sampler.draw(live, rng.random(alive))
+        payoff_sums[:alive] += game.payoffs.take(live, axis=0)
 
-    # round 1: sample from the initial mixed actions
-    state = np.zeros(episodes, dtype=int)
-    for strat in profile.strategies:
-        cum = np.cumsum(strat.initial.probs)
-        draws = np.searchsorted(cum, rng.random(episodes), side="right")
-        state += strides[strat.player] * np.minimum(draws, len(cum) - 1)
-    t = 1
-    while active.size:
-        payoff_sums[active] += game.payoffs[state[active]]
-        round_counts[active] += 1
-        if max_rounds is not None and t >= max_rounds:
-            break
-        c = schedule.continuation(t)
-        if c <= 0.0:
-            break
-        if c < 1.0:
-            active = active[rng.random(active.size) < c]
-            if not active.size:
-                break
-        nxt = np.zeros(active.size, dtype=int)
-        for strat in profile.strategies:
-            rows = strat.conditionals[state[active]]
-            cum = np.cumsum(rows, axis=1)
-            draws = (cum > rng.random(active.size)[:, None]).argmax(axis=1)
-            nxt += strides[strat.player] * draws
-        state[active] = nxt
-        t += 1
-
-    total_rounds = round_counts.sum()
+    total_rounds = lengths.sum()
     means = payoff_sums.sum(axis=0) / total_rounds
     mean_rounds = total_rounds / episodes
     if episodes > 1:
-        centered = payoff_sums - np.outer(round_counts, means)
+        centered = payoff_sums - np.outer(lengths, means)
         std_errors = centered.std(axis=0, ddof=1) / (mean_rounds * math.sqrt(episodes))
     else:
-        std_errors = np.zeros(n)
+        std_errors = np.zeros(game.player_count)
     return MonteCarloResult(means, std_errors, episodes, float(mean_rounds))

@@ -220,6 +220,34 @@ def test_simulate_custom_tail_of_one_needs_round_cap(tmp_path, capsys):
     assert stdout.startswith("10 episodes")
 
 
+def test_simulate_unreachable_tail_of_one_needs_no_round_cap(tmp_path, capsys):
+    # a first value of 0 ends every episode before the tail of 1
+    game = parse_game_file(PD).game
+    path = tmp_path / "profile.strategy"
+    write_strategy_file(path, game, [wsls_pd(0), wsls_pd(1)])
+    tail = tmp_path / "tail.schedule"
+    tail.write_text(schedule_line(Custom((0.0,), tail=1.0)) + "\n",
+                    encoding="utf-8")
+    code, stdout, stderr = run(capsys, "simulate", "--game", PD,
+                               "--strategy", str(path), "--schedule",
+                               f"custom:{tail}", "--samples", "10")
+    assert code == 0, stderr
+    assert "mean rounds 1" in stdout
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_simulate_rejects_round_cap_below_one(tmp_path, capsys, cap):
+    game = parse_game_file(PD).game
+    path = tmp_path / "profile.strategy"
+    write_strategy_file(path, game, [wsls_pd(0), wsls_pd(1)])
+    code, stdout, stderr = run(capsys, "simulate", "--game", PD,
+                               "--strategy", str(path), "--schedule",
+                               "infinite", "--max-rounds", cap)
+    assert code == 2
+    assert "max_rounds must be >= 1" in stderr
+    assert stdout == ""
+
+
 def test_simulate_requires_all_players(tmp_path, capsys):
     code, _, stderr = run(capsys, "simulate", "--game", DONATION,
                           "--strategy", PIN, "--schedule", "horizon:2")

@@ -1,4 +1,7 @@
+import math
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +37,16 @@ from payoffcontrol import (
 from payoffcontrol.control import sample_markov_tables
 from payoffcontrol.dynamics import (
     MAX_ROUNDS,
+    _RowSampler,
+    _episode_lengths,
     _solve_stack,
     initial_distribution,
     markov_average,
     profile_product,
     single_closed_class,
 )
+
+from payoffcontrol.fileio import parse_game_file, parse_strategy_file
 
 from conftest import (
     always,
@@ -48,6 +55,8 @@ from conftest import (
     tit_for_tat,
     wsls_pd,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +410,199 @@ def test_monte_carlo_seed_reproducible(donation):
         sample_markov_strategy(rng, donation, p) for p in range(2)))
     a = monte_carlo_play(donation, profile, Delta(0.6), episodes=100, seed=12)
     b = monte_carlo_play(donation, profile, Delta(0.6), episodes=100, seed=12)
-    assert_allclose(a.means, b.means)
+    assert np.array_equal(a.means, b.means)
+    assert np.array_equal(a.std_errors, b.std_errors)
     assert a.mean_rounds == b.mean_rounds
+
+
+@pytest.mark.parametrize("schedule", [Infinite(), Delta(0.5)])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_monte_carlo_round_cap_below_one_rejected(pd, schedule, cap):
+    profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
+    with pytest.raises(InvalidParamsError, match="max_rounds must be >= 1"):
+        monte_carlo_play(pd, profile, schedule, episodes=10, seed=0,
+                         max_rounds=cap)
+
+
+def test_monte_carlo_uncapped_tail_of_one_needs_round_cap(pd):
+    # the first value is too small for the infinite-rounds form, yet a
+    # surviving episode would play forever
+    profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
+    schedule = Custom((1e-13,), tail=1.0)
+    assert not isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
+    with pytest.raises(MissingRoundCapError):
+        monte_carlo_play(pd, profile, schedule, episodes=10, seed=0)
+    res = monte_carlo_play(pd, profile, schedule, episodes=10, seed=0,
+                           max_rounds=7)
+    assert res.mean_rounds == 1.0
+
+
+def test_monte_carlo_unreachable_tail_of_one_needs_no_round_cap(pd):
+    # the explicit 0 ends every episode after round 1, so no cap is needed
+    profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
+    res = monte_carlo_play(pd, profile, Custom((0.0,), tail=1.0), episodes=10,
+                           seed=0)
+    assert res.mean_rounds == 1.0
+
+
+def test_episode_lengths_past_max_rounds():
+    # MAX_ROUNDS bounds the exact kernel only; simulation plays these
+    rng = np.random.default_rng(59)
+    horizon = FiniteHorizon(MAX_ROUNDS + 5)
+    assert np.all(_episode_lengths(rng, horizon, 10, None) == MAX_ROUNDS + 5)
+    assert np.all(_episode_lengths(rng, horizon, 10, MAX_ROUNDS + 3)
+                  == MAX_ROUNDS + 3)
+    custom = Custom((1.0,) * (MAX_ROUNDS + 2), tail=0.0)
+    assert np.all(_episode_lengths(rng, custom, 10, None) == MAX_ROUNDS + 3)
+
+
+def test_monte_carlo_horizon_past_max_rounds_under_cap(pd):
+    profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
+    res = monte_carlo_play(pd, profile, FiniteHorizon(MAX_ROUNDS + 5),
+                           episodes=10, seed=0, max_rounds=5)
+    assert res.mean_rounds == 5.0
+
+
+def test_monte_carlo_memory_does_not_grow_with_rounds(donation):
+    rng = np.random.default_rng(31)
+    profile = StrategyProfile(tuple(
+        sample_markov_strategy(rng, donation, p) for p in range(2)))
+    episodes, rounds = 1000, 2000
+    tracemalloc.start()
+    try:
+        res = monte_carlo_play(donation, profile, Infinite(), episodes=episodes,
+                               seed=3, max_rounds=rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.mean_rounds == rounds
+    # a (rounds x episodes) array of bytes alone would take 2 MB
+    assert peak < 0.25 * episodes * rounds
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo sampler law
+
+
+def test_draw_never_picks_a_zero_probability_column():
+    # rows summing to 1 - 5e-13, each ending in a column of probability 0;
+    # u at or past the row's sum draws the last positive column
+    rows = np.array([[0.5, 0.5 - 5e-13, 0.0],
+                     [0.0, 1.0 - 5e-13, 0.0],
+                     [0.25, 0.75 - 5e-13, 0.0]])
+    sampler = _RowSampler(rows)
+    state = np.arange(3)
+    u = np.full(3, np.nextafter(1.0, 0.0))
+    assert sampler.draw(state, u).tolist() == [1, 1, 1]
+    assert sampler.search(state, u).tolist() == [1, 1, 1]
+    # a leading column of probability 0 is skipped at u = 0
+    assert sampler.draw(state, np.zeros(3)).tolist() == [0, 1, 0]
+
+
+def test_draw_table_agrees_with_search():
+    rng = np.random.default_rng(37)
+    rows = rng.dirichlet(np.ones(9), size=10)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:, 0] += 1e-3  # keep every row positive
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[2, 4:6] = [1e-9, 1e-9]  # several keys inside one cell
+    rows[2] /= rows[2].sum()
+    sampler = _RowSampler(rows)
+    assert (sampler.cells < 0).any() and (sampler.cells >= 0).any()
+    state = rng.integers(0, 10, 100000)
+    u = rng.random(100000)
+    assert np.array_equal(sampler.draw(state, u), sampler.search(state, u))
+
+
+def test_joint_draw_matches_chain(pgg):
+    # round 1 from the start row and one step from every profile follow
+    # initial_distribution and transition_matrix within 5 binomial SEs
+    rng = np.random.default_rng(41)
+    profile = StrategyProfile(tuple(
+        sample_markov_strategy(rng, pgg, p) for p in range(3)))
+    m = transition_matrix(pgg, profile)
+    v1 = initial_distribution(pgg, profile).probs
+    rows = np.vstack([m, v1])
+    sampler = _RowSampler(rows)
+    draws = 20000
+    for s, probs in enumerate(rows):
+        drawn = sampler.draw(np.full(draws, s), rng.random(draws))
+        freq = np.bincount(drawn, minlength=len(probs)) / draws
+        se = np.sqrt(probs * (1.0 - probs) / draws)
+        assert np.all(np.abs(freq - probs) <= 5.0 * se + 1e-15), s
+
+
+def test_episode_lengths_finite_horizon():
+    rng = np.random.default_rng(43)
+    for rounds in (1, 2, 10):
+        lengths = _episode_lengths(rng, FiniteHorizon(rounds), 500, None)
+        assert np.all(lengths == rounds)
+    lengths = _episode_lengths(rng, FiniteHorizon(10), 500, 4)
+    assert np.all(lengths == 4)
+
+
+@pytest.mark.parametrize("schedule", [Custom((0.9, 0.5), tail=0.8),
+                                      Delta(0.9)])
+def test_episode_lengths_law(schedule):
+    episodes = 20000
+    lengths = _episode_lengths(np.random.default_rng(47), schedule,
+                               episodes, None)
+    assert np.all(np.diff(lengths) <= 0)  # longest first
+    p = survival_probabilities(schedule, 3)
+    for length, exact in ((1, p[0] - p[1]), (2, p[1] - p[2])):
+        share = np.mean(lengths == length)
+        se = math.sqrt(exact * (1.0 - exact) / episodes)
+        assert abs(share - exact) <= 5.0 * se, length
+    se = lengths.std(ddof=1) / math.sqrt(episodes)
+    assert abs(lengths.mean() - expected_rounds(schedule)) <= 5.0 * se
+
+
+@pytest.mark.parametrize("schedule", [Infinite(), Custom((0.9,), tail=1.0)])
+def test_episode_lengths_respect_cap(schedule):
+    lengths = _episode_lengths(np.random.default_rng(53), schedule, 2000, 25)
+    assert lengths.max() == 25
+    if isinstance(schedule, Infinite):
+        assert np.all(lengths == 25)
+    else:
+        # round 2 is reached with probability 0.9, and then play runs on
+        assert set(lengths.tolist()) == {1, 25}
+        assert abs(np.mean(lengths == 1) - 0.1) <= 5.0 * math.sqrt(0.09 / 2000)
+
+
+def _benchmark_profiles():
+    """The full profiles the benchmark simulates: PD win-stay lose-shift,
+    the donation pin and the u3 alliance, each completed with opponents
+    sampled from the seed."""
+    pd_game = parse_game_file(DATA / "pd.game").game
+    donation = parse_game_file(DATA / "donation3.game").game
+    pgg3 = parse_game_file(DATA / "pgg3.game").game
+    return [
+        (pd_game, (wsls_pd(0),)),
+        (donation, parse_strategy_file(DATA / "donation-pin.strategy",
+                                       donation).strategies),
+        (pgg3, parse_strategy_file(DATA / "alliance-pin-u3.strategy",
+                                   pgg3).strategies),
+    ]
+
+
+@pytest.mark.parametrize("schedule", [FiniteHorizon(10), Delta(0.9)],
+                         ids=["horizon:10", "delta:0.9"])
+def test_monte_carlo_benchmark_check(schedule):
+    # the benchmark's simulate check: every mean within 5 SE of the exact
+    # effective payoff, at 4000 episodes
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 0x51])
+        for game, fixed in _benchmark_profiles():
+            taken = {s.player for s in fixed}
+            drawn = tuple(sample_markov_strategy(rng, game, p)
+                          for p in range(game.player_count) if p not in taken)
+            profile = StrategyProfile(tuple(fixed) + drawn)
+            exact = effective_payoffs(game, profile, schedule)
+            res = monte_carlo_play(game, profile, schedule, episodes=4000,
+                                   seed=seed)
+            assert np.all(res.std_errors > 0.0)
+            assert np.all(np.abs(res.means - exact) <= 5.0 * res.std_errors), \
+                (seed, game.player_count)
 
 
 # ---------------------------------------------------------------------------

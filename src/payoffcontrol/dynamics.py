@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatchError,
@@ -185,7 +183,7 @@ def classify_schedule(schedule: ContinuationSchedule,
             if schedule.tail >= 1.0 - tol:
                 return InfiniteExpectedRounds()
             return ConstantContinuation(schedule.tail)
-        if schedule.tail >= 1.0 - tol and np.all(vals > tol):
+        if schedule.tail >= 1.0 - tol and np.all(vals > 0.0):
             return InfiniteExpectedRounds()
         return OtherSchedule()
     raise InvalidParamsError(f"unknown schedule {schedule!r}")
@@ -206,28 +204,18 @@ def expected_rounds(schedule: ContinuationSchedule, cap: int = 10 ** 6) -> float
     """Sum of p(t), i.e. the expected number of rounds (may be math.inf)."""
     if cap < 1:
         raise InvalidParamsError("cap must be >= 1")
-    if isinstance(schedule, Infinite):
+    # classify_schedule decides divergence, so the two never disagree
+    if isinstance(classify_schedule(schedule), InfiniteExpectedRounds):
         return math.inf
     if isinstance(schedule, Delta):
         return 1.0 / (1.0 - schedule.delta)
     if isinstance(schedule, FiniteHorizon):
         return float(schedule.rounds)
-    if isinstance(schedule, Custom):
-        # exact: explicit prefix plus geometric tail
-        total = 0.0
-        p = 1.0
-        for i, c in enumerate(schedule.values):
-            if i + 1 > cap:
-                break
-            total += p
-            p *= c
-            if p == 0.0:
-                return total
-        total += p
-        if schedule.tail >= 1.0:
-            return math.inf if p > 0.0 else total
-        return total + p * schedule.tail / (1.0 - schedule.tail)
-    raise InvalidParamsError(f"unknown schedule {schedule!r}")
+    # Custom, exact: explicit prefix plus geometric tail
+    survival, _ = _survival(schedule.values[:cap])
+    if schedule.tail >= 1.0:  # a zero past the cap is never seen
+        return math.inf if survival[-1] > 0.0 else sum(survival)
+    return sum(survival) + survival[-1] * schedule.tail / (1.0 - schedule.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +358,31 @@ def _stationary(m: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
+def _closures(support: np.ndarray):
+    """Reach within 1, 2, 4, ... steps of a stack of support graphs, by
+    repeated squaring, up to the full closure (paths of n - 1 steps)."""
+    reach = support | np.eye(support.shape[-1], dtype=bool)
+    yield reach
+    for _ in range(max(support.shape[-1] - 2, 0).bit_length()):
+        step = reach.astype(float)
+        reach = (step @ step) > 0.0
+        yield reach
+
+
+def connected_components(support: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the strongly connected components of one support
+    graph, numbered by lowest state: states that reach each other."""
+    *_, reach = _closures(support)
+    roots, labels = np.unique(np.argmax(reach & reach.T, axis=1),
+                              return_inverse=True)
+    return roots.size, labels
+
+
+def csr_matrix(*args, **kwargs):  # unused; bound for perfbench/tracing.py
+    from scipy.sparse import csr_matrix
+    return csr_matrix(*args, **kwargs)
+
+
 def _projector(m: np.ndarray) -> np.ndarray:
     """Cesàro limit projector P* = lim (1/T) sum_t M^t of one chain.
 
@@ -379,26 +392,21 @@ def _projector(m: np.ndarray) -> np.ndarray:
     reducible chains.  Raises LinAlgError when the absorption system is
     singular.
     """
-    n = m.shape[0]
-    support = csr_matrix(m > 0.0)
-    n_comp, labels = connected_components(support, directed=True, connection="strong")
-    closed = np.ones(n_comp, dtype=bool)
-    rows, cols = support.nonzero()
-    leaving = labels[rows] != labels[cols]
-    closed[np.unique(labels[rows[leaving]])] = False
+    support = m > 0.0
+    n_comp, labels = connected_components(support)
+    leaving = (support & (labels[:, None] != labels)).any(axis=1)
+    closed = ~np.isin(np.arange(n_comp), labels[leaving])
 
     recurrent = [np.where(labels == k)[0] for k in range(n_comp) if closed[k]]
     transient = np.where(~closed[labels])[0]
-    absorb = np.zeros((n, len(recurrent)))
-    for k, states in enumerate(recurrent):
-        absorb[states, k] = 1.0
+    absorb = (labels[:, None] == np.flatnonzero(closed)).astype(float)
     if transient.size:
         lhs = np.eye(transient.size) - m[np.ix_(transient, transient)]
         rhs = np.column_stack(
             [m[np.ix_(transient, states)].sum(axis=1) for states in recurrent])
         absorb[transient] = np.linalg.solve(lhs, rhs)
 
-    pstar = np.zeros((n, n))
+    pstar = np.zeros_like(m)
     for k, states in enumerate(recurrent):
         pstar[:, states] = np.outer(absorb[:, k],
                                     _stationary(m[np.ix_(states, states)]))
@@ -409,21 +417,14 @@ def single_closed_class(m: np.ndarray) -> np.ndarray:
     """For each chain of an (N, n, n) stack, True when the support graph
     M > 0 has exactly one closed class.
 
-    That holds exactly when some state is reachable from every state.
-    Reachability is the boolean closure of M > 0 by repeated squaring, on
+    That holds exactly when some state is reachable from every state, on
     the same support that ``_projector`` decomposes.
     """
-    n = m.shape[-1]
-    reach = (m > 0.0) | np.eye(n, dtype=bool)
-    span = 1
-    while True:
+    for reach in _closures(m > 0.0):
         single = reach.all(axis=-2).any(axis=-1)
-        # paths of up to n - 1 steps reach every state that can be reached
-        if span >= n - 1 or single.all():
-            return single
-        step = reach.astype(float)
-        reach = (step @ step) > 0.0
-        span *= 2
+        if single.all():
+            break
+    return single
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -691,10 +692,9 @@ def _episode_lengths(rng: np.random.Generator, schedule: ContinuationSchedule,
     values, c = _continuations(schedule)
     if max_rounds is not None:
         values = values[:max_rounds - 1]  # later rounds are never played
-    survival, reached = _survival(values)
-    if max_rounds is None and (
-            isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
-            or (c == 1.0 and reached == len(survival))):
+    survival, _ = _survival(values)
+    if max_rounds is None and isinstance(classify_schedule(schedule),
+                                         InfiniteExpectedRounds):
         raise MissingRoundCapError("infinite expected rounds need max_rounds")
     lengths = np.searchsorted(np.negative(survival), -rng.random(episodes),
                               side="left")

@@ -63,8 +63,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .control import (
     PayoffRelation,
@@ -341,6 +339,13 @@ def _interval_z(w, rep0, lo, hi) -> float:
 # The stacked margin-m programs over y
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only the
+    pair-LP search loads scipy."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
 def _vertex_map(members, m) -> np.ndarray:
     """A(m) with V = A(m) Y the margin-m vertex values: the Kronecker
     product of the member factors (1 - s_k m) I + m 11^T, symmetric."""
@@ -367,6 +372,8 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     Returns the (blocks, variables) solution, or None when the solver
     reports no optimum.
     """
+    from scipy import sparse
+
     joint_count = int(np.prod(members))
     nvar = joint_count + (1 if delta is None else 2) + (previous is not None)
     top = 1.0 / max(members)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -34,6 +35,7 @@ from payoffcontrol import (
     survival_probabilities,
     transition_matrix,
 )
+from payoffcontrol import dynamics
 from payoffcontrol.control import sample_markov_tables
 from payoffcontrol.dynamics import (
     MAX_ROUNDS,
@@ -120,6 +122,18 @@ def test_expected_rounds():
     # 1 + c1 + c1 c2 + c1 c2 tail/(1 - tail)
     val = expected_rounds(Custom((0.5, 0.4), tail=0.25))
     assert_allclose(val, 1.0 + 0.5 + 0.2 + 0.2 * 0.25 / 0.75)
+
+
+@pytest.mark.parametrize("schedule, diverges", [
+    (Custom((1e-13,), tail=1.0), True),
+    (Custom((0.0,), tail=1.0), False),
+])
+def test_classify_and_expected_rounds_agree(schedule, diverges):
+    # a tail of 1 behind strictly positive values diverges, however small
+    # they are; one zero ends every game first
+    form = classify_schedule(schedule)
+    assert isinstance(form, InfiniteExpectedRounds) == diverges
+    assert expected_rounds(schedule) == (math.inf if diverges else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +439,10 @@ def test_monte_carlo_round_cap_below_one_rejected(pd, schedule, cap):
 
 
 def test_monte_carlo_uncapped_tail_of_one_needs_round_cap(pd):
-    # the first value is too small for the infinite-rounds form, yet a
-    # surviving episode would play forever
+    # however small the first value, a surviving episode plays forever
     profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
     schedule = Custom((1e-13,), tail=1.0)
-    assert not isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
+    assert isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
     with pytest.raises(MissingRoundCapError):
         monte_carlo_play(pd, profile, schedule, episodes=10, seed=0)
     res = monte_carlo_play(pd, profile, schedule, episodes=10, seed=0,
@@ -617,6 +630,53 @@ def _closed_class_count(m):
     rows, cols = support.nonzero()
     leaving = labels[rows] != labels[cols]
     return n_comp - np.unique(labels[rows[leaving]]).size
+
+
+@st.composite
+def _supports(draw):
+    """Support graphs of the shapes the projector meets: one state, self
+    loops only, periodic cycles, block-reducible and transient chains,
+    with states shuffled."""
+    kind = draw(st.sampled_from(
+        ["single", "self-loops", "cycles", "blocks", "transient"]))
+    n = 1 if kind == "single" else draw(st.integers(2, 9))
+    edges = np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                   max_size=n * n))).reshape(n, n)
+    order = np.arange(n)
+    if kind == "self-loops":
+        support = np.diag(np.diag(edges))
+    elif kind == "cycles":
+        # a permutation: disjoint cycles, each a periodic closed class
+        support = np.eye(n, dtype=bool)[draw(st.permutations(order))]
+    elif kind == "blocks":
+        # edges stay in a block or move to a later one
+        block = np.sort(draw(st.lists(st.integers(0, 3), min_size=n,
+                                      max_size=n)))
+        support = edges & (block[:, None] <= block)
+    elif kind == "transient":
+        # a forward path into a closed cycle over the last k states
+        k = draw(st.integers(1, n))
+        support = edges & (order[:, None] < order)
+        support[n - k:] = False
+        support[order[:-1], order[1:]] = True
+        support[n - 1, n - k] = True
+    else:
+        support = edges
+    perm = np.array(draw(st.permutations(order)))
+    return support[np.ix_(perm, perm)]
+
+
+@given(_supports())
+@settings(max_examples=300, deadline=None)
+def test_strong_components_match_scipy(support):
+    count, labels = dynamics.connected_components(support)
+    ref_count, ref_labels = connected_components(
+        csr_matrix(support), directed=True, connection="strong")
+    assert count == ref_count
+    # the same partition, up to renaming the components
+    np.testing.assert_array_equal(labels[:, None] == labels,
+                                  ref_labels[:, None] == ref_labels)
+    assert sorted(set(labels.tolist())) == list(range(count))
 
 
 def _donation_stack(donation, controller, count, boundary, seed):

@@ -1,0 +1,73 @@
+"""Only pair-LP synthesis needs scipy: every other command runs in a fresh
+interpreter without ever importing it."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from payoffcontrol.fileio import parse_game_file, write_strategy_file
+
+from conftest import wsls_pd
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
+DONATION = str(DATA / "donation3.game")
+PGG = str(DATA / "pgg3.game")
+PD = str(DATA / "pd.game")
+PIN = str(DATA / "donation-pin.strategy")
+EQUALIZER = str(DATA / "donation-equalizer.strategy")
+
+# Runs each argv through cli.main and prints the exit codes and the scipy
+# modules loaded afterwards as the last line of output.
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from payoffcontrol.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted(name for name in sys.modules
+                                if name.split(".")[0] == "scipy")]))
+"""
+
+
+def _run_fresh(*commands):
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"),
+         json.dumps(list(commands))],
+        capture_output=True, text=True, check=True, cwd=ROOT)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_without_lp_never_import_scipy(tmp_path):
+    profile = tmp_path / "profile.strategy"
+    write_strategy_file(profile, parse_game_file(PD).game,
+                        [wsls_pd(0), wsls_pd(1)])
+    codes, loaded = _run_fresh(
+        ["verify", "--game", DONATION, "--strategy", PIN, "--alpha", "0,1",
+         "--gamma", "-2", "--samples", "200"],
+        # enough samples that some reducible chains take the projector
+        ["verify", "--game", DONATION, "--strategy", EQUALIZER, "--alpha",
+         "1,-1", "--gamma", "0", "--samples", "1000"],
+        ["simulate", "--game", PD, "--strategy", str(profile),
+         "--schedule", "infinite", "--samples", "50", "--max-rounds", "20"],
+        ["falsify", "--game", DONATION, "--strategy", PIN, "--action", "C1",
+         "--schedule", "horizon:2", "--budget", "10"],
+        ["detect", "--game", DONATION, "--strategy", PIN],
+        ["classify", "--schedule", "delta:0.5"],
+        # the interval rung: one controller with two actions, infinite rounds
+        ["synth", "--game", PD, "--controllers", "1", "--alpha", "0,1",
+         "--gamma", "-2"],
+        ["synth", "--game", PGG, "--controllers", "1", "--alpha", "0,0,1",
+         "--gamma", "-1"],
+    )
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 3]
+    assert loaded == []
+
+
+def test_pair_lp_synthesis_imports_scipy():
+    # guards the test above against passing vacuously
+    codes, loaded = _run_fresh(
+        ["synth", "--game", DONATION, "--controllers", "1", "--alpha", "0,1",
+         "--gamma", "-2"])
+    assert codes == [0]
+    assert "scipy.optimize" in loaded

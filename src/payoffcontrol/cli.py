@@ -21,7 +21,6 @@ from .control import (
     PayoffRelation,
     detect_relations,
     falsify_candidate,
-    ruling_family,
     verify_relation,
 )
 from .dynamics import (
@@ -35,7 +34,7 @@ from .dynamics import (
     expected_rounds,
     monte_carlo_play,
 )
-from .errors import InvalidParamsError, ParseError, PayoffControlError
+from .errors import InvalidParamsError, PayoffControlError
 from .fileio import (
     parse_game_file,
     parse_schedule_file,
@@ -245,15 +244,7 @@ def _cmd_falsify(args) -> int:
     action = game.action_index(strategy.player, args.action)
     column = strategy.conditionals[:, action]
     repeat = (game.profile_actions[:, strategy.player] == action).astype(float)
-    form = InfiniteExpectedRounds()
-    if args.form == "constant":
-        form = classify_schedule(schedule)
-        if not isinstance(form, ConstantContinuation):
-            raise InvalidParamsError(
-                "--form constant needs a constant-continuation schedule")
-    candidate = ruling_family(form, column,
-                              float(strategy.initial.probs[action]), repeat)
-    report = falsify_candidate(game, [strategy], schedule, candidate,
+    report = falsify_candidate(game, [strategy], schedule, column - repeat,
                                budget=args.budget, seed=args.seed,
                                threshold=args.threshold)
     if report.conclusive:
@@ -341,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, strategy=True)
     p.add_argument("--action", required=True,
                    help="controller action label defining the candidate")
-    p.add_argument("--form", choices=("infinite", "constant"),
-                   default="infinite")
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-6)
@@ -363,16 +352,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PayoffControlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (PayoffControlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

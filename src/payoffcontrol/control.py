@@ -4,12 +4,15 @@ A ruling vector of a player (or an alliance) is a profile-indexed vector u~
 whose inner product with the limiting average distribution vanishes no
 matter what the remaining players do.  For a Markov strategy, writing s_j
 for the column of probabilities of choosing own action j and rep_j for the
-indicator of the profiles where the player just played j:
+indicator of the profiles where the player just played j, every
+supported schedule has the one form
 
-* infinite expected rounds:   u~_j = s_j - rep_j
-* constant continuation d<1:  u~_j = d*s_j + (1-d)*s0_j*1 - rep_j
+    u~_j = d*s_j + (1-d)*s0_j*1 - rep_j
 
-where s0_j is the initial probability of action j.  An alliance uses the
+where s0_j is the initial probability of action j and d is the schedule's
+continuation weight: its constant continuation probability, d = 1 for
+infinite expected rounds (u~_j = s_j - rep_j) and d = 0 for a one-shot
+game.  Any other schedule supports no ruling vectors.  An alliance uses the
 joint versions: products of member conditionals, of member indicators, and
 of member initials.  The family over all (joint) actions sums to zero, so
 the last vector is dropped; a full basis has r = (prod of member action
@@ -34,6 +37,7 @@ from .dynamics import (
     InfiniteExpectedRounds,
     MarkovStrategy,
     MixedAction,
+    OtherSchedule,
     # unused here, but the benchmark tracer rebinds this name
     average_distribution,
     check_strategy,
@@ -191,12 +195,27 @@ def repeat_indicator(game: GameSpec, controllers: Sequence[int],
     return mask.astype(float)
 
 
+def ruling_form(schedule: ContinuationSchedule
+                ) -> InfiniteExpectedRounds | ConstantContinuation:
+    """The schedule's classification, whose ``delta`` is the continuation
+    weight d of its ruling vectors (1 for infinite expected rounds).
+
+    Raises UnsupportedScheduleError when the schedule is neither of
+    infinite expected rounds nor constant continuation below one.
+    """
+    form = classify_schedule(schedule)
+    if isinstance(form, OtherSchedule):
+        raise UnsupportedScheduleError(
+            "schedule supports no ruling vectors: expected rounds are finite "
+            "and the continuation probability is not constant")
+    return form
+
+
 def ruling_family(form: Classification, conditionals: np.ndarray,
                   initial, repeat: np.ndarray) -> np.ndarray:
-    """Ruling vectors as columns: q - rep under infinite rounds, else
-    d q + (1 - d) sigma - rep with sigma = ``initial``."""
-    if isinstance(form, InfiniteExpectedRounds):
-        return conditionals - repeat
+    """Ruling vectors as columns: d q + (1 - d) sigma - rep with
+    d = ``form.delta`` and sigma = ``initial``.  At d = 1 this is q - rep
+    exactly."""
     return form.delta * conditionals + (1.0 - form.delta) * initial - repeat
 
 
@@ -204,14 +223,9 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
                  schedule: ContinuationSchedule) -> RulingBasis:
     """Build the ruling-vector family of the given controller strategies.
 
-    Raises UnsupportedScheduleError when the schedule is neither of
-    infinite expected rounds nor constant continuation below one.
+    Raises UnsupportedScheduleError as ``ruling_form`` does.
     """
-    form = classify_schedule(schedule)
-    if not isinstance(form, (InfiniteExpectedRounds, ConstantContinuation)):
-        raise UnsupportedScheduleError(
-            "schedule supports no ruling vectors: expected rounds are finite "
-            "and the continuation probability is not constant")
+    form = ruling_form(schedule)
     ordered, players, sizes, jhat = _controller_setup(game, strategies)
     joint_count = int(np.prod(sizes))
     family = ruling_family(form, joint_conditionals(game, ordered),

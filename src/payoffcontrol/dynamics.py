@@ -35,7 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -137,12 +137,15 @@ class Custom(ContinuationSchedule):
         return self.tail
 
 
-# Classification drives which ruling-vector form, if any, applies.
+# Classification drives which ruling-vector form, if any, applies; the
+# supported forms carry its continuation weight ``delta``.
 
 
 @dataclass(frozen=True)
 class InfiniteExpectedRounds:
     """The expected number of rounds diverges."""
+
+    delta: ClassVar[float] = 1.0
 
 
 @dataclass(frozen=True)
@@ -200,10 +203,8 @@ def survival_probabilities(schedule: ContinuationSchedule, t_max: int) -> np.nda
     return p
 
 
-def expected_rounds(schedule: ContinuationSchedule, cap: int = 10 ** 6) -> float:
+def expected_rounds(schedule: ContinuationSchedule) -> float:
     """Sum of p(t), i.e. the expected number of rounds (may be math.inf)."""
-    if cap < 1:
-        raise InvalidParamsError("cap must be >= 1")
     # classify_schedule decides divergence, so the two never disagree
     if isinstance(classify_schedule(schedule), InfiniteExpectedRounds):
         return math.inf
@@ -212,9 +213,9 @@ def expected_rounds(schedule: ContinuationSchedule, cap: int = 10 ** 6) -> float
     if isinstance(schedule, FiniteHorizon):
         return float(schedule.rounds)
     # Custom, exact: explicit prefix plus geometric tail
-    survival, _ = _survival(schedule.values[:cap])
-    if schedule.tail >= 1.0:  # a zero past the cap is never seen
-        return math.inf if survival[-1] > 0.0 else sum(survival)
+    survival, _ = _survival(schedule.values)
+    if schedule.tail >= 1.0:  # not divergent, so some explicit value is 0
+        return sum(survival)
     return sum(survival) + survival[-1] * schedule.tail / (1.0 - schedule.tail)
 
 

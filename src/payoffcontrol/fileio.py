@@ -345,7 +345,7 @@ def schedule_line(schedule: ContinuationSchedule) -> str:
     raise ValidationError(f"cannot serialize schedule {schedule!r}")
 
 
-def _strategy_block_lines(game: GameSpec, strategy: MarkovStrategy):
+def _strategy_block_lines(strategy: MarkovStrategy):
     yield f"strategy.{strategy.player + 1}"
     yield "initial " + _fmt_row(strategy.initial.probs)
     for row in strategy.conditionals:
@@ -362,7 +362,7 @@ def write_game_file(path, game: GameSpec, strategies=(), schedule=None):
     for row in game.payoffs:
         lines.append(_fmt_row(row))
     for strategy in strategies:
-        lines.extend(_strategy_block_lines(game, strategy))
+        lines.extend(_strategy_block_lines(strategy))
     if schedule is not None:
         lines.append(schedule_line(schedule))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -372,7 +372,7 @@ def write_strategy_file(path, game: GameSpec, strategies, schedule=None,
                         header=()):
     lines = [f"# {text}" for text in header]
     for strategy in strategies:
-        lines.extend(_strategy_block_lines(game, strategy))
+        lines.extend(_strategy_block_lines(strategy))
     if schedule is not None:
         lines.append(schedule_line(schedule))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

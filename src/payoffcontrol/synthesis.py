@@ -1,18 +1,19 @@
 """Construction of ruling strategies enforcing a target payoff relation.
 
 Given a target w = sum_i alpha_i u_i + gamma 1, a controller set, and a
-supported schedule form, we look for controller strategies whose ruling
-vectors span w.  Writing q_a for the controllers' joint conditional
-distribution after profile a, jhat(a) for the joint action they played in
-a, and y for the combination coefficients over the full joint-action
-family, the requirement reads per profile:
+supported schedule form with continuation weight d, we look for controller
+strategies whose ruling vectors span w.  Writing q_a for the controllers'
+joint conditional distribution after profile a, jhat(a) for the joint
+action they played in a, and y for the combination coefficients over the
+full joint-action family, the requirement reads per profile:
 
-    infinite rounds:   <y, q_a> - y[jhat(a)] = w(a)
-    continuation d:  d <y, q_a> + (1-d) <y, sigma> - y[jhat(a)] = w(a)
+    d <y, q_a> + (1-d) <y, sigma> - y[jhat(a)] = w(a)
 
-with sigma the controllers' joint initial distribution.  Each constrained
-row q (and sigma under continuation) must therefore reach a value
-beta = <y, q> fixed by y.
+with sigma the controllers' joint initial distribution.  Infinite rounds
+are d = 1, where sigma drops out, and a one-shot game is d = 0, where the
+conditionals never act.  Each row that carries weight (the profile rows
+q_a when d > 0, the initial row sigma when d < 1) must therefore reach a
+value beta = <y, q> fixed by y.
 
 Rows.  One builder makes every probability row.  An alliance is a list of
 members with sizes s_k, and a row is a product p_1 x ... x p_q: one member
@@ -72,22 +73,16 @@ from .control import (
     joint_initial,
     relation_vector,
     ruling_family,
+    ruling_form,
 )
 from .dynamics import (
     Classification,
-    ConstantContinuation,
     ContinuationSchedule,
-    InfiniteExpectedRounds,
     MarkovStrategy,
-    classify_schedule,
     repeat_strategy,
 )
 from .games import GameSpec, MixedAction
-from .errors import (
-    InvalidParamsError,
-    TrivialTargetError,
-    UnsupportedScheduleError,
-)
+from .errors import InvalidParamsError, TrivialTargetError
 
 
 @dataclass(frozen=True)
@@ -357,17 +352,19 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     """One linprog over the (lo, hi) blocks of ``pairs`` at margin m.
 
     Block variables: Y (last entry pinned to 0), the scale z >= 0 of w,
-    and under continuation M = <Y, sigma>.  With V = A(m) Y the margin-m
+    and, when delta < 1, M = <Y, sigma>.  With V = A(m) Y the margin-m
     vertex values, every row target (profile rows scaled by delta) and
-    every V_j lie in [V_lo, V_hi], and V_hi - V_lo <= 1.
+    every V_j lie in [V_lo, V_hi], and V_hi - V_lo <= 1.  At delta = 0
+    the profile bounds meet at 0, so each profile row is an equality.
 
     Without ``previous`` the sum of the z is maximized.  Given the blocks'
     previous solutions, each block gains a last variable t >= 0 that keeps
     its row targets t * c inside [V_lo, V_hi] and the sum of the t is
     maximized; c are the average rates at which the previous Y's V_lo and
-    -V_hi grow from m to 1/max(s_k), floored at RATE_FLOOR.  So t estimates
-    how much further the block's margin can rise: for a single member V is
-    linear in m and this is the normalized Dinkelbach step.
+    -V_hi grow from m to 1/max(s_k), floored at RATE_FLOOR on every row of
+    positive scale (a row of scale 0 bounds no t).  So t estimates how much
+    further the block's margin can rise: for a single member V is linear
+    in m and this is the normalized Dinkelbach step.
 
     Returns the (blocks, variables) solution, or None when the solver
     reports no optimum.
@@ -375,7 +372,7 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     from scipy import sparse
 
     joint_count = int(np.prod(members))
-    nvar = joint_count + (1 if delta is None else 2) + (previous is not None)
+    nvar = joint_count + 1 + (delta < 1.0) + (previous is not None)
     top = 1.0 / max(members)
     # V_j as linear forms in the variables
     values = np.zeros((joint_count, nvar))
@@ -384,16 +381,11 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     profile = np.zeros((len(w), nvar))
     profile[np.arange(len(w)), jhat] = 1.0
     profile[:, joint_count] = w
-    target, scale, equal = profile, np.ones(len(w)), None
-    if delta is not None:
-        init = np.eye(nvar)[joint_count + 1:joint_count + 2]  # M
-        if delta == 0.0:
-            # one-shot: the initial row carries every profile as an equality
-            target, scale, equal = init, np.ones(1), init - profile
-        else:
-            profile[:, joint_count + 1] = delta - 1.0
-            target = np.vstack([profile, init])
-            scale = np.append(np.full(len(w), delta), 1.0)
+    target, scale = profile, np.full(len(w), delta)
+    if delta < 1.0:
+        profile[:, joint_count + 1] = delta - 1.0
+        target = np.vstack([profile, np.eye(nvar)[joint_count + 1]])  # M
+        scale = np.append(scale, 1.0)
     lo, hi = values[pairs[:, 0], None], values[pairs[:, 1], None]
     blocks = np.concatenate([scale[:, None] * lo - target,
                              target - scale[:, None] * hi,
@@ -401,7 +393,7 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     bound = np.zeros(blocks.shape[1])
     bound[-1] = 1.0  # V_hi - V_lo <= 1; every other row is homogeneous
     box = [(None, None)] * (joint_count - 1) + [(0.0, 0.0), (0.0, None)] \
-        + [(None, None)] * (delta is not None)
+        + [(None, None)] * (delta < 1.0)
     cost = np.zeros((len(pairs), nvar))
     options = None
     if previous is None:
@@ -413,18 +405,16 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
         rates = np.concatenate([scale * growth[ends, pairs[:, 0], None],
                                 -scale * growth[ends, pairs[:, 1], None]],
                                axis=1)
-        blocks[:, :rates.shape[1], -1] = np.maximum(rates, RATE_FLOOR)
+        blocks[:, :rates.shape[1], -1] = np.where(
+            np.tile(scale > 0.0, 2), np.maximum(rates, RATE_FLOOR), 0.0)
         cost[:, -1] = -1.0
         box.append((0.0, top - m))  # no margin exceeds 1/max(s_k)
         options = {"primal_feasibility_tolerance": SLACK_SOLVER_TOL,
                    "dual_feasibility_tolerance": SLACK_SOLVER_TOL}
     res = linprog(
         cost.ravel(), A_ub=sparse.block_diag(list(blocks), format="csr"),
-        b_ub=np.tile(bound, len(pairs)),
-        A_eq=None if equal is None
-        else sparse.block_diag([equal] * len(pairs), format="csr"),
-        b_eq=None if equal is None else np.zeros(len(pairs) * len(w)),
-        bounds=box * len(pairs), method="highs", options=options)
+        b_ub=np.tile(bound, len(pairs)), bounds=box * len(pairs),
+        method="highs", options=options)
     return res.x.reshape(len(pairs), nvar) if res.status == 0 else None
 
 
@@ -435,7 +425,7 @@ def _proposal(solution, members, jhat, w, delta):
     joint_count = int(np.prod(members))
     z = solution[joint_count]
     y = solution[:joint_count] / z
-    mval = None if delta is None else solution[joint_count + 1] / z
+    mval = solution[joint_count + 1] / z if delta < 1.0 else 0.0
     betas = _row_betas(w, jhat, y, delta, mval)
     low, high = betas.min(keepdims=True), betas.max(keepdims=True)
     eps = 1e-12 * max(1.0, float(np.abs(y).max()))
@@ -506,24 +496,26 @@ def _search_margin(members, jhat, w, delta):
 
 def _row_betas(w, jhat, y, delta, mval) -> np.ndarray:
     """The value <y, q> each constrained row must reach: one per profile
-    (none in a one-shot game, whose conditionals never fire), then the
-    initial row under constant continuation."""
-    if delta is None:
-        return w + y[jhat]
-    if delta == 0.0:
-        return np.array([mval])
-    return np.append((w + y[jhat] - (1.0 - delta) * mval) / delta, mval)
+    when delta > 0 (a one-shot game's conditionals never fire), then the
+    initial row when delta < 1.  At delta = 1, mval is 0 and the profile
+    values are w + y[jhat] exactly."""
+    rows = []
+    if delta > 0.0:
+        rows.append((w + y[jhat] - (1.0 - delta) * mval) / delta)
+    if delta < 1.0:
+        rows.append([mval])
+    return np.concatenate(rows)
 
 
 def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
-    """Build tables for a fixed y (and m for the constant form).
+    """Build tables for a fixed y and mval = <y, sigma>.
 
     Returns (strategies, joint_cond, joint_init, margin): strategies per
     controller, or joint tables for a correlated alliance, and the
     smallest min(p, 1 - p) over the built rows.
     """
     count = game.profile_count
-    if delta:
+    if 0.0 < delta < 1.0:
         # the profile rows target the value the initial row reaches as
         # built, so its rounding is not carried into every profile
         init = _maximin_rows(y, members, np.array([mval]))
@@ -531,17 +523,14 @@ def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
                                           [part[0] for part in init]).ravel())
     rows = _maximin_rows(y, members, _row_betas(w, jhat, y, delta, mval))
     margin = min(float(np.minimum(r, 1.0 - r).min()) for r in rows)
-    if delta == 0.0:
+    if delta > 0.0:
+        cond = [r[:count] for r in rows]
+    else:
         # conditionals never fire in a one-shot game; use repeat rows
         own = np.unravel_index(jhat, members)
         cond = [np.eye(size)[idx] for size, idx in zip(members, own)]
-        init = [r[0] for r in rows]
-    elif delta is None:
-        cond = rows
-        init = [np.full(size, 1.0 / size) for size in members]
-    else:
-        cond = [r[:count] for r in rows]
-        init = [r[count] for r in rows]
+    init = [r[-1] for r in rows] if delta < 1.0 \
+        else [np.full(size, 1.0 / size) for size in members]
     if target.mode == "correlated" and len(sizes) > 1:
         return None, cond[0], init[0], margin
     strategies = tuple(MarkovStrategy(base.player, MixedAction(p), table)
@@ -572,23 +561,19 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     margin wins, and each of its rows is built at its own maximin margin
     (``SynthesisResult.margin`` is the smallest of them).
     """
-    form = classify_schedule(schedule)
-    if not isinstance(form, (InfiniteExpectedRounds, ConstantContinuation)):
-        raise UnsupportedScheduleError(
-            "ruling strategies require infinite expected rounds or a "
-            "constant continuation probability below one")
+    form = ruling_form(schedule)
     if is_trivial(game, target.relation):
         raise TrivialTargetError(
             "relation already holds identically; nothing to enforce")
     base = [repeat_strategy(game, p) for p in target.controllers]
     ordered, _, sizes, jhat = _controller_setup(game, base)
     w = relation_vector(game, target.relation)
-    delta = form.delta if isinstance(form, ConstantContinuation) else None
+    delta = form.delta
     joint_count = int(np.prod(sizes))
     members = sizes if target.mode == "independent" else (joint_count,)
     scale = max(1.0, float(np.max(np.abs(w))))
 
-    if joint_count == 2 and delta is None:
+    if joint_count == 2 and delta == 1.0:
         rep0 = (jhat == 0).astype(float)
         interval = _interval_rung(w, rep0)
         if interval is None:
@@ -599,7 +584,7 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
                        "in {0}; no Markov strategy of this controller can "
                        "reach the target")
         z = _interval_z(w, rep0, *interval)
-        y_full, mval, note = np.array([1.0 / z, 0.0]), None, "interval"
+        y_full, mval, note = np.array([1.0 / z, 0.0]), 0.0, "interval"
     else:
         found = _search_margin(members, jhat, w, delta)
         if isinstance(found, Infeasible):

@@ -122,6 +122,8 @@ def test_expected_rounds():
     # 1 + c1 + c1 c2 + c1 c2 tail/(1 - tail)
     val = expected_rounds(Custom((0.5, 0.4), tail=0.25))
     assert_allclose(val, 1.0 + 0.5 + 0.2 + 0.2 * 0.25 / 0.75)
+    # play stops after round 2, so the tail of 1 is never reached
+    assert expected_rounds(Custom((0.5, 0.0), tail=1.0)) == 1.5
 
 
 @pytest.mark.parametrize("schedule, diverges", [

@@ -1,16 +1,25 @@
-"""Only pair-LP synthesis needs scipy: every other command runs in a fresh
-interpreter without ever importing it."""
+"""Imports of the package: only pair-LP synthesis needs scipy, so every
+other command runs in a fresh interpreter without ever importing it, and
+no module imports a name it does not use."""
 
+import ast
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import payoffcontrol
+import payoffcontrol.cli  # noqa: F401  (the tracer wraps names in cli)
 from payoffcontrol.fileio import parse_game_file, write_strategy_file
 
 from conftest import wsls_pd
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "payoffcontrol"
+TRACING = ROOT / "perfbench" / "tracing.py"
 DATA = ROOT / "data"
 DONATION = str(DATA / "donation3.game")
 PGG = str(DATA / "pgg3.game")
@@ -71,3 +80,35 @@ def test_pair_lp_synthesis_imports_scipy():
          "--gamma", "-2"])
     assert codes == [0]
     assert "scipy.optimize" in loaded
+
+
+def _traced_names() -> set[tuple[str, str]]:
+    """(module, name) of every module-level binding the benchmark tracer
+    rebinds: such a name stays imported even where the module never
+    calls it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(owner.__name__.rsplit(".", 1)[-1], attr)
+            for owner, attr, _, _ in tracing.boundaries(payoffcontrol)
+            if isinstance(owner, type(payoffcontrol))}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"))
+def test_no_unused_imports(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    traced = {name for owner, name in _traced_names() if owner == module}
+    assert [name for name in _unused_imports(tree) if name not in traced] == []

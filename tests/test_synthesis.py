@@ -29,7 +29,7 @@ from payoffcontrol import (
 )
 from payoffcontrol import synthesis
 from payoffcontrol.control import _controller_setup
-from payoffcontrol.dynamics import repeat_strategy
+from payoffcontrol.dynamics import classify_schedule, repeat_strategy
 from payoffcontrol.fileio import parse_game_file
 from payoffcontrol.synthesis import (
     _family_residual,
@@ -211,28 +211,34 @@ def test_finite_horizon_rejected(pd):
         synthesize(pd, FiniteHorizon(2), target)
 
 
-def test_one_shot_pd_pin_infeasible(pd):
+ONE_SHOT = pytest.mark.parametrize("schedule", [Delta(0.0), FiniteHorizon(1)],
+                                   ids=["delta0", "horizon1"])
+
+
+@ONE_SHOT
+def test_one_shot_pd_pin_infeasible(pd, schedule):
     # with no continuation the conditionals never act; the pin would need
     # the opponent payoff constant across their own actions, which it is not
     target = SynthesisTarget(pin(1, 2.0), controllers=(0,))
-    result = synthesize(pd, Delta(0.0), target)
+    result = synthesize(pd, schedule, target)
     assert isinstance(result, Infeasible)
     assert result.conclusive
     assert result.certificate == "exact-lp-empty"
 
 
-def test_one_shot_pin_through_initial_action():
+@ONE_SHOT
+def test_one_shot_pin_through_initial_action(schedule):
     # player 1's payoff depends only on player 0's move, so a mixed first
     # action alone pins it even though the game never continues
     game = build_game([("A", "B"), ("A", "B")],
                       [[0, 1], [0, 1], [0, 0], [0, 0]])
     target = SynthesisTarget(pin(1, 0.5), controllers=(0,))
-    result = synthesize(game, Delta(0.0), target)
+    result = synthesize(game, schedule, target)
     assert isinstance(result, SynthesisResult)
     assert result.margin == pytest.approx(0.5, abs=1e-9)
     assert_allclose(result.strategies[0].initial.probs, [0.5, 0.5],
                     atol=1e-9)
-    report = verify_relation(game, result.strategies, Delta(0.0),
+    report = verify_relation(game, result.strategies, schedule,
                              target.relation, samples=50, seed=9)
     assert report.passed
 
@@ -380,7 +386,7 @@ def test_no_block_reaches_past_the_margin(name, schedule):
     members = sizes if target.mode == "independent" else (joint_count,)
     pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
     x = _margin_program(members, jhat, relation_vector(game, target.relation),
-                        getattr(schedule, "delta", None), margin + 1e-7,
+                        classify_schedule(schedule).delta, margin + 1e-7,
                         pairs)
     assert x is not None
     assert np.all(x[:, joint_count] == 0.0)

@@ -25,7 +25,9 @@ gamma * 1, then the effective payoffs obey sum_i alpha_i * ubar_i + gamma
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,25 +80,27 @@ class PayoffRelation:
     gamma: float
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float)
+        # plain floats: the same IEEE operations as on arrays, without
+        # the per-call cost of numpy on three to five numbers
+        alpha = [float(a) for a in self.alpha]
         gamma = float(self.gamma)
-        if alpha.size == 0 or not np.all(np.isfinite(alpha)) or not np.isfinite(gamma):
+        if not alpha or not all(map(math.isfinite, alpha)) \
+                or not math.isfinite(gamma):
             raise InvalidParamsError("relation coefficients must be finite")
-        biggest = np.max(np.abs(alpha))
+        biggest = max(map(abs, alpha))
         overall = max(biggest, abs(gamma))
         if overall == 0.0:
             raise InvalidParamsError("relation coefficients are all zero")
         scale = biggest if biggest > 1e-12 * overall else abs(gamma)
-        alpha = alpha / scale
+        alpha = [a / scale for a in alpha]
         gamma = gamma / scale
-        full = np.append(alpha, gamma)
-        nonzero = np.where(np.abs(full) > 1e-12)[0]
-        if nonzero.size and full[nonzero[0]] < 0:
-            alpha = -alpha
+        first = next((c for c in alpha + [gamma] if abs(c) > 1e-12), 0.0)
+        if first < 0:
+            alpha = [-a for a in alpha]
             gamma = -gamma
         # + 0.0 turns any negative zero from the sign flip into plain zero
-        object.__setattr__(self, "alpha", tuple(float(a) + 0.0 for a in alpha))
-        object.__setattr__(self, "gamma", float(gamma) + 0.0)
+        object.__setattr__(self, "alpha", tuple(a + 0.0 for a in alpha))
+        object.__setattr__(self, "gamma", gamma + 0.0)
 
     def coefficients(self) -> np.ndarray:
         return np.append(self.alpha, self.gamma)
@@ -117,9 +121,14 @@ def relation_vector(game: GameSpec, relation: PayoffRelation) -> np.ndarray:
 
 def is_trivial(game: GameSpec, relation: PayoffRelation, tol: float = RANK_TOL) -> bool:
     """True when the relation holds row by row in the base game already."""
-    w = relation_vector(game, relation)
+    return bool(_vanishes(game, relation_vector(game, relation), tol))
+
+
+def _vanishes(game: GameSpec, w: np.ndarray, tol: float) -> np.ndarray:
+    """Per column of w: whether it is within tol of 0, relative to the
+    payoff scale (at least 1)."""
     scale = max(1.0, float(np.max(np.abs(game.payoffs))))
-    return bool(np.max(np.abs(w)) <= tol * scale)
+    return np.max(np.abs(w), axis=0) <= tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +140,37 @@ class RulingBasis:
     """Constructed ruling-vector family for a controller set.
 
     ``vectors`` holds one row per retained joint action (the lexicographic
-    last one is dropped).  Degenerate strategies can make the family rank
-    deficient: ``rank`` reports the numerically independent count.
-    ``provenance`` lists the joint action-index tuple behind each row.
+    last one is dropped); ``sizes`` are the controllers' action counts.
+    Degenerate strategies can make the family rank deficient: ``rank``
+    reports the numerically independent count.  ``provenance`` lists the
+    joint action-index tuple behind each row.  Both are computed when
+    first read.
     """
 
     vectors: np.ndarray  # (r, profile_count)
     controllers: tuple[int, ...]
     form: Classification
-    provenance: tuple[tuple[int, ...], ...]
-    rank: int
+    sizes: tuple[int, ...]
+
+    @cached_property
+    def provenance(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(int(x) for x in np.unravel_index(j, self.sizes))
+            for j in range(len(self.vectors)))
+
+    @cached_property
+    def rank(self) -> int:
+        svals = np.linalg.svd(self.vectors, compute_uv=False)
+        return int(np.sum(svals > RANK_TOL * max(svals[0], 1.0)))
+
+
+def joint_index(game: GameSpec, players: Sequence[int]
+                ) -> tuple[tuple[int, ...], np.ndarray]:
+    """Action counts of the given players, in order, and jhat: for each
+    profile the index of their joint action, lexicographic in that order."""
+    sizes = tuple(game.action_counts[p] for p in players)
+    own = game.profile_actions[:, list(players)]
+    return sizes, np.ravel_multi_index(tuple(own.T), sizes)
 
 
 def _controller_setup(game: GameSpec, strategies: Sequence[MarkovStrategy]):
@@ -149,26 +179,28 @@ def _controller_setup(game: GameSpec, strategies: Sequence[MarkovStrategy]):
     if not strategies:
         raise InconsistentStrategyError("at least one controller is required")
     ordered = tuple(sorted(strategies, key=lambda s: s.player))
-    players = [s.player for s in ordered]
+    players = tuple(s.player for s in ordered)
     if len(set(players)) != len(players):
         raise InconsistentStrategyError("duplicate controller player")
     for strat in ordered:
         check_strategy(game, strat)
-    sizes = tuple(game.action_counts[p] for p in players)
-    own = game.profile_actions[:, players]
-    jhat = np.ravel_multi_index(tuple(own.T), sizes)
-    return ordered, tuple(players), sizes, np.asarray(jhat)
+    return (ordered, players) + joint_index(game, players)
+
+
+def _joint_table(ordered: Sequence[MarkovStrategy]) -> np.ndarray:
+    """``joint_conditionals`` of strategies already sorted and checked."""
+    joint = np.ones((len(ordered[0].conditionals), 1))
+    for strat in ordered:
+        joint = (joint[:, :, None] * strat.conditionals[:, None, :]) \
+            .reshape(len(joint), -1)
+    return joint
 
 
 def joint_conditionals(game: GameSpec,
                        strategies: Sequence[MarkovStrategy]) -> np.ndarray:
     """(profile_count, J) joint conditional table of independent controllers,
     J ranging over joint actions in lexicographic order."""
-    joint = np.ones((game.profile_count, 1))
-    for strat in _controller_setup(game, strategies)[0]:
-        joint = (joint[:, :, None] * strat.conditionals[:, None, :]) \
-            .reshape(len(joint), -1)
-    return joint
+    return _joint_table(_controller_setup(game, strategies)[0])
 
 
 def joint_initial(strategies: Sequence[MarkovStrategy]) -> np.ndarray:
@@ -227,16 +259,11 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """
     form = ruling_form(schedule)
     ordered, players, sizes, jhat = _controller_setup(game, strategies)
-    joint_count = int(np.prod(sizes))
-    family = ruling_family(form, joint_conditionals(game, ordered),
+    joint_count = math.prod(sizes)
+    family = ruling_family(form, _joint_table(ordered),
                            joint_initial(ordered), np.eye(joint_count)[jhat])
-    vectors = family.T[:-1]  # family sums to zero; drop the last joint action
-    provenance = tuple(
-        tuple(int(x) for x in np.unravel_index(j, sizes))
-        for j in range(joint_count - 1))
-    svals = np.linalg.svd(vectors, compute_uv=False)
-    rank = int(np.sum(svals > RANK_TOL * max(svals[0], 1.0)))
-    return RulingBasis(vectors, players, form, provenance, rank)
+    # the family sums to zero; drop the last joint action
+    return RulingBasis(family.T[:-1], players, form, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +275,17 @@ def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
     pivots are the columns that leave the span of the columns before them
     by more than ``tol`` and become the identity, so the result depends
     only on the row space.  Entries within ``tol`` of 0 become 0."""
-    pivots, span = [], np.zeros((len(rows), 0))
+    k = len(rows)
+    pivots, span = [], np.empty((k, k))
     for j, col in enumerate(rows.T):
-        residual = col - span @ (span.T @ col)
-        if np.linalg.norm(residual) > tol:
+        if len(pivots) == k:
+            break  # the pivot columns span every column left
+        basis = span[:, :len(pivots)]
+        residual = col - basis @ (basis.T @ col)
+        norm = math.sqrt(residual @ residual)
+        if norm > tol:
+            span[:, len(pivots)] = residual / norm
             pivots.append(j)
-            span = np.column_stack([span, residual / np.linalg.norm(residual)])
     reduced = np.linalg.solve(rows[:, pivots], rows)
     reduced[np.abs(reduced) <= tol] = 0.0
     reduced[:, pivots] = np.eye(len(pivots))
@@ -270,22 +302,31 @@ def detect_relations(game: GameSpec, strategies: Sequence[MarkovStrategy],
     the solution space, trivial directions (w = 0) projected out, so the
     output depends only on the enforced relations.  A repeat strategy,
     whose ruling vectors all vanish, yields an empty list.
+
+    Three small SVDs: the null space of [u_aug, -u~], an orthonormal basis
+    of its (alpha, gamma) parts, and that basis rotated so that its images
+    w are orthogonal.  The rows whose w vanishes span the trivial
+    directions, and the rest, orthogonal to them, span the relations.
     """
     basis = ruling_basis(game, strategies, schedule)
     u_aug = np.column_stack([game.payoffs, np.ones(game.profile_count)])
     _, svals, vt = np.linalg.svd(np.column_stack([u_aug, -basis.vectors.T]))
-    null = vt[int(np.sum(svals > tol * svals[0])):].T
-    if null.size == 0:
+    coeffs = vt[int(np.sum(svals > tol * svals[0])):, :u_aug.shape[1]]
+    if not coeffs.size:
         return []
-    images = u_aug @ null[:game.player_count + 1, :]
-    u, s, _ = np.linalg.svd(images, full_matrices=False)
+    _, s, vt = np.linalg.svd(coeffs, full_matrices=False)
+    span = vt[s > tol * s[0]]
+    if not span.size:
+        return []
+    left, s, _ = np.linalg.svd(span @ u_aug.T, full_matrices=False)
     if s[0] <= 0.0:
         return []
-    # least-norm coefficients of the enforced w: no trivial direction
-    coeffs = np.linalg.lstsq(u_aug, u[:, s > tol * s[0]], rcond=None)[0]
+    rows = left[:, s > tol * s[0]].T @ span
     relations = [PayoffRelation(tuple(row[:-1]), row[-1])
-                 for row in _rref(np.linalg.qr(coeffs)[0].T, tol)]
-    return [rel for rel in relations if not is_trivial(game, rel, tol)]
+                 for row in _rref(rows, tol).tolist()]
+    canonical = np.array([rel.alpha + (rel.gamma,) for rel in relations])
+    trivial = _vanishes(game, u_aug @ canonical.T, tol)
+    return [rel for rel, drop in zip(relations, trivial) if not drop]
 
 
 def enforces_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -475,16 +516,21 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
                       threshold: float = 1e-6) -> FalsificationReport:
     """Search opponent strategies maximizing |<candidate, vbar>|.
 
-    Random restarts followed by coordinatewise refinement over every
-    opponent probability (rows re-projected to the simplex).  Exceeding
-    ``threshold`` certifies that the candidate is not a ruling vector
-    under this schedule; not exceeding it within the budget proves
-    nothing and is reported as inconclusive.
+    ``budget`` random restarts (at least 1) followed by coordinatewise
+    refinement over every opponent probability (rows re-projected to the
+    simplex).  Exceeding ``threshold`` certifies that the candidate is not
+    a ruling vector under this schedule, so the threshold must be finite
+    and positive; not exceeding it within the budget proves nothing and
+    is reported as inconclusive.
 
     The restarts run in lockstep, VERIFY_BLOCK at a time: each trial
     evaluates every restart still refining at that step as one stack.
     Among equal best values the first restart wins.
     """
+    if budget < 1:
+        raise InvalidParamsError("budget must be >= 1")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise InvalidParamsError("threshold must be finite and positive")
     candidate = np.asarray(candidate, dtype=float)
     if candidate.shape != (game.profile_count,):
         raise DimensionMismatchError(
@@ -500,8 +546,7 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     sizes = [game.action_counts[p] for p in opponents]
     # one flat vector per restart: per opponent, its initial then its rows
     ends = np.cumsum([m * (count + 1) for m in sizes])
-    restarts = max(1, budget)
-    flats = np.random.default_rng(seed).random((restarts, ends[-1]))
+    flats = np.random.default_rng(seed).random((budget, ends[-1]))
 
     def tables(flat):
         return {p: (_project_rows(part[:, m:].reshape(-1, count, m)),
@@ -520,7 +565,7 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
 
     values = np.concatenate([
         _refine(flats[start:start + VERIFY_BLOCK], objective)
-        for start in range(0, restarts, VERIFY_BLOCK)])
+        for start in range(0, budget, VERIFY_BLOCK)])
     best = int(np.argmax(values))
     found = bool(values[best] > threshold)
     counterexample = tuple(

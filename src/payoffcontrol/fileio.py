@@ -30,6 +30,7 @@ digits, comma separators, and LF line endings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .dynamics import (
     MarkovStrategy,
 )
 from .errors import ParseError, PayoffControlError, ValidationError
-from .games import MIXED_SUM_TOL, GameSpec, MixedAction, build_game, check_rows
+from .games import GameSpec, MixedAction, build_game
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,15 @@ class _Reader:
     def __init__(self, path):
         self.path = str(path)
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ParseError(str(exc), path=str(path)) from None
         self.lines = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.lines.append((lineno, body.split()))
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                self.lines.append((lineno, tokens))
         self.pos = 0
 
     def peek(self):
@@ -132,6 +134,31 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _numeric_section(reader, count, width, what):
+    """The next ``count`` rows of ``width`` numbers as one (count, width)
+    array, with their line numbers.
+
+    All tokens go through one conversion, which reads each ``str`` as
+    ``float()`` does.  A missing row, a wrong width or a token that is no
+    number sends the section back through ``_numeric_row`` row by row, so
+    the error is the one that walk raises at its line.
+    """
+    items = reader.lines[reader.pos:reader.pos + count]
+    if len(items) == count and {len(tokens) for _, tokens in items} == {width}:
+        try:
+            values = np.array([t for _, tokens in items for t in tokens],
+                              dtype=float)
+        except ValueError:
+            pass
+        else:
+            reader.pos += count
+            return [lineno for lineno, _ in items], \
+                values.reshape(count, width)
+    linenos, rows = zip(*[_numeric_row(reader, width, what)
+                          for _ in range(count)])
+    return list(linenos), np.array(rows)
+
+
 def _parse_schedule(reader, tokens, lineno) -> ContinuationSchedule:
     if len(tokens) < 2:
         reader.fail("schedule line needs a kind", lineno)
@@ -147,7 +174,7 @@ def _parse_schedule(reader, tokens, lineno) -> ContinuationSchedule:
             return Delta(vals[0])
         if kind == "horizon":
             vals = _floats(reader, rest, lineno, 1, "round count")
-            if vals[0] != int(vals[0]):
+            if not vals[0].is_integer():  # also rejects inf and nan
                 reader.fail("horizon must be an integer", lineno)
             return FiniteHorizon(int(vals[0]))
         if kind == "custom":
@@ -188,16 +215,20 @@ def _parse_strategy_block(reader, header_tokens, lineno, game: GameSpec):
     init_lineno, init_tokens = item
     init = _floats(reader, init_tokens[1:], init_lineno, size,
                    "initial probability")
-    row_linenos, rows = zip(*[_numeric_row(reader, size, "conditional")
-                              for _ in range(game.profile_count)])
-    for values, what, linenos in ((init, "initial distribution", [init_lineno]),
-                                  (rows, "conditional", row_linenos)):
-        try:
-            check_rows(np.array(values), MIXED_SUM_TOL, what)
-        except PayoffControlError as exc:
-            raise ValidationError(str(exc), path=reader.path,
-                                  line=linenos[exc.row]) from None
-    return MarkovStrategy(player, MixedAction(np.array(init)), np.array(rows))
+    row_linenos, rows = _numeric_section(reader, game.profile_count, size,
+                                         "conditional")
+    # the constructors are the one probability check; check_rows names
+    # the failing row, which maps back to its line
+    try:
+        initial = MixedAction(np.array(init))
+    except PayoffControlError as exc:
+        raise ValidationError(str(exc), path=reader.path,
+                              line=init_lineno) from None
+    try:
+        return MarkovStrategy(player, initial, rows)
+    except PayoffControlError as exc:
+        raise ValidationError(str(exc), path=reader.path,
+                              line=row_linenos[exc.row]) from None
 
 
 def _parse_document(path, game: GameSpec | None):
@@ -220,7 +251,7 @@ def _parse_document(path, game: GameSpec | None):
             if game is not None or player_count is not None:
                 reader.fail("unexpected players line", lineno)
             vals = _floats(reader, tokens[1:], lineno, 1, "player count")
-            if vals[0] != int(vals[0]) or vals[0] < 1:
+            if not vals[0].is_integer() or vals[0] < 1:
                 reader.fail("players must be a positive integer", lineno)
             player_count = int(vals[0])
         elif key == "actions":
@@ -242,12 +273,10 @@ def _parse_document(path, game: GameSpec | None):
                     sorted(labels) != list(range(1, player_count + 1)):
                 reader.fail("payoffs must follow players and one actions "
                             "line per player", lineno)
-            count = int(np.prod([len(labels[i])
-                                 for i in range(1, player_count + 1)]))
-            payoff_rows = []
-            for _ in range(count):
-                _, row = _numeric_row(reader, player_count, "payoff")
-                payoff_rows.append(row)
+            count = math.prod(len(labels[i])
+                              for i in range(1, player_count + 1))
+            _, payoff_rows = _numeric_section(reader, count, player_count,
+                                              "payoff")
         elif key.startswith("strategy."):
             if game is _SCHEDULE_ONLY_SENTINEL:
                 reader.fail("schedule file must not contain strategy blocks",

@@ -9,6 +9,7 @@ command line front end accepts 1-based indices and converts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -141,7 +142,7 @@ class GameSpec:
 
     @cached_property
     def profile_count(self) -> int:
-        return int(np.prod(self.action_counts))
+        return math.prod(self.action_counts)
 
     @cached_property
     def profile_actions(self) -> np.ndarray:
@@ -187,8 +188,10 @@ def build_game(action_labels: Sequence[Sequence[str]],
             raise DimensionMismatchError(f"player {i} needs at least two actions")
         if len(set(group)) != len(group):
             raise DuplicateActionLabelError(f"player {i} has duplicate action labels")
-    payoffs = np.array(list(payoff_rows), dtype=float)
-    expected_rows = int(np.prod([len(g) for g in labels]))
+    if not isinstance(payoff_rows, np.ndarray):
+        payoff_rows = list(payoff_rows)
+    payoffs = np.array(payoff_rows, dtype=float)
+    expected_rows = math.prod(len(g) for g in labels)
     if payoffs.shape != (expected_rows, len(labels)):
         raise DimensionMismatchError(
             f"payoff table has shape {payoffs.shape}, expected "

@@ -61,26 +61,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import (
+    RANK_TOL,
     PayoffRelation,
-    _controller_setup,
-    is_trivial,
-    joint_conditionals,
+    _joint_table,
+    _vanishes,
+    joint_index,
     joint_initial,
     relation_vector,
     ruling_family,
     ruling_form,
 )
-from .dynamics import (
-    Classification,
-    ContinuationSchedule,
-    MarkovStrategy,
-    repeat_strategy,
-)
+from .dynamics import Classification, ContinuationSchedule, MarkovStrategy
 from .games import GameSpec, MixedAction
 from .errors import InvalidParamsError, TrivialTargetError
 
@@ -507,7 +504,7 @@ def _row_betas(w, jhat, y, delta, mval) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
+def _assemble(game, target, delta, sizes, members, jhat, w, y, mval):
     """Build tables for a fixed y and mval = <y, sigma>.
 
     Returns (strategies, joint_cond, joint_init, margin): strategies per
@@ -533,8 +530,9 @@ def _assemble(game, target, delta, ordered, sizes, members, jhat, w, y, mval):
         else [np.full(size, 1.0 / size) for size in members]
     if target.mode == "correlated" and len(sizes) > 1:
         return None, cond[0], init[0], margin
-    strategies = tuple(MarkovStrategy(base.player, MixedAction(p), table)
-                       for base, p, table in zip(ordered, init, cond))
+    strategies = tuple(MarkovStrategy(player, MixedAction(p), table)
+                       for player, p, table in zip(target.controllers, init,
+                                                   cond))
     return strategies, None, None, margin
 
 
@@ -562,14 +560,15 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     (``SynthesisResult.margin`` is the smallest of them).
     """
     form = ruling_form(schedule)
-    if is_trivial(game, target.relation):
+    w = relation_vector(game, target.relation)
+    if _vanishes(game, w, RANK_TOL):  # is_trivial on the w at hand
         raise TrivialTargetError(
             "relation already holds identically; nothing to enforce")
-    base = [repeat_strategy(game, p) for p in target.controllers]
-    ordered, _, sizes, jhat = _controller_setup(game, base)
-    w = relation_vector(game, target.relation)
+    for player in target.controllers:
+        game.check_player(player)
+    sizes, jhat = joint_index(game, target.controllers)
     delta = form.delta
-    joint_count = int(np.prod(sizes))
+    joint_count = math.prod(sizes)
     members = sizes if target.mode == "independent" else (joint_count,)
     scale = max(1.0, float(np.max(np.abs(w))))
 
@@ -592,9 +591,9 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
         (y_full, mval), note = found, "pair-lp"
 
     strategies, joint_cond, joint_init, margin = _assemble(
-        game, target, delta, ordered, sizes, members, jhat, w, y_full, mval)
+        game, target, delta, sizes, members, jhat, w, y_full, mval)
     built = (joint_cond, joint_init) if strategies is None \
-        else (joint_conditionals(game, strategies), joint_initial(strategies))
+        else (_joint_table(strategies), joint_initial(strategies))
     residual = _family_residual(form, *built, jhat, y_full, w)
     if residual > 1e-8 * scale:
         return Infeasible(

@@ -280,6 +280,58 @@ def test_falsify_true_ruling_vector_inconclusive(capsys):
     assert stdout.startswith("inconclusive")
 
 
+@pytest.mark.parametrize("threshold, budget", [
+    ("-1", "10"), ("0", "10"), ("nan", "10"), ("inf", "10"),
+    ("1e-6", "0"), ("1e-6", "-3")])
+def test_falsify_rejects_bad_threshold_and_budget(capsys, threshold, budget):
+    # threshold -1 once "falsified" the pin's true ruling vector
+    code, stdout, stderr = run(capsys, "falsify", "--game", DONATION,
+                               "--strategy", PIN, "--schedule", "infinite",
+                               "--action", "C1", "--budget", budget,
+                               f"--threshold={threshold}")
+    assert code == 2
+    assert stdout == ""
+    assert ("budget must be >= 1" if budget != "10"
+            else "threshold must be finite and positive") in stderr
+
+
+# ---------------------------------------------------------------------------
+# outputs pinned byte for byte
+
+SHIPPED_DETECT = [
+    (DONATION, "donation-pin.strategy",
+     "found 1 relation(s)\nalpha=0,1 gamma=-2\n"),
+    (DONATION, "donation-equalizer.strategy",
+     "found 1 relation(s)\nalpha=1,-1 gamma=0\n"),
+    (PGG, "alliance-pin-u1.strategy",
+     "found 2 relation(s)\nalpha=1,0,0 gamma=-1\n"
+     "alpha=0,0.181818181818,1 gamma=-1.72727272727\n"),
+    (PGG, "alliance-pin-u3.strategy",
+     "found 1 relation(s)\nalpha=0,0,1 gamma=-1\n"),
+]
+
+
+@pytest.mark.parametrize("game, strategy, expected", SHIPPED_DETECT)
+def test_detect_output_on_shipped_files_is_pinned(capsys, game, strategy,
+                                                  expected):
+    code, stdout, _ = run(capsys, "detect", "--game", game,
+                          "--strategy", str(DATA / strategy))
+    assert code == 0
+    assert stdout == expected
+
+
+@pytest.mark.parametrize("gamma", ["4.0", "1.0", "-0.0", "-1.5", "-4.0"])
+def test_lone_pin_certificate_output_is_pinned(capsys, gamma):
+    code, stdout, _ = run(capsys, "synth", "--game", PGG, "--controllers",
+                          "1", "--alpha", "0,0,1", "--gamma", gamma,
+                          "--schedule", "infinite")
+    assert code == 3
+    assert stdout == (
+        "infeasible: exact-interval-empty\n"
+        "the per-profile bounds on z = 1/y intersect at most in {0}; no "
+        "Markov strategy of this controller can reach the target\n")
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -332,3 +384,18 @@ def test_parse_error_names_location(tmp_path, capsys):
                           "--strategy", PIN)
     assert code == 2
     assert "bad.game:6" in stderr
+
+
+@pytest.mark.parametrize("text, line", [
+    ("players 1e400\n", 1),
+    ("players 2\nschedule horizon 1e400\n", 2),
+    ("players 2\nschedule horizon nan\n", 2)])
+def test_integer_fields_out_of_range_exit_2_with_location(tmp_path, capsys,
+                                                          text, line):
+    bad = tmp_path / "bad.game"
+    bad.write_text(text)
+    code, stdout, stderr = run(capsys, "detect", "--game", str(bad),
+                               "--strategy", PIN)
+    assert code == 2
+    assert stdout == ""
+    assert f"bad.game:{line}: " in stderr

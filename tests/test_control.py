@@ -103,6 +103,65 @@ def test_is_trivial_zero_sum():
     assert not is_trivial(game, PayoffRelation(alpha=(1.0, 0.0), gamma=0.0))
 
 
+def _canonical_reference(alpha, gamma):
+    """The array form of PayoffRelation's canonical scaling and sign."""
+    alpha = np.array(alpha, dtype=float)
+    gamma = float(gamma)
+    biggest = np.max(np.abs(alpha))
+    overall = max(biggest, abs(gamma))
+    scale = biggest if biggest > 1e-12 * overall else abs(gamma)
+    alpha, gamma = alpha / scale, gamma / scale
+    full = np.append(alpha, gamma)
+    nonzero = np.where(np.abs(full) > 1e-12)[0]
+    if nonzero.size and full[nonzero[0]] < 0:
+        alpha, gamma = -alpha, -gamma
+    return tuple(float(a) + 0.0 for a in alpha), float(gamma) + 0.0
+
+
+coefficient = st.one_of(
+    st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coefficient, min_size=1, max_size=5), coefficient)
+def test_relation_canonical_form_is_the_array_form_bit_for_bit(alpha, gamma):
+    if max(map(abs, alpha + [gamma])) == 0.0:
+        return
+    rel = PayoffRelation(tuple(alpha), gamma)
+    want_alpha, want_gamma = _canonical_reference(alpha, gamma)
+    got = np.array(rel.alpha + (rel.gamma,))
+    assert got.tobytes() == np.array(want_alpha + (want_gamma,)).tobytes()
+
+
+def test_detect_drops_trivial_only_spaces():
+    # u2 = -u1: (1, 1, 0) is a trivial direction, and a repeat strategy
+    # or a free one enforces nothing beyond it
+    game = build_game([("a", "b"), ("x", "y")],
+                      [[1, -1], [-2, 2], [0.5, -0.5], [3, -3]])
+    rng = np.random.default_rng(2)
+    free = MarkovStrategy(0, MixedAction([0.3, 0.7]),
+                          rng.dirichlet(np.ones(2), size=4))
+    for schedule in (Infinite(), Delta(0.9)):
+        assert detect_relations(game, [repeat_strategy(game, 0)],
+                                schedule) == []
+        assert detect_relations(game, [free], schedule) == []
+    constant = build_game([("a", "b"), ("x", "y")], [[1, 2]] * 4)
+    assert detect_relations(constant, [free], Infinite()) == []
+
+
+def test_detect_reports_least_norm_relation_beside_trivial_direction():
+    # u3 = -(u1 + u2), so (1, 1, 1, 0) is trivial; the pin u3 = -1 is
+    # reported orthogonal to it, as u1 + u2 - 2 u3 - 3 = 0 scaled
+    payoffs = public_goods_game(3, 1.0, 2.0).payoffs.copy()
+    payoffs[:, 2] = -(payoffs[:, 0] + payoffs[:, 1])
+    game = build_game([("C", "D")] * 3, payoffs)
+    pin = synthesize(game, Infinite(), SynthesisTarget(
+        PayoffRelation((0.0, 0.0, 1.0), 1.0), (2,)))
+    found = detect_relations(game, pin.strategies, Infinite())
+    assert len(found) == 1
+    assert found[0].close_to(PayoffRelation((0.5, 0.5, -1.0), -1.5))
+
+
 # ---------------------------------------------------------------------------
 # ruling bases
 
@@ -136,6 +195,24 @@ def test_alliance_basis_rank(pgg, alliance_pin_out):
     assert basis.controllers == (0, 1)
     # provenance names the joint actions in order, last one dropped
     assert len(basis.provenance) == 3
+
+
+def test_ruling_basis_sets_up_controllers_once(monkeypatch, pgg,
+                                               alliance_pin_out):
+    setup = control._controller_setup
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return setup(*args)
+
+    monkeypatch.setattr(control, "_controller_setup", counted)
+    basis = ruling_basis(pgg, alliance_pin_out, Delta(0.9))
+    assert len(calls) == 1
+    # rank and provenance are computed when first read
+    assert "rank" not in vars(basis) and "provenance" not in vars(basis)
+    assert basis.rank == 3
+    assert basis.provenance == ((0, 0), (0, 1), (1, 0))
 
 
 def test_joint_tables_product(pgg, alliance_pin_out):
@@ -654,6 +731,21 @@ def test_falsify_argument_errors(donation, pgg, pin_strategy):
     with pytest.raises(InconsistentStrategyError):
         falsify_candidate(pgg, twice, FiniteHorizon(2),
                           np.zeros(pgg.profile_count))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"threshold": -1.0}, "threshold"), ({"threshold": 0.0}, "threshold"),
+    ({"threshold": float("nan")}, "threshold"),
+    ({"threshold": float("inf")}, "threshold"),
+    ({"budget": 0}, "budget"), ({"budget": -3}, "budget")])
+def test_falsify_rejects_bad_threshold_and_budget(donation, pin_strategy,
+                                                  kwargs, message):
+    # a threshold below 0 would certify the true ruling vector as broken
+    column = pin_strategy.conditionals[:, 0] \
+        - repeat_indicator(donation, [0], ["C1"])
+    with pytest.raises(InvalidParamsError, match=message):
+        falsify_candidate(donation, [pin_strategy], Infinite(), column,
+                          **kwargs)
 
 
 def test_falsify_unsettled_trial_raises(monkeypatch, request):

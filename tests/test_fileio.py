@@ -2,8 +2,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from payoffcontrol import dynamics, fileio, games
 from payoffcontrol import (
     Custom,
     Delta,
@@ -16,6 +18,8 @@ from payoffcontrol import (
 )
 from payoffcontrol.errors import ParseError, ValidationError
 from payoffcontrol.fileio import (
+    _numeric_section,
+    _Reader,
     parse_game_file,
     parse_schedule_file,
     parse_strategy_file,
@@ -192,6 +196,117 @@ def test_strategy_block_errors_name_their_line(tmp_path, pd, lines, line):
     with pytest.raises(ValidationError) as err:
         parse_strategy_file(out, pd)
     assert f":{line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("initial", ["0.5 nan", "1.5 -0.5", "0.5 0.6"])
+def test_bad_initial_row_names_its_line(tmp_path, pd, initial):
+    out = tmp_path / "bad.strategy"
+    out.write_text("# header\nstrategy.1\n"
+                   f"initial {initial}\n1 0\n1 0\n1 0\n1 0\n")
+    with pytest.raises(ValidationError) as err:
+        parse_strategy_file(out, pd)
+    assert err.value.line == 3
+    assert str(err.value).startswith(f"{out}:3: mixed action ")
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("row, message", [
+    ("inf 0", "has a non-finite entry"),
+    ("1.5 -0.5", "has an entry outside [0, 1]"),
+    ("0.4 0.5", "sums to 0.9, expected 1")])
+def test_bad_conditional_row_names_its_line(tmp_path, pd, k, row, message):
+    rows = ["0.5 0.5"] * 4
+    rows[k] = row
+    out = tmp_path / "bad.strategy"
+    out.write_text("\n".join(["strategy.2", "initial 1 0", *rows]) + "\n")
+    with pytest.raises(ValidationError) as err:
+        parse_strategy_file(out, pd)
+    assert err.value.line == 3 + k
+    assert str(err.value) == f"{out}:{3 + k}: conditional row {k} {message}"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (["0.5 0.5", "0.5 x", "0.5 0.5", "0.5 0.5"], 4,
+     "expected numbers, got '0.5 x'"),
+    (["0.5 0.5", "x 0.5", "0.5 0.5", "0.5 0.5"], 4,
+     "expected a conditional row, got 'x'"),
+    (["0.5 0.5", "0.5", "0.5 0.5", "0.5 0.5"], 4,
+     "expected 2 values for conditional, got 1"),
+    (["0.5 0.5", "0.5 0.5 0.1", "0.5 0.5", "0.5 0.5"], 4,
+     "expected 2 values for conditional, got 3"),
+    (["0.5 0.5", "0.5 0.5"], None,
+     "unexpected end of file while reading conditional rows")])
+def test_malformed_conditional_block_keeps_its_parse_error(tmp_path, pd, rows,
+                                                           line, message):
+    out = tmp_path / "bad.strategy"
+    out.write_text("\n".join(["strategy.1", "initial 0.5 0.5", *rows]) + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_strategy_file(out, pd)
+    assert not isinstance(err.value, ValidationError)
+    assert err.value.line == line
+    where = f"{out}:" if line is None else f"{out}:{line}:"
+    assert str(err.value) == f"{where} {message}"
+
+
+@pytest.mark.parametrize("lines, line", [
+    (["players 1e400"], 1),
+    (["players nan"], 1),
+    (["players 2", "schedule horizon 1e400"], 2),
+    (["players 2", "schedule horizon nan"], 2)])
+def test_integer_fields_reject_inf_and_nan_at_their_line(tmp_path, lines,
+                                                         line):
+    out = write_lines(tmp_path, *lines)
+    with pytest.raises(ParseError) as err:
+        parse_game_file(out)
+    assert err.value.line == line
+    assert "must be" in str(err.value)
+
+
+ODD_TOKENS = ["1_0", "+.5", "1e-320", "infinity", "-Infinity", "nan", "-0",
+              "\u0661\u0662", "1E5", "-.0e0"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_section_reader_matches_float_per_token(tmp_path_factory, count,
+                                                width, data):
+    token = st.one_of(st.floats().map(lambda x: f"{x:.17g}"),
+                      st.sampled_from(ODD_TOKENS))
+    rows = [data.draw(st.lists(token, min_size=width, max_size=width))
+            for _ in range(count)]
+    path = tmp_path_factory.mktemp("section") / "rows.txt"
+    path.write_text("\n".join(["# rows", *(" ".join(r) for r in rows),
+                               "tail"]) + "\n", encoding="utf-8")
+    reader = _Reader(path)
+    linenos, values = _numeric_section(reader, count, width, "payoff")
+    expected = np.array([[float(t) for t in row] for row in rows])
+    assert values.shape == (count, width)
+    assert values.tobytes() == expected.tobytes()  # bit for bit, NaN too
+    assert linenos == list(range(2, 2 + count))
+    assert reader.peek()[1] == ["tail"]
+
+
+def test_each_probability_table_is_checked_once(tmp_path, monkeypatch):
+    real = games.check_rows
+    tables = []
+
+    def spy(table, *args):
+        tables.append(table.shape)
+        return real(table, *args)
+
+    for module in (games, dynamics, fileio):
+        if getattr(module, "check_rows", None) is real:
+            monkeypatch.setattr(module, "check_rows", spy)
+    rng = np.random.default_rng(3)
+    game = build_game([("a", "b", "c"), ("x", "y"), ("p", "q")],
+                      rng.normal(size=(12, 3)))
+    strategies = [sample_markov_strategy(rng, game, p) for p in (0, 1, 2)]
+    for k in range(4):
+        out = tmp_path / f"doc{k}.game"
+        write_game_file(out, game, strategies[:k])
+        tables.clear()
+        assert len(parse_game_file(out).strategies) == k
+        assert len(tables) == 2 * k
 
 
 def test_strategy_block_in_schedule_file_rejected(tmp_path):

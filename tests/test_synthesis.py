@@ -14,7 +14,10 @@ from payoffcontrol import (
     Infinite,
     InvalidParamsError,
     Infeasible,
+    MarkovStrategy,
+    MixedAction,
     PayoffRelation,
+    PlayerOutOfRangeError,
     SynthesisResult,
     SynthesisTarget,
     TrivialTargetError,
@@ -124,6 +127,25 @@ def test_lone_player_cannot_pin_the_outsider(pgg, g):
     assert isinstance(result, Infeasible)
     assert result.conclusive
     assert result.certificate == "exact-interval-empty"
+
+
+def test_certificate_builds_no_strategy_objects(monkeypatch, pgg):
+    built = []
+    for cls in (MarkovStrategy, MixedAction):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: (built.append(self),
+                                                     init(self))[1])
+    result = synthesize(pgg, Infinite(),
+                        SynthesisTarget(pin(2, 0.0, n=3), controllers=(0,)))
+    assert result.certificate == "exact-interval-empty"
+    assert built == []
+
+
+def test_controller_outside_the_game_rejected(pgg):
+    with pytest.raises(PlayerOutOfRangeError):
+        synthesize(pgg, Infinite(),
+                   SynthesisTarget(pin(2, 0.0, n=3), controllers=(0, 3)))
 
 
 def test_donation_pin_synthesis_roundtrip(donation):

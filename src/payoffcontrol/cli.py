@@ -62,12 +62,24 @@ def parse_schedule_arg(value: str):
             f"bad schedule {value!r}; expected infinite, delta:<d>, "
             "horizon:<T>, or custom:<file>")
     if kind == "delta":
-        return Delta(float(rest))
+        return Delta(_schedule_number(rest))
     if kind == "horizon":
-        return FiniteHorizon(int(rest))
+        rounds = _schedule_number(rest)
+        if not rounds.is_integer():  # also rejects inf and nan
+            raise InvalidParamsError("horizon must be an integer")
+        return FiniteHorizon(int(rounds))
     if kind == "custom":
         return parse_schedule_file(rest)
     raise InvalidParamsError(f"unknown schedule kind {kind!r}")
+
+
+def _schedule_number(text: str) -> float:
+    """The number of a delta or horizon argument, with the schedule file
+    parser's message when it is none."""
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParamsError(f"expected numbers, got {text!r}") from None
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -95,7 +107,7 @@ def _relation_from_args(args, game: GameSpec) -> PayoffRelation:
 
 
 def _relation_text(relation: PayoffRelation) -> str:
-    alpha = ",".join(f"{a:.12g}" for a in relation.alpha)
+    alpha = ",".join(map("{:.12g}".format, relation.alpha))
     return f"alpha={alpha} gamma={relation.gamma:.12g}"
 
 
@@ -187,9 +199,8 @@ def _cmd_detect(args) -> int:
     game, strategies, schedule = _load_strategies(args)
     relations = detect_relations(game, strategies, schedule,
                                  tol=args.tol)
-    print(f"found {len(relations)} relation(s)")
-    for relation in relations:
-        print(_relation_text(relation))
+    print("\n".join([f"found {len(relations)} relation(s)"]
+                    + [_relation_text(relation) for relation in relations]))
     return EXIT_OK
 
 
@@ -343,11 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 # parse_args leaves the parser unchanged, so every call shares one
 _PARSER = build_parser()
+# its subcommand parsers by name
+_COMMANDS = next(action.choices for action in _PARSER._actions
+                 if action.dest == "command")
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a subcommand's own parser reads its arguments, so argparse classifies
+    # each one once; anything else (no argument, -h, a typo) goes through
+    # _PARSER
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command is not None \
+            else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -25,7 +25,9 @@ gamma * 1, then the effective payoffs obey sum_i alpha_i * ubar_i + gamma
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -57,6 +59,7 @@ from .errors import (
 from .games import MIXED_SUM_TOL, GameSpec, check_rows
 
 RANK_TOL = 1e-9
+MACHINE_EPS = float(np.finfo(float).eps)
 
 # Opponents evaluated per stacked solve; bounds the (block, n, n) working
 # set whatever the sample count.
@@ -82,25 +85,26 @@ class PayoffRelation:
     def __post_init__(self):
         # plain floats: the same IEEE operations as on arrays, without
         # the per-call cost of numpy on three to five numbers
-        alpha = [float(a) for a in self.alpha]
-        gamma = float(self.gamma)
-        if not alpha or not all(map(math.isfinite, alpha)) \
-                or not math.isfinite(gamma):
+        coeffs = list(map(float, self.alpha))
+        coeffs.append(float(self.gamma))
+        if len(coeffs) < 2 or not all(map(math.isfinite, coeffs)):
             raise InvalidParamsError("relation coefficients must be finite")
-        biggest = max(map(abs, alpha))
-        overall = max(biggest, abs(gamma))
+        biggest = max(map(abs, coeffs[:-1]))
+        overall = max(biggest, abs(coeffs[-1]))
         if overall == 0.0:
             raise InvalidParamsError("relation coefficients are all zero")
-        scale = biggest if biggest > 1e-12 * overall else abs(gamma)
-        alpha = [a / scale for a in alpha]
-        gamma = gamma / scale
-        first = next((c for c in alpha + [gamma] if abs(c) > 1e-12), 0.0)
-        if first < 0:
-            alpha = [-a for a in alpha]
-            gamma = -gamma
-        # + 0.0 turns any negative zero from the sign flip into plain zero
-        object.__setattr__(self, "alpha", tuple(a + 0.0 for a in alpha))
-        object.__setattr__(self, "gamma", gamma + 0.0)
+        scale = biggest if biggest > 1e-12 * overall else abs(coeffs[-1])
+        # the first coefficient that is not 0 at this scale must come out
+        # positive; c / -scale is -(c / scale) exactly
+        for c in coeffs:
+            if abs(c / scale) > 1e-12:
+                if c < 0:
+                    scale = -scale
+                break
+        # + 0.0 turns the negative zero of 0 / -scale into plain zero
+        coeffs = [c / scale + 0.0 for c in coeffs]
+        object.__setattr__(self, "alpha", tuple(coeffs[:-1]))
+        object.__setattr__(self, "gamma", coeffs[-1])
 
     def coefficients(self) -> np.ndarray:
         return np.append(self.alpha, self.gamma)
@@ -127,8 +131,8 @@ def is_trivial(game: GameSpec, relation: PayoffRelation, tol: float = RANK_TOL) 
 def _vanishes(game: GameSpec, w: np.ndarray, tol: float) -> np.ndarray:
     """Per column of w: whether it is within tol of 0, relative to the
     payoff scale (at least 1)."""
-    scale = max(1.0, float(np.max(np.abs(game.payoffs))))
-    return np.max(np.abs(w), axis=0) <= tol * scale
+    scale = max(1.0, float(abs(game.payoffs).max()))
+    return abs(w).max(axis=0) <= tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +171,20 @@ class RulingBasis:
 def joint_index(game: GameSpec, players: Sequence[int]
                 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Action counts of the given players, in order, and jhat: for each
-    profile the index of their joint action, lexicographic in that order."""
-    sizes = tuple(game.action_counts[p] for p in players)
-    own = game.profile_actions[:, list(players)]
-    return sizes, np.ravel_multi_index(tuple(own.T), sizes)
+    profile the index of their joint action, lexicographic in that order.
+
+    A player's action in profile b is b // (product of the later players'
+    action counts) % its own count, so jhat needs no profile table."""
+    counts = game.action_counts
+    sizes = tuple(counts[p] for p in players)
+    profiles = np.arange(game.profile_count)
+    jhat = 0
+    for player, size in zip(players, sizes):
+        jhat = jhat * size + profiles // math.prod(counts[player + 1:]) % size
+    return sizes, jhat
+
+
+_BY_PLAYER = operator.attrgetter("player")
 
 
 def _controller_setup(game: GameSpec, strategies: Sequence[MarkovStrategy]):
@@ -178,7 +192,7 @@ def _controller_setup(game: GameSpec, strategies: Sequence[MarkovStrategy]):
     action indexing shared by basis construction and synthesis."""
     if not strategies:
         raise InconsistentStrategyError("at least one controller is required")
-    ordered = tuple(sorted(strategies, key=lambda s: s.player))
+    ordered = tuple(sorted(strategies, key=_BY_PLAYER))
     players = tuple(s.player for s in ordered)
     if len(set(players)) != len(players):
         raise InconsistentStrategyError("duplicate controller player")
@@ -189,8 +203,8 @@ def _controller_setup(game: GameSpec, strategies: Sequence[MarkovStrategy]):
 
 def _joint_table(ordered: Sequence[MarkovStrategy]) -> np.ndarray:
     """``joint_conditionals`` of strategies already sorted and checked."""
-    joint = np.ones((len(ordered[0].conditionals), 1))
-    for strat in ordered:
+    joint = ordered[0].conditionals
+    for strat in ordered[1:]:
         joint = (joint[:, :, None] * strat.conditionals[:, None, :]) \
             .reshape(len(joint), -1)
     return joint
@@ -199,16 +213,17 @@ def _joint_table(ordered: Sequence[MarkovStrategy]) -> np.ndarray:
 def joint_conditionals(game: GameSpec,
                        strategies: Sequence[MarkovStrategy]) -> np.ndarray:
     """(profile_count, J) joint conditional table of independent controllers,
-    J ranging over joint actions in lexicographic order."""
+    J ranging over joint actions in lexicographic order (read-only for a
+    single controller: its own table)."""
     return _joint_table(_controller_setup(game, strategies)[0])
 
 
 def joint_initial(strategies: Sequence[MarkovStrategy]) -> np.ndarray:
-    """Joint initial distribution of independent controllers."""
-    sigma = np.ones(1)
-    for strat in sorted(strategies, key=lambda s: s.player):
-        sigma = np.outer(sigma, strat.initial.probs).ravel()
-    return sigma
+    """Joint initial distribution of independent controllers (read-only for
+    a single controller: its own initial action)."""
+    ordered = sorted(strategies, key=_BY_PLAYER)
+    return functools.reduce(np.multiply.outer,
+                            [s.initial.probs for s in ordered]).ravel()
 
 
 def repeat_indicator(game: GameSpec, controllers: Sequence[int],
@@ -259,9 +274,9 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """
     form = ruling_form(schedule)
     ordered, players, sizes, jhat = _controller_setup(game, strategies)
-    joint_count = math.prod(sizes)
-    family = ruling_family(form, _joint_table(ordered),
-                           joint_initial(ordered), np.eye(joint_count)[jhat])
+    repeat = jhat[:, None] == np.arange(math.prod(sizes))  # one-hot rows
+    family = ruling_family(form, _joint_table(ordered), joint_initial(ordered),
+                           repeat)
     # the family sums to zero; drop the last joint action
     return RulingBasis(family.T[:-1], players, form, sizes)
 
@@ -270,25 +285,52 @@ def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
 # Detection
 
 
-def _rref(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Reduced row-echelon form of a basis with orthonormal rows: the
-    pivots are the columns that leave the span of the columns before them
-    by more than ``tol`` and become the identity, so the result depends
-    only on the row space.  Entries within ``tol`` of 0 become 0."""
+def _rank(svals: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values exceed tol times the
+    largest."""
+    return int(np.count_nonzero(svals > tol * svals[0]))
+
+
+def _rref(rows: np.ndarray, tol: float) -> list[list[float]]:
+    """Reduced row-echelon form of a basis with orthonormal rows, as lists:
+    the pivots are the columns that leave the span of the columns before
+    them by more than ``tol`` and become the identity, so the result
+    depends only on the row space.  Entries within ``tol`` of 0 become 0.
+
+    The rows and columns are a handful of numbers each, so the
+    Gram-Schmidt walk and the elimination run on plain floats."""
     k = len(rows)
-    pivots, span = [], np.empty((k, k))
-    for j, col in enumerate(rows.T):
+    pivots, span = [], []
+    for j, col in enumerate(rows.T.tolist()):
         if len(pivots) == k:
             break  # the pivot columns span every column left
-        basis = span[:, :len(pivots)]
-        residual = col - basis @ (basis.T @ col)
-        norm = math.sqrt(residual @ residual)
+        residual = col
+        for q in span:
+            dot = sum(map(operator.mul, q, col))
+            residual = [r - dot * x for r, x in zip(residual, q)]
+        norm = math.hypot(*residual)
         if norm > tol:
-            span[:, len(pivots)] = residual / norm
+            span.append([r / norm for r in residual])
             pivots.append(j)
-    reduced = np.linalg.solve(rows[:, pivots], rows)
-    reduced[np.abs(reduced) <= tol] = 0.0
-    reduced[:, pivots] = np.eye(len(pivots))
+    # Gauss-Jordan on the pivot columns, largest remaining entry first
+    reduced = rows.tolist()
+    for i, pivot in enumerate(pivots):
+        best = i
+        for r in range(i + 1, k):
+            if abs(reduced[r][pivot]) > abs(reduced[best][pivot]):
+                best = r
+        reduced[i], reduced[best] = reduced[best], reduced[i]
+        top = reduced[i]
+        lead = top[pivot]
+        top[:] = [x / lead for x in top]
+        for row in reduced:
+            factor = row[pivot]
+            if row is not top and factor != 0.0:
+                row[:] = [x - factor * y for x, y in zip(row, top)]
+    for row, pivot in zip(reduced, pivots):
+        for j, x in enumerate(row):
+            if abs(x) <= tol or j in pivots:
+                row[j] = 1.0 if j == pivot else 0.0
     return reduced
 
 
@@ -307,25 +349,37 @@ def detect_relations(game: GameSpec, strategies: Sequence[MarkovStrategy],
     of its (alpha, gamma) parts, and that basis rotated so that its images
     w are orthogonal.  The rows whose w vanishes span the trivial
     directions, and the rest, orthogonal to them, span the relations.
+
+    ``tol`` is the relative rank cut of each SVD, so it must lie in
+    [machine epsilon, 1): below rounding every direction counts as
+    independent, and at 1 or above none does.
     """
+    if not (math.isfinite(tol) and MACHINE_EPS <= tol < 1.0):
+        raise InvalidParamsError(
+            f"tolerance must lie in [machine epsilon, 1), got {tol!r}")
     basis = ruling_basis(game, strategies, schedule)
-    u_aug = np.column_stack([game.payoffs, np.ones(game.profile_count)])
-    _, svals, vt = np.linalg.svd(np.column_stack([u_aug, -basis.vectors.T]))
-    coeffs = vt[int(np.sum(svals > tol * svals[0])):, :u_aug.shape[1]]
+    count, players = game.payoffs.shape
+    width = players + 1  # the (alpha, gamma) columns
+    system = np.empty((count, width + len(basis.vectors)))
+    system[:, :players] = game.payoffs
+    system[:, players] = 1.0
+    np.negative(basis.vectors.T, out=system[:, width:])
+    u_aug = system[:, :width]
+    _, s, vt = np.linalg.svd(system)
+    coeffs = vt[_rank(s, tol):, :width]
     if not coeffs.size:
         return []
     _, s, vt = np.linalg.svd(coeffs, full_matrices=False)
-    span = vt[s > tol * s[0]]
+    span = vt[:_rank(s, tol)]
     if not span.size:
         return []
     left, s, _ = np.linalg.svd(span @ u_aug.T, full_matrices=False)
     if s[0] <= 0.0:
         return []
-    rows = left[:, s > tol * s[0]].T @ span
-    relations = [PayoffRelation(tuple(row[:-1]), row[-1])
-                 for row in _rref(rows, tol).tolist()]
+    rows = left[:, :_rank(s, tol)].T @ span
+    relations = [PayoffRelation(row[:-1], row[-1]) for row in _rref(rows, tol)]
     canonical = np.array([rel.alpha + (rel.gamma,) for rel in relations])
-    trivial = _vanishes(game, u_aug @ canonical.T, tol)
+    trivial = _vanishes(game, u_aug @ canonical.T, tol).tolist()
     return [rel for rel, drop in zip(relations, trivial) if not drop]
 
 

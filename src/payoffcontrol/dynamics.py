@@ -53,7 +53,6 @@ from .games import (
     GameSpec,
     MixedAction,
     ProfileDistribution,
-    _readonly,
     check_rows,
 )
 
@@ -94,7 +93,7 @@ class Delta(ContinuationSchedule):
     delta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and 0.0 <= self.delta < 1.0):
+        if not (math.isfinite(self.delta) and 0.0 <= self.delta < 1.0):
             raise InvalidParamsError(f"delta must lie in [0, 1), got {self.delta!r}")
 
     def continuation(self, t: int) -> float:
@@ -235,12 +234,13 @@ class MarkovStrategy:
     def __post_init__(self):
         if self.player < 0:
             raise PlayerOutOfRangeError(f"player index {self.player} negative")
-        table = np.asarray(self.conditionals, dtype=float)
+        table = np.array(self.conditionals, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(self.initial):
             raise DimensionMismatchError(
                 "conditional table must have one column per own action")
-        object.__setattr__(self, "conditionals", _readonly(
-            check_rows(table, MIXED_SUM_TOL, "conditional")))
+        table = check_rows(table, MIXED_SUM_TOL, "conditional")
+        table.setflags(write=False)  # the copy, or a clipped one
+        object.__setattr__(self, "conditionals", table)
 
     def is_strict(self) -> bool:
         """True unless the strategy ignores the previous profile entirely."""

@@ -30,6 +30,7 @@ digits, comma separators, and LF line endings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,24 +75,28 @@ def _fmt_row(values) -> str:
 
 
 class _Reader:
-    """Comment-stripped, tokenized lines with their 1-based line numbers."""
+    """Comment-stripped, tokenized lines: ``tokens`` holds the non-blank
+    ones and ``linenos`` their 1-based line numbers."""
 
     def __init__(self, path):
         self.path = str(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb", buffering=0) as fh:  # one read, no buffer
+                data = fh.read()
         except OSError as exc:
             raise ParseError(str(exc), path=str(path)) from None
-        self.lines = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split("#", 1)[0].split()
+        self.linenos, self.tokens = [], []
+        for lineno, raw in enumerate(data.decode("utf-8").splitlines(), 1):
+            tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
             if tokens:
-                self.lines.append((lineno, tokens))
+                self.linenos.append(lineno)
+                self.tokens.append(tokens)
         self.pos = 0
 
     def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        pos = self.pos
+        return (self.linenos[pos], self.tokens[pos]) \
+            if pos < len(self.tokens) else None
 
     def next(self):
         item = self.peek()
@@ -105,7 +110,7 @@ class _Reader:
 
 def _floats(reader, tokens, lineno, expected=None, what="value"):
     try:
-        values = [float(t) for t in tokens]
+        values = list(map(float, tokens))
     except ValueError:
         reader.fail(f"expected numbers, got {' '.join(tokens)!r}", lineno)
     if expected is not None and len(values) != expected:
@@ -143,17 +148,17 @@ def _numeric_section(reader, count, width, what):
     number sends the section back through ``_numeric_row`` row by row, so
     the error is the one that walk raises at its line.
     """
-    items = reader.lines[reader.pos:reader.pos + count]
-    if len(items) == count and {len(tokens) for _, tokens in items} == {width}:
+    start, stop = reader.pos, reader.pos + count
+    rows = reader.tokens[start:stop]
+    if len(rows) == count and set(map(len, rows)) == {width}:
         try:
-            values = np.array([t for _, tokens in items for t in tokens],
+            values = np.array(list(itertools.chain.from_iterable(rows)),
                               dtype=float)
         except ValueError:
             pass
         else:
-            reader.pos += count
-            return [lineno for lineno, _ in items], \
-                values.reshape(count, width)
+            reader.pos = stop
+            return reader.linenos[start:stop], values.reshape(count, width)
     linenos, rows = zip(*[_numeric_row(reader, width, what)
                           for _ in range(count)])
     return list(linenos), np.array(rows)
@@ -220,7 +225,7 @@ def _parse_strategy_block(reader, header_tokens, lineno, game: GameSpec):
     # the constructors are the one probability check; check_rows names
     # the failing row, which maps back to its line
     try:
-        initial = MixedAction(np.array(init))
+        initial = MixedAction(init)
     except PayoffControlError as exc:
         raise ValidationError(str(exc), path=reader.path,
                               line=init_lineno) from None
@@ -273,8 +278,7 @@ def _parse_document(path, game: GameSpec | None):
                     sorted(labels) != list(range(1, player_count + 1)):
                 reader.fail("payoffs must follow players and one actions "
                             "line per player", lineno)
-            count = math.prod(len(labels[i])
-                              for i in range(1, player_count + 1))
+            count = math.prod(map(len, labels.values()))
             _, payoff_rows = _numeric_section(reader, count, player_count,
                                               "payoff")
         elif key.startswith("strategy."):

@@ -10,7 +10,7 @@ command line front end accepts 1-based indices and converts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -34,12 +34,6 @@ DIST_SUM_TOL = 1e-10
 CLAMP_TOL = 1e-12
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def check_rows(table: np.ndarray, sum_tol: float, what: str) -> np.ndarray:
     """Check a (..., k) array of probability rows and return it clipped to
     [0, 1]: entries finite and within CLAMP_TOL of [0, 1], rows summing to
@@ -47,7 +41,7 @@ def check_rows(table: np.ndarray, sum_tol: float, what: str) -> np.ndarray:
     index in C order over the leading axes, also kept in its ``row``."""
     lo, hi = table.min(), table.max()
     if -CLAMP_TOL <= lo and hi <= 1.0 + CLAMP_TOL:  # NaN fails both
-        sums = table.sum(axis=-1)
+        sums = table.sum(axis=-1, keepdims=True)  # an array, also for 1-D
         if abs(sums - 1.0).max() <= sum_tol:
             return table.clip(0.0, 1.0) if lo < 0.0 or hi > 1.0 else table
     rows = table.reshape(-1, table.shape[-1])
@@ -71,10 +65,12 @@ def check_rows(table: np.ndarray, sum_tol: float, what: str) -> np.ndarray:
 
 def _prob_vector(values, sum_tol: float, what: str) -> np.ndarray:
     """Read-only checked copy of a non-empty probability vector."""
-    vec = np.asarray(values, dtype=float)
+    vec = np.array(values, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise DimensionMismatchError(f"{what} must be a non-empty vector")
-    return _readonly(check_rows(vec, sum_tol, what))
+    vec = check_rows(vec, sum_tol, what)  # the copy, or a clipped one
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,24 +127,26 @@ class GameSpec:
 
     action_labels: tuple[tuple[str, ...], ...]
     payoffs: np.ndarray  # (profile_count, player_count), read-only
+    # set from action_labels on construction
+    action_counts: tuple[int, ...] = field(init=False, repr=False)
+    profile_count: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        counts = tuple(map(len, self.action_labels))
+        object.__setattr__(self, "action_counts", counts)
+        object.__setattr__(self, "profile_count", math.prod(counts))
 
     @property
     def player_count(self) -> int:
         return len(self.action_labels)
 
     @cached_property
-    def action_counts(self) -> tuple[int, ...]:
-        return tuple(len(labels) for labels in self.action_labels)
-
-    @cached_property
-    def profile_count(self) -> int:
-        return math.prod(self.action_counts)
-
-    @cached_property
     def profile_actions(self) -> np.ndarray:
         """(profile_count, player_count) table of per-player action indices."""
         idx = np.unravel_index(np.arange(self.profile_count), self.action_counts)
-        return _readonly(np.stack(idx, axis=1), dtype=int)
+        actions = np.stack(idx, axis=1)
+        actions.setflags(write=False)
+        return actions
 
     def action_index(self, player: int, label: str) -> int:
         self.check_player(player)
@@ -180,7 +178,7 @@ def build_game(action_labels: Sequence[Sequence[str]],
     ``payoff_rows`` must contain one row per action profile in canonical
     order (player 0 most significant) with one payoff per player.
     """
-    labels = tuple(tuple(str(a) for a in group) for group in action_labels)
+    labels = tuple(tuple(map(str, group)) for group in action_labels)
     if len(labels) < 2:
         raise DimensionMismatchError("a game needs at least two players")
     for i, group in enumerate(labels):
@@ -191,14 +189,15 @@ def build_game(action_labels: Sequence[Sequence[str]],
     if not isinstance(payoff_rows, np.ndarray):
         payoff_rows = list(payoff_rows)
     payoffs = np.array(payoff_rows, dtype=float)
-    expected_rows = math.prod(len(g) for g in labels)
+    expected_rows = math.prod(map(len, labels))
     if payoffs.shape != (expected_rows, len(labels)):
         raise DimensionMismatchError(
             f"payoff table has shape {payoffs.shape}, expected "
             f"({expected_rows}, {len(labels)})")
-    if not np.all(np.isfinite(payoffs)):
+    if not np.isfinite(payoffs).all():
         raise NonFiniteEntryError("payoff table contains a non-finite entry")
-    return GameSpec(labels, _readonly(payoffs))
+    payoffs.setflags(write=False)  # a copy: np.array above copies
+    return GameSpec(labels, payoffs)
 
 
 def profile_index(game: GameSpec, profile: Sequence[str]) -> int:

@@ -295,13 +295,15 @@ def _interval_rung(w: np.ndarray, rep0: np.ndarray):
 
     Entries with rep0 = 1 need z*w in [-1, 0]; entries with rep0 = 0 need
     z*w in [0, 1].  Returns (lo, hi) or None when only z = 0 remains.
+    The walk runs on plain floats, one entry per profile.
     """
-    lo, hi = -np.inf, np.inf
-    for wa, on in zip(w, rep0):
+    lo, hi = -math.inf, math.inf
+    for wa, on in zip(w.tolist(), rep0.tolist()):
         if wa == 0.0:
             continue
-        ends = (-1.0, 0.0) if on else (0.0, 1.0)
-        a, b = sorted(end / wa for end in ends)
+        a, b = (-1.0 / wa, 0.0 / wa) if on else (0.0 / wa, 1.0 / wa)
+        if b < a:
+            a, b = b, a
         lo, hi = max(lo, a), min(hi, b)
     if lo > hi or (lo == 0.0 and hi == 0.0):
         return None
@@ -570,7 +572,6 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     delta = form.delta
     joint_count = math.prod(sizes)
     members = sizes if target.mode == "independent" else (joint_count,)
-    scale = max(1.0, float(np.max(np.abs(w))))
 
     if joint_count == 2 and delta == 1.0:
         rep0 = (jhat == 0).astype(float)
@@ -595,7 +596,7 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     built = (joint_cond, joint_init) if strategies is None \
         else (_joint_table(strategies), joint_initial(strategies))
     residual = _family_residual(form, *built, jhat, y_full, w)
-    if residual > 1e-8 * scale:
+    if residual > 1e-8 * max(1.0, float(abs(w).max())):
         return Infeasible(
             certificate="search-budget-exhausted",
             conclusive=False,

@@ -4,13 +4,20 @@ from pathlib import Path
 
 import pytest
 
-from payoffcontrol import Custom, Infinite, PayoffRelation, verify_relation
+from payoffcontrol import (
+    Custom,
+    Infinite,
+    PayoffRelation,
+    public_goods_game,
+    verify_relation,
+)
 from payoffcontrol import cli
 from payoffcontrol.cli import main
 from payoffcontrol.fileio import (
     parse_game_file,
     parse_strategy_file,
     schedule_line,
+    write_game_file,
     write_strategy_file,
 )
 
@@ -176,6 +183,24 @@ def test_detect_prints_canonical_relation(capsys):
     assert lines[1] == "alpha=0,1 gamma=-2"
 
 
+@pytest.mark.parametrize("tol", [
+    "1e-16", "1e-20", "0", "-1", "nan", "inf", "1", "2"])
+def test_detect_rejects_tolerance_that_cannot_cut_rank(capsys, tol):
+    code, stdout, stderr = run(capsys, "detect", "--game", DONATION,
+                               "--strategy", PIN, f"--tol={tol}")
+    assert code == 2
+    assert stdout == ""
+    assert "tolerance must lie in [machine epsilon, 1)" in stderr
+
+
+@pytest.mark.parametrize("tol", ["2.220446049250313e-16", "1e-9", "1e-3"])
+def test_detect_accepts_tolerance_from_machine_epsilon(capsys, tol):
+    code, stdout, _ = run(capsys, "detect", "--game", DONATION,
+                          "--strategy", PIN, f"--tol={tol}")
+    assert code == 0
+    assert stdout == "found 1 relation(s)\nalpha=0,1 gamma=-2\n"
+
+
 @pytest.mark.parametrize("schedule,needle", [
     ("infinite", "infinite expected rounds"),
     ("delta:0.9", "constant continuation delta=0.9"),
@@ -320,7 +345,64 @@ def test_detect_output_on_shipped_files_is_pinned(capsys, game, strategy,
     assert stdout == expected
 
 
-@pytest.mark.parametrize("gamma", ["4.0", "1.0", "-0.0", "-1.5", "-4.0"])
+# the same files under an explicit schedule; delta:0.9 keeps only what the
+# discounted ruling vectors still span
+SHIPPED_DETECT_BY_SCHEDULE = [
+    (game, strategy, "infinite", expected)
+    for game, strategy, expected in SHIPPED_DETECT] + [
+    (DONATION, "donation-pin.strategy", "delta:0.9",
+     "found 0 relation(s)\n"),
+    (DONATION, "donation-equalizer.strategy", "delta:0.9",
+     "found 0 relation(s)\n"),
+    (PGG, "alliance-pin-u1.strategy", "delta:0.9",
+     "found 2 relation(s)\nalpha=1,0,0.465909090909 gamma=-1.73863636364\n"
+     "alpha=0,0.208345664398,1 gamma=-1.77656111276\n"),
+    (PGG, "alliance-pin-u3.strategy", "delta:0.9",
+     "found 1 relation(s)\nalpha=0.0645161290323,0,1 gamma=-1.16129032258\n"),
+]
+
+
+@pytest.mark.parametrize("game, strategy, schedule, expected",
+                         SHIPPED_DETECT_BY_SCHEDULE)
+def test_detect_output_under_each_schedule_is_pinned(capsys, game, strategy,
+                                                     schedule, expected):
+    code, stdout, _ = run(capsys, "detect", "--game", game,
+                          "--strategy", str(DATA / strategy),
+                          "--schedule", schedule)
+    assert code == 0
+    assert stdout == expected
+
+
+def test_detect_output_on_synthesized_pgg4_alliance_is_pinned(tmp_path,
+                                                              capsys):
+    game = tmp_path / "pgg4.game"
+    write_game_file(game, public_goods_game(4, 3.0, 2.0))
+    out = tmp_path / "alliance.strategy"
+    code, _, _ = run(capsys, "synth", "--game", str(game), "--controllers",
+                     "1,2,3", "--alpha", "0,0,0,1", "--gamma", "-1.5",
+                     "--schedule", "delta:0.5", "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "detect", "--game", str(game),
+                          "--strategy", str(out), "--schedule", "delta:0.5")
+    assert code == 0
+    assert stdout == ("found 3 relation(s)\n"
+                      "alpha=1,0,-1,0 gamma=0\n"
+                      "alpha=0,1,-1,0 gamma=0\n"
+                      "alpha=0,0,0,1 gamma=-1.5\n")
+
+
+def test_interval_rung_feasible_output_is_pinned(capsys):
+    code, stdout, _ = run(capsys, "synth", "--game", PD, "--controllers",
+                          "1", "--alpha", "0,1", "--gamma", "-2.5",
+                          "--schedule", "infinite")
+    assert code == 0
+    assert stdout == ("feasible: target alpha=0,1 gamma=-2.5 controllers 1\n"
+                      "margin 0.166666666667\n"
+                      "strategy for player 1: initial [0.5 0.5]\n")
+
+
+@pytest.mark.parametrize("gamma", ["4.0", "1.0", "-0.0", "-1.5", "-4.0",
+                                   "2.5", "0.3"])
 def test_lone_pin_certificate_output_is_pinned(capsys, gamma):
     code, stdout, _ = run(capsys, "synth", "--game", PGG, "--controllers",
                           "1", "--alpha", "0,0,1", "--gamma", gamma,
@@ -350,6 +432,52 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+def test_every_subcommand_is_dispatched_directly():
+    usage = cli._PARSER.format_usage()
+    registered = usage[usage.index("{") + 1:usage.index("}")].split(",")
+    assert set(cli._COMMANDS) == set(registered)
+    assert len(registered) == 6
+
+
+SYNTH_PD = ("synth", "--game", PD, "--controllers", "1", "--alpha", "0,1",
+            "--gamma", "-2.5")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ((), 2),
+    (("--help",), 0),
+    (("-h",), 0),
+    (("synth", "--help"), 0),
+    (("detect", "-h"), 0),
+    (("frobnicate",), 2),
+    (("Synth", "--help"), 2),
+    (SYNTH_PD + ("--bogus",), 2),
+    (("synth", "--game", PD, "--controllers", "1", "--alpha", "0,1"), 2),
+    (("synth", "--game", PGG, "--controllers", "1", "--alpha", "0,0,1",
+      "--gamma", "-4.0"), 3),
+    (SYNTH_PD, 0),
+])
+def test_dispatch_exit_codes_match_one_parser_pass(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
+def test_top_level_usage_without_a_subcommand(capsys):
+    code, stdout, stderr = run(capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("usage: payoffctl [-h] {synth,")
+    assert "the following arguments are required: command" in stderr
+
+
+def test_unknown_option_is_reported_by_the_subcommand(capsys):
+    code, stdout, stderr = run(capsys, *SYNTH_PD, "--bogus")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("usage: payoffctl synth [-h] --game GAME")
+    assert stderr.endswith(
+        "payoffctl synth: error: unrecognized arguments: --bogus\n")
+
+
 def test_missing_required_flag_exits_2(capsys):
     assert run(capsys, "detect", "--game", DONATION)[0] == 2
 
@@ -358,6 +486,27 @@ def test_bad_schedule_argument_exits_2(capsys):
     code, _, stderr = run(capsys, "classify", "--schedule", "delta:2")
     assert code == 2
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ("horizon:2.5", "horizon must be an integer"),
+    ("horizon:1e400", "horizon must be an integer"),
+    ("horizon:nan", "horizon must be an integer"),
+    ("delta:", "expected numbers, got ''"),
+    ("delta:x", "expected numbers, got 'x'"),
+])
+def test_schedule_argument_errors_read_like_the_file_parser(capsys, schedule,
+                                                            message):
+    code, stdout, stderr = run(capsys, "classify", "--schedule", schedule)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+def test_integral_horizon_argument_is_accepted_like_in_files(capsys):
+    code, stdout, _ = run(capsys, "classify", "--schedule", "horizon:2.0")
+    assert code == 0
+    assert stdout.endswith("expected rounds: 2\n")
 
 
 def test_alpha_length_mismatch_exits_2(capsys):

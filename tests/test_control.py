@@ -303,6 +303,21 @@ def test_detect_nothing_for_repeat_strategy(donation):
                             Infinite()) == []
 
 
+@pytest.mark.parametrize("tol", [
+    1e-16, 1e-20, 0.0, -1.0, float("nan"), float("inf"), 1.0, 2.0])
+def test_detect_rejects_tolerance_outside_eps_to_one(donation, pin_strategy,
+                                                     tol):
+    with pytest.raises(InvalidParamsError, match="machine epsilon"):
+        detect_relations(donation, [pin_strategy], Infinite(), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.finfo(float).eps, 1e-12, 1e-9, 1e-4])
+def test_detect_accepts_tolerance_from_eps_up(donation, pin_strategy, tol):
+    found = detect_relations(donation, [pin_strategy], Infinite(), tol=tol)
+    assert len(found) == 1
+    assert found[0].close_to(PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0))
+
+
 def test_enforces_relation_negative(donation):
     free = markov(0, *FREE_COLS)
     pin = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)

@@ -5,6 +5,7 @@ no module imports a name it does not use."""
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,22 @@ def test_pair_lp_synthesis_imports_scipy():
          "--gamma", "-2"])
     assert codes == [0]
     assert "scipy.optimize" in loaded
+
+
+@pytest.mark.parametrize("argv, code, head", [
+    (["--help"], 0, "usage: payoffctl [-h] {synth,"),
+    (["detect", "--help"], 0, "usage: payoffctl detect [-h]"),
+    ([], 2, "usage: payoffctl [-h] {synth,"),
+])
+def test_module_entry_point_dispatches_from_sys_argv(argv, code, head):
+    # no argv passed to main: it reads sys.argv, and anything that is not
+    # a subcommand name goes through the top-level parser
+    done = subprocess.run(
+        [sys.executable, "-m", "payoffcontrol.cli", *argv],
+        capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == code
+    assert (done.stdout if code == 0 else done.stderr).startswith(head)
 
 
 def _traced_names() -> set[tuple[str, str]]:

@@ -83,13 +83,26 @@ def _schedule_number(text: str) -> float:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise InvalidParamsError(
+                f"--alpha expects comma-separated numbers, got {part!r}"
+            ) from None
+    return tuple(values)
 
 
 def _parse_controllers(text: str, game: GameSpec) -> tuple[int, ...]:
     players = []
     for part in text.split(","):
-        pid = int(part)
+        try:
+            pid = int(part)
+        except ValueError:
+            raise InvalidParamsError(
+                "--controllers expects comma-separated player numbers, "
+                f"got {part!r}") from None
         if not 1 <= pid <= game.player_count:
             raise InvalidParamsError(
                 f"controller {pid} outside 1..{game.player_count}")

@@ -492,8 +492,10 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
-    if not tol > 0.0:
-        raise InvalidParamsError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        # an infinite tolerance would pass any relation
+        raise InvalidParamsError(
+            f"tolerance must be positive and finite, got {tol!r}")
     if not 0.0 <= boundary_fraction <= 1.0:
         raise InvalidParamsError("boundary fraction must lie in [0, 1]")
     if len(relation.alpha) != game.player_count:
@@ -558,10 +560,102 @@ class FalsificationReport:
 
 
 def _project_rows(table: np.ndarray) -> np.ndarray:
-    """Rows clipped to [0, 1] and scaled to sum 1; a zero row turns uniform."""
-    table = np.clip(table, 0.0, 1.0)
-    table = np.where(table.sum(axis=-1, keepdims=True) > 0.0, table, 1.0)
-    return table / table.sum(axis=-1, keepdims=True)
+    """Rows of entries in [0, 1] scaled to sum 1; a zero row turns
+    uniform."""
+    sums = table.sum(axis=-1, keepdims=True)
+    if not sums.all():
+        table = np.where(sums > 0.0, table, 1.0)
+        sums = table.sum(axis=-1, keepdims=True)
+    return table / sums
+
+
+def _opponent_tables(game: GameSpec, opponents: Sequence[int],
+                     flat: np.ndarray) -> dict[int, np.ndarray]:
+    """Each opponent's (len(flat), count + 1, m) projected table from the
+    flat vectors: per opponent, its initial action then its conditional
+    rows, so table row r + 1 is conditional row r."""
+    tables, start = {}, 0
+    for player in opponents:
+        m = game.action_counts[player]
+        width = (game.profile_count + 1) * m
+        tables[player] = _project_rows(
+            flat[:, start:start + width].reshape(len(flat), -1, m))
+        start += width
+    return tables
+
+
+class _Restarts:
+    """A block of falsification restarts with their chains kept in step.
+
+    ``flat`` holds one vector per restart, laid out as ``_opponent_tables``
+    reads it and updated in place.  ``tables`` holds every player's
+    projected table by player, initial action first (controllers shared,
+    opponents per restart), and ``chains`` stacks each restart's round-1
+    distribution over its transition matrix the same way.  A coordinate of
+    ``flat`` therefore moves one row of one opponent's table and the same
+    row of its chain, so a trial recomputes only that row, with the
+    product over players that a full build takes.
+    """
+
+    def __init__(self, game: GameSpec, schedule: ContinuationSchedule,
+                 candidate: np.ndarray, shared: dict[int, np.ndarray],
+                 opponents: Sequence[int], flat: np.ndarray):
+        self.game, self.schedule, self.candidate = game, schedule, candidate
+        self.flat = flat
+        tables = {**shared, **_opponent_tables(game, opponents, flat)}
+        self.tables = [tables[p] for p in range(game.player_count)]
+        # per coordinate: its opponent, its table row and where that row
+        # starts in flat
+        self.layout = []
+        for player in opponents:
+            m = game.action_counts[player]
+            start = len(self.layout)
+            self.layout += [(player, r, start + r * m)
+                            for r in range(game.profile_count + 1)
+                            for _ in range(m)]
+        self.chains = profile_product(game, self.tables)
+        self.value, residual, settled = self._values(self.chains)
+        _require_settled(residual, settled)
+
+    def _values(self, chains: np.ndarray):
+        """(|<candidate, vbar>|, residual, settled) of a stack of chains."""
+        vbar, residual, settled = markov_average(chains[:, 1:], chains[:, 0],
+                                                 self.schedule)
+        # a dot product per chain: the same sum wherever it sits in the stack
+        values = np.abs((vbar[:, None, :] @ self.candidate[:, None])[:, 0, 0])
+        return values, residual, settled
+
+    def trial(self, rows: np.ndarray, i: int, points: np.ndarray):
+        """``_values`` of the chains of ``rows`` with coordinate ``i`` moved
+        to ``points``; ``accept`` keeps any of them."""
+        player, r, start = self.layout[i]
+        raw = self.flat[rows, start:start + self.game.action_counts[player]]
+        raw[:, i - start] = points
+        row = _project_rows(raw)
+        chains = self.chains[rows]
+        chains[:, r] = profile_product(self.game, [
+            row if p == player else table[rows, r] if table.ndim == 3
+            else table[r] for p, table in enumerate(self.tables)])
+        values, residual, settled = self._values(chains)
+        self._trial = rows, i, points, row, chains[:, r], values
+        return values, residual, settled
+
+    def accept(self, better: np.ndarray) -> None:
+        """Write the ``better`` chains of the last trial into the block."""
+        rows, i, points, row, chain_row, values = self._trial
+        player, r, _ = self.layout[i]
+        rows = rows[better]
+        self.flat[rows, i] = points[better]
+        self.tables[player][rows, r] = row[better]
+        self.chains[rows, r] = chain_row[better]
+        self.value[rows] = values[better]
+
+
+def _require_settled(residual: np.ndarray, settled: np.ndarray) -> None:
+    """Raise NoConvergenceError unless every trial average settled."""
+    if not settled.all():
+        raise NoConvergenceError(f"trial average did not settle "
+                                 f"(residual {residual[~settled][0]:.3e})")
 
 
 def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -594,37 +688,21 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     opponents = [p for p in range(game.player_count) if p not in controllers]
     if not opponents:
         raise InvalidParamsError("no free opponent to search over")
-    shared = {s.player: (s.conditionals, s.initial.probs)
+    shared = {s.player: np.vstack([s.initial.probs, s.conditionals])
               for s in _controller_setup(game, strategies)[0]}
-    count = game.profile_count
-    sizes = [game.action_counts[p] for p in opponents]
-    # one flat vector per restart: per opponent, its initial then its rows
-    ends = np.cumsum([m * (count + 1) for m in sizes])
-    flats = np.random.default_rng(seed).random((budget, ends[-1]))
-
-    def tables(flat):
-        return {p: (_project_rows(part[:, m:].reshape(-1, count, m)),
-                    _project_rows(part[:, :m]))
-                for p, m, part in zip(opponents, sizes,
-                                      np.split(flat, ends[:-1], axis=1))}
-
-    def objective(flat):
-        vbar, residual, settled = _average_stack(
-            game, schedule, {**shared, **tables(flat)}, len(flat))
-        if not settled.all():
-            raise NoConvergenceError(f"trial average did not settle "
-                                     f"(residual {residual[~settled][0]:.3e})")
-        # a dot product per chain: the same sum wherever it sits in the stack
-        return np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
-
+    width = sum((game.profile_count + 1) * game.action_counts[p]
+                for p in opponents)
+    flats = np.random.default_rng(seed).random((budget, width))
     values = np.concatenate([
-        _refine(flats[start:start + VERIFY_BLOCK], objective)
+        _refine(_Restarts(game, schedule, candidate, shared, opponents,
+                          flats[start:start + VERIFY_BLOCK]))
         for start in range(0, budget, VERIFY_BLOCK)])
     best = int(np.argmax(values))
     found = bool(values[best] > threshold)
     counterexample = tuple(
-        MarkovStrategy(p, MixedAction(init[0]), cond[0])
-        for p, (cond, init) in tables(flats[best:best + 1]).items()) \
+        MarkovStrategy(p, MixedAction(table[0, 0]), table[0, 1:])
+        for p, table in _opponent_tables(
+            game, opponents, flats[best:best + 1]).items()) \
         if found else None
     return FalsificationReport(
         candidate=candidate,
@@ -635,33 +713,61 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     )
 
 
-def _refine(flat: np.ndarray, objective) -> np.ndarray:
-    """Coordinatewise ascent from every row of ``flat`` (updated in place)
-    at steps 0.3, 0.1 and 0.03, at most three sweeps each; a row leaves a
-    step after a sweep that improved nothing.  A trial that clipping leaves
-    at the current value is the current chain, so it is not evaluated.
-    Returns the values reached."""
-    value = objective(flat)
+def _refine(block: _Restarts) -> np.ndarray:
+    """Coordinatewise ascent from every restart of ``block`` at steps 0.3,
+    0.1 and 0.03, at most three sweeps each; a restart leaves a step after
+    a sweep that improved nothing.  Returns the values reached.
+
+    Each coordinate tries +step, then -step from wherever +step left it.
+    Both trials from the current point run as one stack: -step counts
+    where +step did not improve.  Where +step did, -step from the new
+    point is a follow-up trial, needed only when clipping or rounding
+    keeps it off the old point, whose value is known.  A trial that
+    clipping leaves at the current point is the current chain, so it is
+    not evaluated either.
+    """
+    flat, value = block.flat, block.value
     for step in (0.3, 0.1, 0.03):
         live = np.arange(len(flat))
         for _ in range(3):
             improved = np.zeros(len(flat), dtype=bool)
             for i in range(flat.shape[1]):
                 base = flat[live, i]
-                for direction in (step, -step):
-                    shifted = np.clip(base + direction, 0.0, 1.0)
-                    moving = shifted != base
-                    rows = live[moving]
-                    if not rows.size:
-                        continue
-                    flat[rows, i] = shifted[moving]
-                    trial = objective(flat[rows])
-                    better = trial > value[rows] + 1e-15
-                    value[rows[better]] = trial[better]
-                    improved[rows[better]] = True
-                    base[moving] = np.where(better, shifted[moving],
-                                            base[moving])
-                flat[live, i] = base
+                # flat stays in [0, 1]: a step can only pass one bound
+                plus = np.minimum(base + step, 1.0)
+                minus = np.maximum(base - step, 0.0)
+                up, down = plus != base, minus != base
+                raised = live[up]
+                rows = np.concatenate([raised, live[down]])
+                if not rows.size:
+                    continue
+                values, residual, settled = block.trial(
+                    rows, i, np.concatenate([plus[up], minus[down]]))
+                ups = raised.size
+                better = values > value[rows] + 1e-15
+                gain = np.zeros(live.size, dtype=bool)
+                gain[up] = better[:ups]
+                # where +step won, -step from the base is no trial
+                moot = gain[down]
+                better[ups:] &= ~moot
+                if not settled.all():
+                    settled[ups:] |= moot
+                    _require_settled(residual, settled)
+                if not better.any():
+                    continue
+                block.accept(better)
+                improved[rows[better]] = True
+                # -step from where +step won, unless it is the base again
+                top = plus[gain]
+                back = np.maximum(top - step, 0.0)
+                again = (back != top) & (back != base[gain])
+                if again.any():
+                    rows, back = live[gain][again], back[again]
+                    values, residual, settled = block.trial(rows, i, back)
+                    _require_settled(residual, settled)
+                    better = values > value[rows] + 1e-15
+                    if better.any():
+                        block.accept(better)
             live = live[improved[live]]
             if not live.size:
                 break

@@ -556,7 +556,7 @@ def markov_average(m: np.ndarray, v1: np.ndarray,
         if t:
             v = v @ m
         if t < rounds - opens_tail:
-            num += w * v
+            num += v if w == 1.0 else w * v  # 1.0 * v is v exactly
             den += w
     num, v = num[:, 0], v[:, 0]
     if not opens_tail:

@@ -148,13 +148,31 @@ def test_verify_csv_matches_row_by_row_format(tmp_path, capsys):
     assert out.read_bytes() == slow.read_bytes()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "-1"])
 def test_verify_rejects_nonpositive_tolerance(capsys, tol):
     code, _, stderr = run(capsys, "verify", "--game", DONATION,
                           "--strategy", PIN, "--alpha", "0,1", "--gamma",
                           "-2", "--samples", "10", f"--tol={tol}")
     assert code == 2
     assert "tolerance must be positive" in stderr
+
+
+def test_synth_rejects_controllers_that_are_not_player_numbers(capsys):
+    code, stdout, stderr = run(capsys, "synth", "--game", PGG,
+                               "--controllers", "1,1.5", "--alpha", "0,0,1",
+                               "--gamma", "-1")
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: --controllers expects comma-separated player "
+                      "numbers, got '1.5'\n")
+
+
+def test_alpha_must_be_numbers(capsys):
+    code, stdout, stderr = run(capsys, "verify", "--game", DONATION,
+                               "--strategy", PIN, "--alpha", "0,x",
+                               "--gamma", "-2", "--samples", "5")
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: --alpha expects comma-separated numbers, "
+                      "got 'x'\n")
 
 
 def test_verify_same_seed_is_deterministic(tmp_path, capsys):

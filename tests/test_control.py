@@ -503,6 +503,7 @@ def test_verify_worst_opponents_across_blocks(pgg, alliance_pin_out):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
+    {"tol": float("inf")}, {"tol": -1.0},
     {"boundary_fraction": -0.1}, {"boundary_fraction": 1.5},
     {"boundary_fraction": float("nan")}, {"samples": 0}])
 def test_verify_rejects_bad_params(donation, pin_strategy, kwargs):
@@ -604,22 +605,63 @@ def test_falsify_matches_sequential_search(request, case, schedule, seed):
     _assert_same_search(report, achieved, best)
 
 
-def _refine_every_trial(flat, objective, still):
+def _full_objective(game, controllers, schedule, candidate, chains):
+    """|<candidate, vbar>| of a stack of flat restart vectors with every
+    chain built from scratch: all rows projected, both profile products
+    taken.  Appends each stack's size to ``chains``."""
+    shared = {s.player: (s.conditionals, s.initial.probs)
+              for s in controllers}
+    opponents = [p for p in range(game.player_count) if p not in shared]
+    count = game.profile_count
+
+    def objective(flat):
+        tables, start = dict(shared), 0
+        for player in opponents:
+            m = game.action_counts[player]
+            part = flat[:, start:start + (count + 1) * m]
+            tables[player] = (
+                control._project_rows(part[:, m:].reshape(-1, count, m)),
+                control._project_rows(part[:, :m]))
+            start += (count + 1) * m
+        conds, inits = zip(*(tables[p] for p in range(game.player_count)))
+        chains.append(len(flat))
+        vbar, _, settled = dynamics.markov_average(
+            dynamics.profile_product(game, conds),
+            dynamics.profile_product(game, inits), schedule)
+        assert settled.all()
+        return np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
+    return objective
+
+
+def _refine_every_trial(flat, objective, counts):
     """The lockstep coordinate ascent of ``control._refine`` evaluating
-    every live row at every trial, as the sequential search does; appends
-    to ``still`` how many rows of each trial clipping left in place."""
+    every live row at +step and then at -step from where +step left it,
+    as the sequential search does.  Adds to ``counts`` the trials that
+    ``control._refine`` evaluates instead: ``stacked`` chains in
+    ``stacks`` stacks (a move off the base in either direction) and
+    ``followed`` chains in ``follow_ups`` stacks (-step after a +step win
+    where it does not lead back to the base)."""
     value = objective(flat)
     for step in (0.3, 0.1, 0.03):
         live = np.arange(len(flat))
         for _ in range(3):
             improved = np.zeros(len(flat), dtype=bool)
             for i in range(flat.shape[1]):
-                base = flat[live, i]
+                origin = base = flat[live, i]
+                moves = sum(np.clip(origin + d, 0.0, 1.0) != origin
+                            for d in (step, -step))
+                counts["stacked"] += int(moves.sum())
+                counts["stacks"] += bool(moves.any())
                 for direction in (step, -step):
                     flat[live, i] = np.clip(base + direction, 0.0, 1.0)
-                    still.append(int(np.sum(flat[live, i] == base)))
                     trial = objective(flat[live])
                     better = trial > value[live] + 1e-15
+                    if direction < 0:
+                        moved = flat[live, i]
+                        follow = (base != origin) & (moved != base) \
+                            & (moved != origin)
+                        counts["followed"] += int(follow.sum())
+                        counts["follow_ups"] += bool(follow.any())
                     value[live[better]] = trial[better]
                     improved[live[better]] = True
                     base = np.where(better, flat[live, i], base)
@@ -630,82 +672,120 @@ def _refine_every_trial(flat, objective, still):
     return value
 
 
+def _searches(monkeypatch, request, budget, seed):
+    """A donation C1 search under two rounds, run as the search does it
+    and with every trial built from scratch.  Returns both reports, the
+    chains of each ``markov_average`` call of the search, the chains of
+    each stack of the every-trial reference and its trial counts."""
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    kernel, stacks = control.markov_average, []
+
+    def counting_kernel(m, v1, schedule):
+        stacks.append(len(m))
+        return kernel(m, v1, schedule)
+
+    monkeypatch.setattr(control, "markov_average", counting_kernel)
+    report = falsify_candidate(game, controllers, FiniteHorizon(2),
+                               candidate, budget=budget, seed=seed)
+    monkeypatch.setattr(control, "markov_average", kernel)
+    every_stacks = []
+    counts = dict.fromkeys(["stacked", "stacks", "followed", "follow_ups"], 0)
+    objective = _full_objective(game, controllers, FiniteHorizon(2),
+                                candidate, every_stacks)
+    monkeypatch.setattr(control, "_refine", lambda block:
+                        _refine_every_trial(block.flat, objective, counts))
+    every = falsify_candidate(game, controllers, FiniteHorizon(2),
+                              candidate, budget=budget, seed=seed)
+    return report, every, stacks, every_stacks, counts
+
+
+def _assert_bitwise_same(report, every):
+    assert report.achieved == every.achieved
+    for mine, theirs in zip(report.counterexample, every.counterexample,
+                            strict=True):
+        assert np.array_equal(mine.conditionals, theirs.conditionals)
+        assert np.array_equal(mine.initial.probs, theirs.initial.probs)
+
+
 def test_falsify_blocks_and_first_best(monkeypatch, request):
     # seven restarts in blocks of 3, 3 and 1; the best value is reached
     # by restarts in different blocks, and the first of them must win
     monkeypatch.setattr(control, "VERIFY_BLOCK", 3)
-    finals, chains, calls = [], [], []
-    refine, stack = control._refine, control._average_stack
+    finals, calls = [], []
+    refine = control._refine
 
-    def recording(flat, objective):
-        values = refine(flat, objective)
-        finals.append((flat.copy(), values.copy()))
+    def recording(block):
+        values = refine(block)
+        finals.append((block.flat.copy(), values.copy()))
         return values
-
-    def counting_stack(game, schedule, tables, size):
-        chains.append(size)
-        return stack(game, schedule, tables, size)
 
     def counting_average(*args):
         calls.append(1)
         return average_distribution(*args)
 
     monkeypatch.setattr(control, "_refine", recording)
-    monkeypatch.setattr(control, "_average_stack", counting_stack)
     monkeypatch.setattr(conftest, "average_distribution", counting_average)
-    game, controllers, candidate = _falsify_case(request, "donation-C1")
-    report = falsify_candidate(game, controllers, FiniteHorizon(2),
-                               candidate, budget=7, seed=1)
+    report, every, stacks, every_stacks, counts = _searches(
+        monkeypatch, request, budget=7, seed=1)
     assert [len(values) for _, values in finals] == [3, 3, 1]
     flats = np.concatenate([flat for flat, _ in finals])
     values = np.concatenate([values for _, values in finals])
     ties = np.flatnonzero(values == values.max())
     assert ties[0] // 3 != ties[-1] // 3
     assert not np.array_equal(flats[ties[0]], flats[ties[-1]])
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
     achieved, best = falsify_sequential(game, controllers, FiniteHorizon(2),
                                         candidate, 7, 1)
     _assert_same_search(report, achieved, best)
-    # a restart leaves a step exactly where the sequential search moves on,
-    # so evaluating every trial costs as many chains as the sequential
-    # search; the search skips exactly the trials clipping leaves in place
-    skipping, still = sum(chains), []
-    chains.clear()
-    monkeypatch.setattr(control, "_refine", lambda flat, objective:
-                        _refine_every_trial(flat, objective, still))
-    every = falsify_candidate(game, controllers, FiniteHorizon(2),
-                              candidate, budget=7, seed=1)
     _assert_same_search(every, achieved, best)
-    assert sum(chains) == len(calls)
-    assert skipping == len(calls) - sum(still)
+    _assert_bitwise_same(report, every)
+    # a restart leaves a step exactly where the sequential search moves
+    # on, so building every trial costs as many chains as the sequential
+    # search; the search evaluates exactly the trials it accounts for, a
+    # stack per block to start and one per coordinate that can move, plus
+    # the follow-up stacks
+    assert sum(every_stacks) == len(calls)
+    assert len(stacks) == 3 + counts["stacks"] + counts["follow_ups"]
+    assert sum(stacks) == 7 + counts["stacked"] + counts["followed"]
 
 
 def test_refine_skips_trials_that_cannot_move(monkeypatch, request):
     # a budget-10 donation C1 search: a probability at 0 or 1 pushed
-    # further out is the current chain, which cannot improve
-    rows, still = [], []
-    stack = control._average_stack
+    # further out is the current chain, and -step after a +step win is
+    # the base again unless clipping or rounding moves it elsewhere
+    report, every, stacks, every_stacks, counts = _searches(
+        monkeypatch, request, budget=10, seed=2)
+    _assert_bitwise_same(report, every)
+    assert len(stacks) == 1 + counts["stacks"] + counts["follow_ups"]
+    assert sum(stacks) == 10 + counts["stacked"] + counts["followed"]
+    # both directions in one stack: about half the stacks, and fewer
+    # chains, than building every trial in turn
+    assert len(stacks) < 0.6 * len(every_stacks)
+    assert sum(stacks) < 0.8 * sum(every_stacks)
 
-    def counting_stack(game, schedule, tables, size):
-        rows.append(size)
-        return stack(game, schedule, tables, size)
 
-    monkeypatch.setattr(control, "_average_stack", counting_stack)
-    game, controllers, candidate = _falsify_case(request, "donation-C1")
-    report = falsify_candidate(game, controllers, FiniteHorizon(2),
-                               candidate, budget=10, seed=2)
-    skipping = sum(rows)
-    rows.clear()
-    monkeypatch.setattr(control, "_refine", lambda flat, objective:
-                        _refine_every_trial(flat, objective, still))
-    every = falsify_candidate(game, controllers, FiniteHorizon(2),
-                              candidate, budget=10, seed=2)
-    assert report.achieved == every.achieved
-    for mine, theirs in zip(report.counterexample, every.counterexample,
-                            strict=True):
-        assert np.array_equal(mine.conditionals, theirs.conditionals)
-        assert np.array_equal(mine.initial.probs, theirs.initial.probs)
-    assert skipping == sum(rows) - sum(still)
-    assert skipping < 0.8 * sum(rows)
+def test_refine_runs_follow_up_stacks(monkeypatch, request):
+    # the same search: some +step wins are not undone exactly by -step
+    report, every, stacks, _, counts = _searches(
+        monkeypatch, request, budget=10, seed=2)
+    _assert_bitwise_same(report, every)
+    assert counts["follow_ups"] > 0
+    assert len(stacks) == 1 + counts["stacks"] + counts["follow_ups"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("case, schedule", [
+    ("donation-C1", FiniteHorizon(2)),
+    ("pd-wsls-C", Custom((0.9, 0.5), tail=0.8))],
+    ids=["donation-C1-horizon2", "pd-wsls-C-custom"])
+def test_falsify_seed_sweep_matches_sequential_search(request, case,
+                                                      schedule, seed):
+    game, controllers, candidate = _falsify_case(request, case)
+    report = falsify_candidate(game, controllers, schedule, candidate,
+                               budget=3, seed=seed)
+    achieved, best = falsify_sequential(game, controllers, schedule,
+                                        candidate, 3, seed)
+    _assert_same_search(report, achieved, best)
 
 
 def test_falsify_builds_no_per_trial_objects(monkeypatch, request):

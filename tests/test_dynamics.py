@@ -776,6 +776,44 @@ def test_batched_average_other_schedule_marks_every_sample(donation,
         assert_allclose(vbar[k], oracle, rtol=0, atol=1e-15)
 
 
+def _weighted_every_round(m, v1, schedule):
+    """vbar of ``markov_average``, its explicit rounds summed by always
+    multiplying by the survival weight, 1.0 included."""
+    values, c = dynamics._continuations(schedule)
+    survival, rounds = dynamics._survival(values)
+    opens_tail = rounds == len(survival) and c > 0.0
+    v = v1[:, None, :]
+    num, den = np.zeros(v.shape), 0.0
+    for t, w in enumerate(survival[:rounds]):
+        if t:
+            v = v @ m
+        if t < rounds - opens_tail:
+            num += w * v
+            den += w
+    num, v = num[:, 0], v[:, 0]
+    if not opens_tail:
+        return num / den
+    x, _, settled = dynamics._tail_average(m, v, c)
+    assert settled.all()
+    p = survival[rounds - 1]
+    scale = den * (1.0 - c) + p
+    return num * ((1.0 - c) / scale) + x * (p / scale)
+
+
+@pytest.mark.parametrize("schedule", [
+    FiniteHorizon(10), Custom((1.0, 1.0, 0.5), tail=0.8),
+    Custom((1.0, 0.5, 0.5), tail=0.8)],
+    ids=["horizon10", "custom", "custom-half-weight"])
+def test_unit_weights_skip_the_multiply_exactly(donation, pin_strategy,
+                                                schedule):
+    # 1.0 * v is v bit for bit, so adding v itself changes nothing; the
+    # last schedule also sums a round of weight 0.5
+    m, v1, _ = _donation_stack(donation, pin_strategy, 20, True, seed=7)
+    vbar, _, settled = markov_average(m, v1, schedule)
+    assert settled.all()
+    assert np.array_equal(vbar, _weighted_every_round(m, v1, schedule))
+
+
 def test_custom_names_the_first_bad_value():
     with pytest.raises(InvalidParamsError, match=r"value 1\.5 outside"):
         Custom((0.5, 1.5, float("nan")))

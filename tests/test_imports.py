@@ -14,7 +14,12 @@ import pytest
 
 import payoffcontrol
 import payoffcontrol.cli  # noqa: F401  (the tracer wraps names in cli)
-from payoffcontrol.fileio import parse_game_file, write_strategy_file
+from payoffcontrol import Custom
+from payoffcontrol.fileio import (
+    parse_game_file,
+    schedule_line,
+    write_strategy_file,
+)
 
 from conftest import wsls_pd
 
@@ -52,6 +57,9 @@ def test_commands_without_lp_never_import_scipy(tmp_path):
     profile = tmp_path / "profile.strategy"
     write_strategy_file(profile, parse_game_file(PD).game,
                         [wsls_pd(0), wsls_pd(1)])
+    tail = tmp_path / "tail.schedule"
+    tail.write_text(schedule_line(Custom((0.9, 0.5), tail=0.8)) + "\n",
+                    encoding="utf-8")
     codes, loaded = _run_fresh(
         ["verify", "--game", DONATION, "--strategy", PIN, "--alpha", "0,1",
          "--gamma", "-2", "--samples", "200"],
@@ -62,6 +70,11 @@ def test_commands_without_lp_never_import_scipy(tmp_path):
          "--schedule", "infinite", "--samples", "50", "--max-rounds", "20"],
         ["falsify", "--game", DONATION, "--strategy", PIN, "--action", "C1",
          "--schedule", "horizon:2", "--budget", "10"],
+        # trials whose averages take the tail solve
+        ["falsify", "--game", DONATION, "--strategy", PIN, "--action", "C1",
+         "--schedule", "infinite", "--budget", "2"],
+        ["falsify", "--game", DONATION, "--strategy", PIN, "--action", "C1",
+         "--schedule", f"custom:{tail}", "--budget", "2"],
         ["detect", "--game", DONATION, "--strategy", PIN],
         ["classify", "--schedule", "delta:0.5"],
         # the interval rung: one controller with two actions, infinite rounds
@@ -70,7 +83,7 @@ def test_commands_without_lp_never_import_scipy(tmp_path):
         ["synth", "--game", PGG, "--controllers", "1", "--alpha", "0,0,1",
          "--gamma", "-1"],
     )
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 3]
+    assert codes == [0, 0, 0, 0, 4, 0, 0, 0, 0, 3]
     assert loaded == []
 
 

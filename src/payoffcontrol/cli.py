@@ -13,6 +13,7 @@ falsification found no counterexample).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -372,9 +373,25 @@ _COMMANDS = next(action.choices for action in _PARSER._actions
                  if action.dest == "command")
 
 
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``--opt -1,1`` as ``--opt=-1,1``.  argparse reads a value that starts
+    with "-" as an option name unless it is a plain negative decimal, so
+    ``--alpha -1,1`` or ``--gamma -2e0`` would lack their values.  A token
+    that starts like a negative number is one: no option name does."""
+    attached = []
+    for token in argv:
+        if attached and re.match(r"-\.?\d", token) \
+                and attached[-1].startswith("--") and "=" not in attached[-1]:
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    argv = _attach_numbers(argv)
     # a subcommand's own parser reads its arguments, so argparse classifies
     # each one once; anything else (no argument, -h, a typo) goes through
     # _PARSER

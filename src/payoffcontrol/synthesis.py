@@ -22,11 +22,13 @@ joint actions for correlated alliances and single controllers.  The
 margin-m set of member k, {p_k >= m}, has the vertices
 m 1 + (1 - s_k m) e_i.  The multilinear map <y, p_1 x ... x p_q> takes
 its min and max over these sets at vertex combinations, and the sets
-shrink as m grows, so the largest m whose range still holds beta is found
-by bisection on m.  A walk from the minimizing to the maximizing vertex
-combination, switching one member at a time, then crosses beta on one
-linear segment, which is solved exactly.  Every row sits at its own
-maximin.
+shrink as m grows.  Each vertex value is a polynomial in m of degree at
+most q, so the largest m whose range still holds beta is 1/max(s_k) or a
+root of one of them: a closed form from the polynomials' companion
+matrices, snapped to the float crossing of the range comparison.  A walk
+from the minimizing to the maximizing vertex combination, switching one
+member at a time, then crosses beta on one linear segment, which is
+solved exactly.  Every row sits at its own maximin.
 
 Coefficients.  Some q in the margin-m sets reaches beta exactly when beta
 lies between the smallest and largest vertex value, and at a fixed m the
@@ -161,31 +163,52 @@ SLACK_SOLVER_TOL = 1e-10
 optimum the remaining rise can lie below the solver's default 1e-7 (4e-8
 for the pgg4 correlated pin at delta = 1 - 1e-6), where t would read 0."""
 
-BISECTION_STEPS = 60
-"""Halvings of [0, 1/max(s_k)]: the bisection ends within 2^-61 of the
-largest margin whose range comparison holds in floating point."""
+NEAR_REAL = 1e-4
+"""Imaginary part, in units of 1/max(s_k), up to which an eigenvalue of a
+vertex polynomial counts as a real root: rounding splits a multiple root
+into a complex pair about as far apart as the root is uncertain."""
 
-BATCH_DEPTH = 4
-"""Halvings whose 2^BATCH_DEPTH - 1 candidate midpoints one call tests."""
+SNAP_STEPS = 32
+"""Steps of eps/max(s_k) on each side of a closed-form root within which
+the snap looks for the float crossing of the range comparison."""
+
+PLATEAU_DOUBLINGS = 7
+"""Doublings of SNAP_STEPS steps past the root that the snap also tests: at
+a flat crossing the rounded vertex value sits on the bound for a plateau of
+up to 2^PLATEAU_DOUBLINGS SNAP_STEPS steps, and the crossing is its end."""
 
 
 # ---------------------------------------------------------------------------
 # The maximin row builder
 
 
+def _vertex_polynomials(y: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """Coefficients of every vertex value as a polynomial in m: row d holds
+    the m^d coefficients, one column per vertex combination.
+
+    Vertex i of member k's margin-m set is m 1 + (1 - s_k m) e_i, so the
+    vertex values are A(m) y with A(m) the product over members of
+    I + m (1 1^T - s_k I) acting on axis k.  One contraction per member
+    adds its factor, raising every degree by one.
+    """
+    coeffs = np.zeros((len(sizes) + 1,) + sizes)
+    coeffs[0] = y.reshape(sizes)
+    for axis, size in enumerate(sizes, start=1):
+        step = coeffs.sum(axis=axis, keepdims=True) - size * coeffs
+        coeffs[1:] += step[:-1]
+    return coeffs.reshape(len(sizes) + 1, -1)
+
+
 def _vertex_values(y: np.ndarray, sizes: tuple[int, ...], m) -> np.ndarray:
     """<y, v_1 x ... x v_q> at every vertex combination of the margin-m
-    member sets, one flattened row per entry of ``m``.
-
-    Vertex i of member k is m 1 + (1 - s_k m) e_i, so contracting axis k
-    with it mixes each entry with that axis's sum.
-    """
-    m = np.reshape(m, (-1,) + (1,) * len(sizes))
-    values = np.broadcast_to(y.reshape(sizes), m.shape[:1] + sizes)
-    for axis, size in enumerate(sizes, start=1):
-        values = (1.0 - size * m) * values \
-            + m * values.sum(axis=axis, keepdims=True)
-    return values.reshape(m.shape[0], -1)
+    member sets, one flattened row per entry of ``m``: the vertex
+    polynomials by Horner's rule, so m = 0 gives y exactly."""
+    coeffs = _vertex_polynomials(y, sizes)
+    m = np.reshape(m, (-1, 1))
+    values = np.broadcast_to(coeffs[-1], (m.shape[0], coeffs.shape[1]))
+    for part in coeffs[-2::-1]:
+        values = values * m + part
+    return values
 
 
 def _reaches(y, sizes, m, lo, hi) -> np.ndarray:
@@ -194,46 +217,127 @@ def _reaches(y, sizes, m, lo, hi) -> np.ndarray:
     return (values.min(axis=1) <= lo) & (values.max(axis=1) >= hi)
 
 
+def _root_candidates(y, sizes, lo, hi) -> np.ndarray:
+    """(rows, candidates) margins at which some vertex value meets lo or
+    hi, with 0 and 1/max(s_k); all in [0, 1/max(s_k)].
+
+    The polynomials are taken in u = m max(s_k), so every root of interest
+    lies in [0, 1].  A coefficient whose whole sweep over that interval
+    stays within the rounding of the coefficients drops out of the degree.  A
+    linear polynomial has its root by one division.  Higher degrees take the
+    eigenvalues of their companion matrices, one stack per degree, each as
+    computed and after one Newton step: the step sharpens a simple root to
+    a few ulps, or one that a tiny leading coefficient blurs, while at a
+    multiple root the eigenvalue is the better guess.  A root that is real
+    up to NEAR_REAL is a candidate; any other root stands in as 0.
+    """
+    top = 1.0 / max(sizes)
+    degree = len(sizes)
+    coeffs = _vertex_polynomials(y, sizes) \
+        * top ** np.arange(degree + 1)[:, None]
+    # the rounding of the contractions, which sum up to max(s_k) terms
+    live = np.abs(coeffs[1:]) > max(sizes) * _slack(coeffs)
+    orders = np.where(live.any(axis=0),
+                      degree - np.argmax(live[::-1], axis=0), 0)
+    targets = np.column_stack([lo, hi])[:, :, None]  # (row, bound, vertex)
+    found = [np.zeros((lo.size, 1)), np.ones((lo.size, 1))]
+    for order in range(1, degree + 1):
+        cols = np.flatnonzero(orders == order)
+        if not cols.size:
+            continue
+        part, lead = coeffs[:, cols], coeffs[order, cols]
+        shift = (targets - part[0]) / lead
+        if order == 1:
+            found.append(shift.reshape(lo.size, -1))
+            continue
+        companion = np.zeros(shift.shape + (order, order))
+        companion[..., np.arange(1, order), np.arange(order - 1)] = 1.0
+        companion[..., :, -1] = -(part[:order] / lead).T
+        companion[..., 0, -1] = shift
+        roots = np.linalg.eigvals(companion)  # (row, bound, vertex, root)
+        u = roots.real
+        value, slope = np.broadcast_to(lead[:, None], u.shape), 0.0
+        for d in range(order - 1, -1, -1):  # Horner for p and p'
+            slope = slope * u + value
+            value = value * u + part[d][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polished = u - (value - targets[..., None]) / slope
+        real = np.abs(roots.imag) <= NEAR_REAL
+        for guess in (u, polished):
+            found.append(np.where(real & np.isfinite(guess), guess, 0.0)
+                         .reshape(lo.size, -1))
+    return top * np.clip(np.concatenate(found, axis=1), 0.0, 1.0)
+
+
+def _holds(y, sizes, points: np.ndarray, lo, hi) -> np.ndarray:
+    """_reaches at every entry of the (rows, k) ``points``, against the
+    row's own lo and hi."""
+    count = points.shape[1]
+    return _reaches(y, sizes, points, np.repeat(lo, count),
+                    np.repeat(hi, count)).reshape(points.shape)
+
+
+def _last_crossing(points: np.ndarray, holds: np.ndarray, top: float):
+    """Per row, the index of the last point where the comparison holds and
+    fails at the next point (or the point is top), and whether there is
+    one."""
+    follows = np.column_stack([holds[:, 1:], np.zeros(len(holds), bool)])
+    crossing = holds & (points <= top) & ((points == top) | ~follows)
+    last = points.shape[1] - 1 - np.argmax(crossing[:, ::-1], axis=1)
+    return last, crossing.any(axis=1)
+
+
 def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Largest m whose margin-m sets reach all of [lo, hi], elementwise.
 
-    A bisection of [0, 1/max(s_k)] in BISECTION_STEPS halvings, taken
-    BATCH_DEPTH halvings per round: each round tests every midpoint the
-    next BATCH_DEPTH halvings could visit in one call, then follows the
-    bisection's path through them, so the result is the plain bisection's
-    bit for bit.  The comparison carries no tolerance, so the walk in
-    _maximin_rows finds its crossing at the returned m without clipping.
-    A range within ``_slack`` of min(y) or max(y) has only a rounding
-    margin and gets 0.
+    The sets shrink as m grows, so the smallest vertex value never falls
+    and the largest never rises: the answer is 1/max(s_k) or a root of some
+    V_i(m) = lo or V_i(m) = hi, the largest at which the comparison still
+    holds.  Rounding can leave a computed root a few ulps off the float
+    crossing of the comparison, so the result is snapped to that crossing
+    in three tests of the comparison, at steps of eps/max(s_k):
+
+    - the largest candidate root whose comparison holds SNAP_STEPS steps
+      below it is the root;
+    - single steps around it, then gaps that double, bracket the last
+      point that holds before one that fails;
+    - a chain of single steps through that bracket, each point its
+      predecessor plus one step in floating point, ends at the last point
+      that holds while the next one fails.
+
+    The comparison carries no tolerance, so the walk in _maximin_rows finds
+    its crossing at the returned m without clipping.  A range within
+    ``_slack`` of min(y) or max(y) has only a rounding margin and gets 0.
     """
     top = 1.0 / max(sizes)
-    below = np.zeros(lo.shape)
-    above = np.full(lo.shape, top)
-    below[_reaches(y, sizes, above, lo, hi)] = top
-    span = 2 ** BATCH_DEPTH
+    step = np.finfo(float).eps * top
     rows = np.arange(lo.size)
-    for _ in range(BISECTION_STEPS // BATCH_DEPTH):
-        # the midpoints of the bracket, level by level, as bisection
-        # computes them
-        points = np.empty((lo.size, span + 1))
-        points[:, 0], points[:, span] = below, above
-        stride = span
-        while stride > 1:
-            points[:, stride // 2::stride] = 0.5 * (
-                points[:, :-1:stride] + points[:, stride::stride])
-            stride //= 2
-        ok = _reaches(y, sizes, points[:, 1:-1].ravel(),
-                      np.repeat(lo, span - 1), np.repeat(hi, span - 1))
-        ok = ok.reshape(lo.size, span - 1)
-        left, right = np.zeros(lo.size, int), np.full(lo.size, span)
-        for _ in range(BATCH_DEPTH):
-            mid = (left + right) // 2
-            good = ok[rows, mid - 1]
-            left, right = np.where(good, mid, left), np.where(good, right, mid)
-        below, above = points[rows, left], points[rows, right]
     slack = _slack(y)
-    return np.where((lo <= y.min() + slack) | (hi >= y.max() - slack),
-                    0.0, below)
+    rounding = (lo <= y.min() + slack) | (hi >= y.max() - slack)
+    candidates = _root_candidates(y, sizes, lo, hi)
+    holds = _holds(y, sizes, np.maximum(candidates - SNAP_STEPS * step, 0.0),
+                   lo, hi)
+    root = np.where(holds, candidates, 0.0).max(axis=1, keepdims=True)
+    offsets = np.concatenate([
+        np.arange(-SNAP_STEPS, SNAP_STEPS + 1),
+        SNAP_STEPS * 2 ** np.arange(1, PLATEAU_DOUBLINGS + 1)])
+    # steps from each offset to the next; past the last, one more doubling
+    gaps = np.diff(offsets, append=2 * offsets[-1])
+    points = np.clip(root + offsets * step, 0.0, top)
+    last, found = _last_crossing(points, _holds(y, sizes, points, lo, hi), top)
+    start = np.where(found, points[rows, last], 0.0)
+    width = np.where(found & (start < top) & ~rounding, gaps[last], 1).max()
+    # start, start + step, (start + step) + step, ...: the step above each
+    # point as a check of the step above m computes it
+    chain = np.add.accumulate(np.column_stack(
+        [start, np.full((lo.size, width + SNAP_STEPS), step)]), axis=1)
+    holds = _holds(y, sizes, chain, lo, hi)
+    last, found = _last_crossing(chain, holds, top)
+    # no crossing in the chain (a root blurred by multiplicity) keeps the
+    # highest point that holds
+    margins = np.where(found, chain[rows, last],
+                       np.where(holds & (chain <= top), chain, 0.0).max(axis=1))
+    return np.where(rounding, 0.0, margins)
 
 
 def _slack(y: np.ndarray) -> float:
@@ -247,12 +351,15 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
     row at its own maximin margin.  Returns one (len(betas), s_k) array
     per member.
 
-    A beta within ``_slack`` of min(y) or max(y), or outside them by
-    rounding, gets margin 0 and that corner; at margin 0 the walk takes
-    any vertex whose value lies that close to beta exactly.  At a positive
-    margin it interpolates whenever a vertex value lies below beta, so a
-    row held at its maximin (where the bisection leaves the extreme vertex
-    value a few ulps below beta) is not biased to one side.
+    The margins are the closed-form ones of _max_margin, at the float
+    crossing of the range comparison, so the vertex values at them still
+    reach beta.  A beta within ``_slack`` of min(y) or max(y), or outside
+    them by rounding, gets margin 0 and that corner; at margin 0 the walk
+    takes any vertex whose value lies that close to beta exactly.  At a
+    positive margin it interpolates whenever a vertex value lies below
+    beta, so a row held at its maximin (where the snapped margin leaves
+    the extreme vertex value a few ulps below beta) is not biased to one
+    side.
     """
     slack = _slack(y)
     margins = _max_margin(y, sizes, betas, betas)
@@ -347,6 +454,23 @@ def _vertex_map(members, m) -> np.ndarray:
                                       for size in members])
 
 
+def _block_diagonal(blocks: np.ndarray):
+    """The block-diagonal matrix of the (blocks, rows, columns) ``blocks``
+    as CSC arrays built directly, without its zero entries."""
+    from scipy import sparse
+
+    count, height, width = blocks.shape
+    columns = blocks.transpose(0, 2, 1)  # CSC order: block, column, row
+    nonzero = columns != 0.0
+    rows = np.broadcast_to(
+        height * np.arange(count)[:, None, None] + np.arange(height),
+        columns.shape)
+    indptr = np.zeros(count * width + 1, dtype=np.int64)
+    np.cumsum(nonzero.sum(axis=2).ravel(), out=indptr[1:])
+    return sparse.csc_array((columns[nonzero], rows[nonzero], indptr),
+                            shape=(count * height, count * width))
+
+
 def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     """One linprog over the (lo, hi) blocks of ``pairs`` at margin m.
 
@@ -368,8 +492,6 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
     Returns the (blocks, variables) solution, or None when the solver
     reports no optimum.
     """
-    from scipy import sparse
-
     joint_count = int(np.prod(members))
     nvar = joint_count + 1 + (delta < 1.0) + (previous is not None)
     top = 1.0 / max(members)
@@ -391,8 +513,10 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
                              lo - values, values - hi, hi - lo], axis=1)
     bound = np.zeros(blocks.shape[1])
     bound[-1] = 1.0  # V_hi - V_lo <= 1; every other row is homogeneous
-    box = [(None, None)] * (joint_count - 1) + [(0.0, 0.0), (0.0, None)] \
-        + [(None, None)] * (delta < 1.0)
+    box = np.full((nvar, 2), np.inf)
+    box[:, 0] = -np.inf
+    box[joint_count - 1] = 0.0  # Y's last entry
+    box[joint_count, 0] = 0.0  # z
     cost = np.zeros((len(pairs), nvar))
     options = None
     if previous is None:
@@ -407,13 +531,13 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
         blocks[:, :rates.shape[1], -1] = np.where(
             np.tile(scale > 0.0, 2), np.maximum(rates, RATE_FLOOR), 0.0)
         cost[:, -1] = -1.0
-        box.append((0.0, top - m))  # no margin exceeds 1/max(s_k)
+        box[-1] = 0.0, top - m  # no margin exceeds 1/max(s_k)
         options = {"primal_feasibility_tolerance": SLACK_SOLVER_TOL,
                    "dual_feasibility_tolerance": SLACK_SOLVER_TOL}
-    res = linprog(
-        cost.ravel(), A_ub=sparse.block_diag(list(blocks), format="csr"),
-        b_ub=np.tile(bound, len(pairs)), bounds=box * len(pairs),
-        method="highs", options=options)
+    res = linprog(cost.ravel(), A_ub=_block_diagonal(blocks),
+                  b_ub=np.tile(bound, len(pairs)),
+                  bounds=np.tile(box, (len(pairs), 1)), method="highs",
+                  options=options)
     return res.x.reshape(len(pairs), nvar) if res.status == 0 else None
 
 

@@ -496,6 +496,57 @@ def test_unknown_option_is_reported_by_the_subcommand(capsys):
         "payoffctl synth: error: unrecognized arguments: --bogus\n")
 
 
+# argparse reads "-1,1" or "-2e0" after an option as an option name of its
+# own; only a plain negative decimal like "-2" passes as a value by itself
+@pytest.mark.parametrize("argv, code, stdout", [
+    (("synth", "--game", PD, "--controllers", "1", "--alpha", "-1,1",
+      "--gamma", "0"), 0, "feasible: target alpha=1,-1 gamma=0 "
+                          "controllers 1\n"),
+    (("synth", "--game", PD, "--controllers", "1", "--alpha", "-1,1",
+      "--gamma", "-0e0"), 0, "feasible: target alpha=1,-1 gamma=0 "
+                             "controllers 1\n"),
+    (("verify", "--game", DONATION, "--strategy", PIN, "--alpha", "0,1",
+      "--gamma", "-2e0", "--samples", "20"), 0, "pass: "),
+    (("verify", "--game", DONATION, "--strategy", PIN, "--alpha", "-0.0,1",
+      "--gamma", "-1e-3", "--samples", "20"), 1, "FAIL: "),
+])
+def test_negative_values_written_apart_from_their_option(capsys, argv, code,
+                                                          stdout):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert out.startswith(stdout)
+    # the same call written --opt=value prints the same
+    attached = []
+    for token in argv:
+        if token[0] == "-" and not token.startswith("--"):
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    assert run(capsys, *attached) == (got, out, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("detect", "--game", DONATION, "--strategy", PIN, "--tol", "-1e-3"),
+     "tolerance must lie in [machine epsilon, 1), got -0.001"),
+    (("detect", "--game", DONATION, "--strategy", PIN, "--tol", "-.5"),
+     "tolerance must lie in [machine epsilon, 1), got -0.5"),
+    (("verify", "--game", DONATION, "--strategy", PIN, "--alpha", "0,1",
+      "--gamma", "-2", "--tol", "-1e-8"), "tolerance must be positive"),
+])
+def test_negative_values_reach_the_command_checks(capsys, argv, message):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: " + message)
+
+
+def test_option_names_stay_option_names(capsys):
+    # only a number is attached to the option before it
+    code, _, stderr = run(capsys, "synth", "--game", PD, "--controllers",
+                          "1", "--alpha", "--gamma", "0")
+    assert code == 2
+    assert "argument --alpha: expected one argument" in stderr
+
+
 def test_missing_required_flag_exits_2(capsys):
     assert run(capsys, "detect", "--game", DONATION)[0] == 2
 

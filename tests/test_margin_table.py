@@ -2,9 +2,10 @@
 seven targets under ``infinite`` and four continuation probabilities.
 
 The floors are the margins the bisection on m reached before the
-Newton-scaled ascent replaced it (rounded to 12 digits).  The ascent must
-reach each within 1e-9 and give the same certificate for every
-infeasible case.
+Newton-scaled ascent replaced it (rounded to 12 digits).  The ascent, with
+each row's margin now in closed form from the roots of the vertex
+polynomials, must reach each within 1e-9 and give the same certificate
+for every infeasible case.
 """
 
 from pathlib import Path

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
 from scipy.optimize import linprog
 
 from payoffcontrol import (
@@ -35,11 +36,13 @@ from payoffcontrol.control import _controller_setup
 from payoffcontrol.dynamics import classify_schedule, repeat_strategy
 from payoffcontrol.fileio import parse_game_file
 from payoffcontrol.synthesis import (
+    _block_diagonal,
     _family_residual,
     _margin_program,
     _max_margin,
     _maximin_rows,
     _reaches,
+    _slack,
 )
 
 
@@ -101,8 +104,8 @@ def test_pd_pin_margin_and_verification(pd, g, margin):
 
 def test_pd_pin_rows_hold_exact_zeros(pd):
     # at delta 0.5 the first row's target sits on min(y), so its exact
-    # maximin row is the corner (1, 0); rounding in the margin bisection
-    # must not leak into the 0
+    # maximin row is the corner (1, 0); rounding in the vertex values or
+    # the margin must not leak into the 0
     target = SynthesisTarget(pin(1, 2.5), controllers=(0,))
     result = synthesize(pd, Delta(0.5), target)
     strategy = result.strategies[0]
@@ -367,10 +370,11 @@ def _benchmark_case(name):
     ("donation-pin", Delta(0.9), 1 / 7),
     ("pgg4-alliance-pin", Infinite(), 1 / 3),
     ("pgg4-alliance-pin-correlated", Infinite(), 1 / 12),
-    ("pd-pin-2.5", Delta(0.9), 9 / 58)],
+    ("pd-pin-2.5", Delta(0.9), 9 / 58),
+    ("pgg4-alliance-pin", Delta(0.9), 17 / 54)],
     ids=["donation-pin-infinite", "donation-pin-delta0.9",
          "pgg4-independent-infinite", "pgg4-correlated-infinite",
-         "pd-pin-delta0.9"])
+         "pd-pin-delta0.9", "pgg4-independent-delta0.9"])
 def test_margin_reaches_the_exact_optimum(name, schedule, margin):
     game, target = _benchmark_case(name)
     result = synthesize(game, schedule, target)
@@ -500,16 +504,19 @@ def test_row_max_margin_properties(case, frac):
     assert margin >= bound - 1e-15
     if hi - lo < 1e-6:
         return  # both oracles accept rows off by their absolute tolerances
-    # The bisection compares in floating point without slack, so it stops
-    # where rounding of the vertex values hides the optimum: one ulp of
-    # scale in the value costs ulp * scale / spread in m when the range
-    # closes linearly (one member), and about its square root when it
-    # closes quadratically, as at the uniform point of a 2x2 saddle.
+    # The margin is the float crossing of the range comparison, so one ulp
+    # of scale in a vertex value costs ulp * scale / spread in m where the
+    # range closes linearly (one member).  The crossing is found from the
+    # roots of the vertex polynomials, so where the range closes
+    # quadratically, as at the uniform point of a 2x2 saddle, it is not cut
+    # short by the square root of that rounding, as a bisection on the
+    # comparison was.
     if len(sizes) == 1:
         assert margin == pytest.approx(_closed_form_margin(y, beta),
                                        abs=1e-14 * scale / (hi - lo))
-    if sizes == (2, 2):
-        assert margin >= _scan_margin_2x2(y, beta) - 1e-6
+    # a beta within rounding of min(y) or max(y) gets margin 0 by design
+    if sizes == (2, 2) and lo + _slack(y) < beta < hi - _slack(y):
+        assert margin >= _scan_margin_2x2(y, beta) - 1e-12
 
 
 def _bisected_margin(y, sizes, lo, hi, steps=60):
@@ -526,10 +533,10 @@ def _bisected_margin(y, sizes, lo, hi, steps=60):
     return below
 
 
-def test_batched_margin_search_matches_bisection():
-    rng = np.random.default_rng(12)
-    for _ in range(500):
-        sizes = ROW_SIZES[rng.integers(len(ROW_SIZES))]
+def _margin_draws(rng, shapes, count):
+    """(sizes, y, lo, hi) of random vertex ranges, three rows each."""
+    for _ in range(count):
+        sizes = shapes[rng.integers(len(shapes))]
         y = rng.uniform(-5.0, 5.0, int(np.prod(sizes)))
         if rng.random() < 0.3:
             y = np.round(y)  # ties between vertex values
@@ -537,13 +544,62 @@ def test_batched_margin_search_matches_bisection():
         lo, hi = ends.min(axis=0), ends.max(axis=0)
         if rng.random() < 0.5:
             hi = lo.copy()
+        yield sizes, y, lo, hi
+
+
+def test_closed_form_margin_is_the_float_crossing():
+    # the 500 draws the bisection was pinned on, then alliances of degree
+    # 2 and 4
+    rng = np.random.default_rng(12)
+    draws = itertools.chain(_margin_draws(rng, ROW_SIZES, 500),
+                            _margin_draws(rng, [(3, 3), (2, 3)], 200),
+                            _margin_draws(rng, [(2, 2, 2, 2)], 100))
+    for sizes, y, lo, hi in draws:
         got = _max_margin(y, sizes, lo, hi)
         top = 1.0 / max(sizes)
-        assert np.all(_reaches(y, sizes, got, lo, hi) | (got == 0.0))
+        rounding = (lo <= y.min() + _slack(y)) | (hi >= y.max() - _slack(y))
+        assert np.all(got[rounding] == 0.0)
+        # never past the float crossing
+        assert np.all(_reaches(y, sizes, got, lo, hi))
+        # no margin below the bisection's
         want = _bisected_margin(y, sizes, lo, hi)
-        slack = 4.0 * np.finfo(float).eps * max(1.0, float(np.abs(y).max()))
-        want[(lo <= y.min() + slack) | (hi >= y.max() - slack)] = 0.0
-        assert np.all(np.abs(got - want) <= top * 2.0 ** -50)
+        want[rounding] = 0.0
+        assert np.all(got >= want - top * 2.0 ** -50)
+        # and the comparison fails one step above
+        above = _reaches(y, sizes, got + np.finfo(float).eps * top, lo, hi)
+        assert not np.any(above & (got < top) & ~rounding)
+
+
+def test_max_margin_tests_the_comparison_a_fixed_number_of_times(
+        monkeypatch):
+    calls = {"_reaches": 0, "_vertex_values": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(synthesis, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(synthesis, name, counted)
+    rng = np.random.default_rng(3)
+    y = rng.uniform(-5.0, 5.0, 8)
+    betas = y.min() + rng.random(17) * (y.max() - y.min())
+    margins = _max_margin(y, (2, 2, 2), betas, betas)
+    assert np.all(margins > 0.0)
+    assert calls["_reaches"] <= 3
+    assert calls["_vertex_values"] <= 3
+
+
+@pytest.mark.parametrize("shape,zero_column", [
+    ((6, 5, 4), None), ((6, 5, 4), 2), ((1, 3, 4), None), ((1, 3, 4), 0)],
+    ids=["blocks", "zero-column", "single-block", "single-zero-column"])
+def test_block_diagonal_matches_scipy(shape, zero_column):
+    rng = np.random.default_rng(7)
+    blocks = rng.integers(-2, 3, shape) * rng.random(shape)  # some zeros
+    if zero_column is not None:
+        blocks[:, :, zero_column] = 0.0
+    built = _block_diagonal(blocks)
+    want = sparse.block_diag(list(blocks))
+    assert built.format == "csc"
+    assert built.shape == want.shape
+    assert np.array_equal(built.toarray(), want.toarray())
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from .control import (
 )
 from .dynamics import (
     ConstantContinuation,
-    Delta,
-    FiniteHorizon,
     Infinite,
     InfiniteExpectedRounds,
     StrategyProfile,
@@ -40,6 +38,7 @@ from .fileio import (
     parse_game_file,
     parse_schedule_file,
     parse_strategy_file,
+    schedule_from_tokens,
     write_csv,
     write_strategy_file,
 )
@@ -54,7 +53,11 @@ EXIT_INCONCLUSIVE = 4
 
 
 def parse_schedule_arg(value: str):
-    """Decode --schedule: infinite | delta:<d> | horizon:<T> | custom:<file>."""
+    """Decode --schedule: infinite | delta:<d> | horizon:<T> | custom:<file>.
+
+    The number after delta or horizon reads as on a schedule line, with
+    the same messages (``fileio.schedule_from_tokens``).
+    """
     if value == "infinite":
         return Infinite()
     kind, sep, rest = value.partition(":")
@@ -62,25 +65,11 @@ def parse_schedule_arg(value: str):
         raise InvalidParamsError(
             f"bad schedule {value!r}; expected infinite, delta:<d>, "
             "horizon:<T>, or custom:<file>")
-    if kind == "delta":
-        return Delta(_schedule_number(rest))
-    if kind == "horizon":
-        rounds = _schedule_number(rest)
-        if not rounds.is_integer():  # also rejects inf and nan
-            raise InvalidParamsError("horizon must be an integer")
-        return FiniteHorizon(int(rounds))
     if kind == "custom":
         return parse_schedule_file(rest)
-    raise InvalidParamsError(f"unknown schedule kind {kind!r}")
-
-
-def _schedule_number(text: str) -> float:
-    """The number of a delta or horizon argument, with the schedule file
-    parser's message when it is none."""
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidParamsError(f"expected numbers, got {text!r}") from None
+    if kind == "infinite":  # the bare word only: it takes no number
+        raise InvalidParamsError(f"unknown schedule kind {kind!r}")
+    return schedule_from_tokens(kind, [rest])
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

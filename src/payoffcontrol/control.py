@@ -463,16 +463,18 @@ def _draw_opponents(rng: np.random.Generator, game: GameSpec,
     return drawn
 
 
-def _average_stack(game: GameSpec, schedule: ContinuationSchedule,
-                   tables: dict[int, tuple[np.ndarray, np.ndarray]],
-                   size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``markov_average`` of ``size`` chains; ``tables`` maps every player
-    to (conditionals, initial), shared or stacked along a leading axis."""
-    conds, inits = zip(*(tables[p] for p in range(game.player_count)))
-    n = game.profile_count
-    m = np.broadcast_to(profile_product(game, conds), (size, n, n))
-    v1 = np.broadcast_to(profile_product(game, inits), (size, n))
-    return markov_average(m, v1, schedule)
+def _chain_average(game: GameSpec, schedule: ContinuationSchedule,
+                   tables: dict[int, np.ndarray], size: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``markov_average`` of ``size`` chains.  ``tables`` maps every player
+    to its initial action followed by one conditional row per profile,
+    shared or stacked along a leading axis, so one ``profile_product``
+    gives each chain's round-1 distribution over its transition matrix."""
+    chains = profile_product(game,
+                             [tables[p] for p in range(game.player_count)])
+    if chains.ndim == 2:  # every table shared: one chain for the whole stack
+        chains = np.broadcast_to(chains, (size,) + chains.shape)
+    return markov_average(chains[:, 1:], chains[:, 0], schedule)
 
 
 def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -488,7 +490,7 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     noise.
 
     All opponents are drawn at once and evaluated block by block with
-    ``markov_average``; a sample whose average does not settle is skipped.
+    ``_chain_average``; a sample whose average does not settle is skipped.
     """
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
@@ -502,7 +504,7 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
         raise DimensionMismatchError(
             f"relation has {len(relation.alpha)} alpha coefficients for "
             f"{game.player_count} players")
-    shared = {s.player: (s.conditionals, s.initial.probs)
+    shared = {s.player: np.vstack([s.initial.probs, s.conditionals])
               for s in _controller_setup(game, strategies)[0]}
     opponents = [p for p in range(game.player_count) if p not in shared]
     rng = np.random.default_rng(seed)
@@ -516,9 +518,10 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     kept = np.empty(samples, dtype=bool)
     for start in range(0, samples, VERIFY_BLOCK):
         block = slice(start, min(start + VERIFY_BLOCK, samples))
-        tables = {**shared, **{p: (cond[block], init[block])
-                               for p, (cond, init) in zip(opponents, drawn)}}
-        vbar, _, kept[block] = _average_stack(game, schedule, tables,
+        tables = {**shared, **{
+            p: np.concatenate([init[block, None], cond[block]], axis=1)
+            for p, (cond, init) in zip(opponents, drawn)}}
+        vbar, _, kept[block] = _chain_average(game, schedule, tables,
                                               block.stop - start)
         payoffs[block] = vbar @ game.payoffs
     residuals = np.abs(payoffs @ np.array(relation.alpha) + relation.gamma)
@@ -584,73 +587,6 @@ def _opponent_tables(game: GameSpec, opponents: Sequence[int],
     return tables
 
 
-class _Restarts:
-    """A block of falsification restarts with their chains kept in step.
-
-    ``flat`` holds one vector per restart, laid out as ``_opponent_tables``
-    reads it and updated in place.  ``tables`` holds every player's
-    projected table by player, initial action first (controllers shared,
-    opponents per restart), and ``chains`` stacks each restart's round-1
-    distribution over its transition matrix the same way.  A coordinate of
-    ``flat`` therefore moves one row of one opponent's table and the same
-    row of its chain, so a trial recomputes only that row, with the
-    product over players that a full build takes.
-    """
-
-    def __init__(self, game: GameSpec, schedule: ContinuationSchedule,
-                 candidate: np.ndarray, shared: dict[int, np.ndarray],
-                 opponents: Sequence[int], flat: np.ndarray):
-        self.game, self.schedule, self.candidate = game, schedule, candidate
-        self.flat = flat
-        tables = {**shared, **_opponent_tables(game, opponents, flat)}
-        self.tables = [tables[p] for p in range(game.player_count)]
-        # per coordinate: its opponent, its table row and where that row
-        # starts in flat
-        self.layout = []
-        for player in opponents:
-            m = game.action_counts[player]
-            start = len(self.layout)
-            self.layout += [(player, r, start + r * m)
-                            for r in range(game.profile_count + 1)
-                            for _ in range(m)]
-        self.chains = profile_product(game, self.tables)
-        self.value, residual, settled = self._values(self.chains)
-        _require_settled(residual, settled)
-
-    def _values(self, chains: np.ndarray):
-        """(|<candidate, vbar>|, residual, settled) of a stack of chains."""
-        vbar, residual, settled = markov_average(chains[:, 1:], chains[:, 0],
-                                                 self.schedule)
-        # a dot product per chain: the same sum wherever it sits in the stack
-        values = np.abs((vbar[:, None, :] @ self.candidate[:, None])[:, 0, 0])
-        return values, residual, settled
-
-    def trial(self, rows: np.ndarray, i: int, points: np.ndarray):
-        """``_values`` of the chains of ``rows`` with coordinate ``i`` moved
-        to ``points``; ``accept`` keeps any of them."""
-        player, r, start = self.layout[i]
-        raw = self.flat[rows, start:start + self.game.action_counts[player]]
-        raw[:, i - start] = points
-        row = _project_rows(raw)
-        chains = self.chains[rows]
-        chains[:, r] = profile_product(self.game, [
-            row if p == player else table[rows, r] if table.ndim == 3
-            else table[r] for p, table in enumerate(self.tables)])
-        values, residual, settled = self._values(chains)
-        self._trial = rows, i, points, row, chains[:, r], values
-        return values, residual, settled
-
-    def accept(self, better: np.ndarray) -> None:
-        """Write the ``better`` chains of the last trial into the block."""
-        rows, i, points, row, chain_row, values = self._trial
-        player, r, _ = self.layout[i]
-        rows = rows[better]
-        self.flat[rows, i] = points[better]
-        self.tables[player][rows, r] = row[better]
-        self.chains[rows, r] = chain_row[better]
-        self.value[rows] = values[better]
-
-
 def _require_settled(residual: np.ndarray, settled: np.ndarray) -> None:
     """Raise NoConvergenceError unless every trial average settled."""
     if not settled.all():
@@ -693,9 +629,19 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     width = sum((game.profile_count + 1) * game.action_counts[p]
                 for p in opponents)
     flats = np.random.default_rng(seed).random((budget, width))
+
+    def objective(flat):
+        """(|<candidate, vbar>|, residual, settled) of a stack of flat
+        vectors, each chain built from its projected tables."""
+        tables = {**shared, **_opponent_tables(game, opponents, flat)}
+        vbar, residual, settled = _chain_average(game, schedule, tables,
+                                                 len(flat))
+        # a dot product per chain: the same sum wherever it sits in the stack
+        values = np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
+        return values, residual, settled
+
     values = np.concatenate([
-        _refine(_Restarts(game, schedule, candidate, shared, opponents,
-                          flats[start:start + VERIFY_BLOCK]))
+        _refine(flats[start:start + VERIFY_BLOCK], objective)
         for start in range(0, budget, VERIFY_BLOCK)])
     best = int(np.argmax(values))
     found = bool(values[best] > threshold)
@@ -713,10 +659,12 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     )
 
 
-def _refine(block: _Restarts) -> np.ndarray:
-    """Coordinatewise ascent from every restart of ``block`` at steps 0.3,
-    0.1 and 0.03, at most three sweeps each; a restart leaves a step after
-    a sweep that improved nothing.  Returns the values reached.
+def _refine(flat: np.ndarray, objective) -> np.ndarray:
+    """Coordinatewise ascent from every row of ``flat`` (updated in place)
+    at steps 0.3, 0.1 and 0.03, at most three sweeps each; a row leaves a
+    step after a sweep that improved nothing.  ``objective`` maps a stack
+    of flat vectors to (values, residual, settled) as ``markov_average``
+    reports them.  Returns the values reached.
 
     Each coordinate tries +step, then -step from wherever +step left it.
     Both trials from the current point run as one stack: -step counts
@@ -726,7 +674,14 @@ def _refine(block: _Restarts) -> np.ndarray:
     clipping leaves at the current point is the current chain, so it is
     not evaluated either.
     """
-    flat, value = block.flat, block.value
+    value, residual, settled = objective(flat)
+    _require_settled(residual, settled)
+
+    def trial(rows, i, points):
+        stack = flat[rows]
+        stack[:, i] = points
+        return objective(stack)
+
     for step in (0.3, 0.1, 0.03):
         live = np.arange(len(flat))
         for _ in range(3):
@@ -741,8 +696,8 @@ def _refine(block: _Restarts) -> np.ndarray:
                 rows = np.concatenate([raised, live[down]])
                 if not rows.size:
                     continue
-                values, residual, settled = block.trial(
-                    rows, i, np.concatenate([plus[up], minus[down]]))
+                points = np.concatenate([plus[up], minus[down]])
+                values, residual, settled = trial(rows, i, points)
                 ups = raised.size
                 better = values > value[rows] + 1e-15
                 gain = np.zeros(live.size, dtype=bool)
@@ -755,19 +710,20 @@ def _refine(block: _Restarts) -> np.ndarray:
                     _require_settled(residual, settled)
                 if not better.any():
                     continue
-                block.accept(better)
-                improved[rows[better]] = True
+                moved = rows[better]
+                flat[moved, i], value[moved] = points[better], values[better]
+                improved[moved] = True
                 # -step from where +step won, unless it is the base again
                 top = plus[gain]
                 back = np.maximum(top - step, 0.0)
                 again = (back != top) & (back != base[gain])
                 if again.any():
                     rows, back = live[gain][again], back[again]
-                    values, residual, settled = block.trial(rows, i, back)
+                    values, residual, settled = trial(rows, i, back)
                     _require_settled(residual, settled)
                     better = values > value[rows] + 1e-15
-                    if better.any():
-                        block.accept(better)
+                    moved = rows[better]
+                    flat[moved, i], value[moved] = back[better], values[better]
             live = live[improved[live]]
             if not live.size:
                 break

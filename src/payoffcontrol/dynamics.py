@@ -162,33 +162,22 @@ class OtherSchedule:
 Classification = InfiniteExpectedRounds | ConstantContinuation | OtherSchedule
 
 
-def classify_schedule(schedule: ContinuationSchedule,
-                      tol: float = 1e-12) -> Classification:
+def classify_schedule(schedule: ContinuationSchedule) -> Classification:
     """Sort a schedule into one of the three regimes.
 
-    Delta and Infinite are exact.  FiniteHorizon(1) has c identically zero
-    and therefore counts as constant continuation 0.  Custom values are
-    compared entrywise within ``tol``; a tail of 1 with strictly positive
-    explicit values makes the expected round count diverge.
+    The schedule is read as its explicit continuation values followed by
+    a constant tail (``_continuations``) and compared exactly.  A tail of
+    exactly 1 behind strictly positive values makes the expected round
+    count diverge; explicit values all equal to the tail are a constant
+    continuation, so FiniteHorizon(1), with c identically zero, counts as
+    constant continuation 0.
     """
-    if isinstance(schedule, Infinite):
+    values, c = _continuations(schedule)
+    if c == 1.0 and all(v > 0.0 for v in values):
         return InfiniteExpectedRounds()
-    if isinstance(schedule, Delta):
-        return ConstantContinuation(schedule.delta)
-    if isinstance(schedule, FiniteHorizon):
-        if schedule.rounds == 1:
-            return ConstantContinuation(0.0)
-        return OtherSchedule()
-    if isinstance(schedule, Custom):
-        vals = np.array(schedule.values + (schedule.tail,))
-        if np.all(np.abs(vals - schedule.tail) <= tol):
-            if schedule.tail >= 1.0 - tol:
-                return InfiniteExpectedRounds()
-            return ConstantContinuation(schedule.tail)
-        if schedule.tail >= 1.0 - tol and np.all(vals > 0.0):
-            return InfiniteExpectedRounds()
-        return OtherSchedule()
-    raise InvalidParamsError(f"unknown schedule {schedule!r}")
+    if all(v == c for v in values):
+        return ConstantContinuation(c)
+    return OtherSchedule()
 
 
 def survival_probabilities(schedule: ContinuationSchedule, t_max: int) -> np.ndarray:

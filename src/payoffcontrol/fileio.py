@@ -108,16 +108,26 @@ class _Reader:
         raise ParseError(message, path=self.path, line=lineno)
 
 
-def _floats(reader, tokens, lineno, expected=None, what="value"):
+def _numbers(tokens, expected=None, what="value") -> list[float]:
+    """The tokens as floats, ``expected`` of them when given; a ParseError
+    without a location otherwise."""
     try:
         values = list(map(float, tokens))
     except ValueError:
-        reader.fail(f"expected numbers, got {' '.join(tokens)!r}", lineno)
+        raise ParseError(
+            f"expected numbers, got {' '.join(tokens)!r}") from None
     if expected is not None and len(values) != expected:
-        reader.fail(
-            f"expected {expected} values for {what}, got {len(values)}",
-            lineno)
+        raise ParseError(
+            f"expected {expected} values for {what}, got {len(values)}")
     return values
+
+
+def _floats(reader, tokens, lineno, expected=None, what="value"):
+    """``_numbers`` with an error at the reader's path and ``lineno``."""
+    try:
+        return _numbers(tokens, expected, what)
+    except ParseError as exc:
+        reader.fail(str(exc), lineno)
 
 
 def _numeric_row(reader, expected, what):
@@ -164,39 +174,45 @@ def _numeric_section(reader, count, width, what):
     return list(linenos), np.array(rows)
 
 
+def schedule_from_tokens(kind: str,
+                         values: list[str]) -> ContinuationSchedule:
+    """The schedule of a schedule line's kind and value tokens: infinite |
+    delta d | horizon T | custom v1 v2 ... [tail v].
+
+    Raises ParseError, without a location, for tokens of the wrong form,
+    and the schedule's own error for values out of range.
+    """
+    if kind == "infinite":
+        if values:
+            raise ParseError("schedule infinite takes no values")
+        return Infinite()
+    if kind == "delta":
+        return Delta(_numbers(values, 1, "delta value")[0])
+    if kind == "horizon":
+        rounds = _numbers(values, 1, "round count")[0]
+        if not rounds.is_integer():  # also rejects inf and nan
+            raise ParseError("horizon must be an integer")
+        return FiniteHorizon(int(rounds))
+    if kind == "custom":
+        tail = 0.0
+        if "tail" in values:
+            pivot = values.index("tail")
+            tail = _numbers(values[pivot + 1:], 1, "tail value")[0]
+            values = values[:pivot]
+        return Custom(tuple(_numbers(values, None, "continuation value")),
+                      tail=tail)
+    raise ParseError(f"unknown schedule kind {kind!r}")
+
+
 def _parse_schedule(reader, tokens, lineno) -> ContinuationSchedule:
     if len(tokens) < 2:
         reader.fail("schedule line needs a kind", lineno)
-    kind = tokens[1]
-    rest = tokens[2:]
     try:
-        if kind == "infinite":
-            if rest:
-                reader.fail("schedule infinite takes no values", lineno)
-            return Infinite()
-        if kind == "delta":
-            vals = _floats(reader, rest, lineno, 1, "delta value")
-            return Delta(vals[0])
-        if kind == "horizon":
-            vals = _floats(reader, rest, lineno, 1, "round count")
-            if not vals[0].is_integer():  # also rejects inf and nan
-                reader.fail("horizon must be an integer", lineno)
-            return FiniteHorizon(int(vals[0]))
-        if kind == "custom":
-            tail = 0.0
-            if "tail" in rest:
-                pivot = rest.index("tail")
-                tail_vals = _floats(reader, rest[pivot + 1:], lineno, 1,
-                                    "tail value")
-                tail = tail_vals[0]
-                rest = rest[:pivot]
-            values = _floats(reader, rest, lineno, None, "continuation value")
-            return Custom(tuple(values), tail=tail)
+        return schedule_from_tokens(tokens[1], tokens[2:])
+    except ParseError as exc:
+        reader.fail(str(exc), lineno)
     except PayoffControlError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ValidationError(str(exc), path=reader.path, line=lineno) from None
-    reader.fail(f"unknown schedule kind {kind!r}", lineno)
 
 
 def _parse_strategy_block(reader, header_tokens, lineno, game: GameSpec):

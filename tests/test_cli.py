@@ -617,3 +617,65 @@ def test_integer_fields_out_of_range_exit_2_with_location(tmp_path, capsys,
     assert code == 2
     assert stdout == ""
     assert f"bad.game:{line}: " in stderr
+
+
+PD_HEAD = "players 2\nactions 1 C D\nactions 2 C D\n"
+
+
+@pytest.mark.parametrize("kind, text, message, line", [
+    # schedule lines
+    ("schedule", "schedule\n", "schedule line needs a kind", 1),
+    ("schedule", "schedule infinite 1\n", "schedule infinite takes no values",
+     1),
+    # strategy blocks and game sections in a strategy file
+    ("strategy", "strategy.1+2\n", "joint strategy blocks are not "
+     "supported; one block per player", 1),
+    ("strategy", "strategy.x\n", "bad strategy block id 'x'", 1),
+    ("strategy", "strategy.3\n", "strategy player 3 outside 1..2", 1),
+    ("strategy", "strategy.1\n1 0\n",
+     "strategy block must start with an initial line", 1),
+    ("strategy", "players 2\n", "unexpected players line", 1),
+    ("strategy", "actions 1 C D\n", "unexpected actions line", 1),
+    ("strategy", "payoffs\n", "unexpected payoffs line", 1),
+    ("strategy", "schedule infinite\n", "file defines no strategy block",
+     None),
+    # game files
+    ("game", "players 2\nactions 1\n",
+     "actions line needs a player id and labels", 2),
+    ("game", "players 2\nactions x C D\n", "bad player id 'x'", 2),
+    ("game", "players 2\nactions 1 C D\npayoffs\n",
+     "payoffs must follow players and one actions line per player", 3),
+    ("game", "strategy.1\n", "missing players line", 1),
+    ("game", PD_HEAD + "strategy.1\n", "missing payoffs section", 4),
+    ("game", "players 2\nactions 1 C C\nactions 2 C D\npayoffs\n"
+     "1 1\n2 2\n3 3\n4 4\n", "player 0 has duplicate action labels", None),
+    # command line
+    (None, ["classify", "--schedule", "delta0.5"], "bad schedule "
+     "'delta0.5'; expected infinite, delta:<d>, horizon:<T>, or "
+     "custom:<file>", None),
+    (None, ["classify", "--schedule", "geometric:0.9"],
+     "unknown schedule kind 'geometric'", None),
+    (None, ["classify", "--schedule", "infinite:1"],
+     "unknown schedule kind 'infinite'", None),
+    (None, ["synth", "--game", PD, "--controllers", "3", "--alpha", "0,1",
+            "--gamma", "-2"], "controller 3 outside 1..2", None),
+    (None, ["falsify", "--game", PGG, "--strategy",
+            str(DATA / "alliance-pin-u1.strategy"), "--action", "C"],
+     "falsify expects exactly one controller strategy block", None),
+])
+def test_error_paths_exit_2_with_their_location(tmp_path, capsys, kind,
+                                                text, message, line):
+    # every file error names its file, and its line where there is one
+    path = tmp_path / f"bad.{kind}"
+    argv = {"schedule": ["classify", "--schedule", f"custom:{path}"],
+            "strategy": ["detect", "--game", PD, "--strategy", str(path)],
+            "game": ["detect", "--game", str(path), "--strategy", PIN],
+            None: text}[kind]
+    if kind is None:
+        where = ""
+    else:
+        path.write_text(text)
+        where = f"{path}: " if line is None else f"{path}:{line}: "
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {where}{message}\n"

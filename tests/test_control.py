@@ -48,6 +48,7 @@ from conftest import (
     FREE_COLS,
     falsify_sequential,
     markov,
+    tit_for_tat,
     wsls_pd,
 )
 
@@ -403,6 +404,19 @@ def test_falsify_true_ruling_vector_is_inconclusive(donation, pin_strategy):
     assert report.achieved <= 1e-6
 
 
+def test_verify_without_opponents_repeats_the_one_chain(pd):
+    # every player a controller: each sample is the same exact average
+    profile = (wsls_pd(0), tit_for_tat(1))
+    exact = average_distribution(pd, StrategyProfile(profile), Delta(0.9))
+    payoffs = pd.payoffs.T @ exact.dist.probs
+    rel = PayoffRelation(alpha=(1.0, 0.0), gamma=-payoffs[0])
+    report = verify_relation(pd, profile, Delta(0.9), rel, samples=5)
+    assert report.passed and report.samples_used == 5
+    assert report.worst_opponents == ()
+    assert_allclose(report.payoffs, np.tile(payoffs, (5, 1)), rtol=0,
+                    atol=1e-12)
+
+
 @pytest.mark.parametrize("case", ["pin", "repeat", "alliance"])
 @pytest.mark.parametrize("schedule", [Infinite(), Delta(0.9)],
                          ids=["infinite", "delta0.9"])
@@ -690,10 +704,10 @@ def _searches(monkeypatch, request, budget, seed):
     monkeypatch.setattr(control, "markov_average", kernel)
     every_stacks = []
     counts = dict.fromkeys(["stacked", "stacks", "followed", "follow_ups"], 0)
-    objective = _full_objective(game, controllers, FiniteHorizon(2),
-                                candidate, every_stacks)
-    monkeypatch.setattr(control, "_refine", lambda block:
-                        _refine_every_trial(block.flat, objective, counts))
+    full = _full_objective(game, controllers, FiniteHorizon(2), candidate,
+                          every_stacks)
+    monkeypatch.setattr(control, "_refine", lambda flat, objective:
+                        _refine_every_trial(flat, full, counts))
     every = falsify_candidate(game, controllers, FiniteHorizon(2),
                               candidate, budget=budget, seed=seed)
     return report, every, stacks, every_stacks, counts
@@ -714,9 +728,9 @@ def test_falsify_blocks_and_first_best(monkeypatch, request):
     finals, calls = [], []
     refine = control._refine
 
-    def recording(block):
-        values = refine(block)
-        finals.append((block.flat.copy(), values.copy()))
+    def recording(flat, objective):
+        values = refine(flat, objective)
+        finals.append((flat.copy(), values.copy()))
         return values
 
     def counting_average(*args):
@@ -771,6 +785,53 @@ def test_refine_runs_follow_up_stacks(monkeypatch, request):
     _assert_bitwise_same(report, every)
     assert counts["follow_ups"] > 0
     assert len(stacks) == 1 + counts["stacks"] + counts["follow_ups"]
+
+
+def _as_reported(values, settled=None):
+    """``values`` as ``_refine``'s objective reports them, every trial
+    settled unless ``settled`` says otherwise (residual 1 where not)."""
+    settled = np.ones(len(values), dtype=bool) if settled is None else settled
+    return values, np.where(settled, 0.0, 1.0), settled
+
+
+def test_refine_accepts_an_improving_follow_up():
+    # per coordinate (x - 0.86)^2 from 0.8 at step 0.3: +step clips to 1.0
+    # and wins, and -step from 1.0 lands on 0.7, off the base, and wins
+    # again
+    start = np.full((3, 2), 0.8)
+    start[2] = [0.35, 0.95]
+    flat, seen = start.copy(), []
+
+    def distance(stack):
+        seen.append(flat.copy())
+        return _as_reported(((stack - 0.86) ** 2).sum(axis=1))
+
+    values = control._refine(flat, distance)
+    every = start.copy()
+    counts = dict.fromkeys(["stacked", "stacks", "followed", "follow_ups"], 0)
+    expected = _refine_every_trial(
+        every, lambda stack: distance(stack)[0], counts)
+    assert np.array_equal(flat, every) and np.array_equal(values, expected)
+    # the start, coordinate 0's stack, its follow-up, then coordinate 1
+    # seen after the follow-up won
+    assert counts["follow_ups"] > 0
+    np.testing.assert_array_equal(seen[3][:2, 0], 0.7)
+
+
+@pytest.mark.parametrize("sign, raises", [(1.0, False), (-1.0, True)],
+                         ids=["moot", "counted"])
+def test_refine_raises_on_unsettled_trials_it_counts(sign, raises):
+    # from 0.5 at step 0.3 the -step trial at 0.2 does not settle: where
+    # +step wins (rising objective) it is moot, otherwise it counts
+    def objective(stack):
+        return _as_reported(sign * stack[:, 0], stack[:, 0] >= 0.5)
+
+    flat = np.full((1, 1), 0.5)
+    if raises:
+        with pytest.raises(NoConvergenceError, match="1.000e"):
+            control._refine(flat, objective)
+    else:
+        assert control._refine(flat, objective) == [1.0]
 
 
 @pytest.mark.parametrize("seed", range(10))

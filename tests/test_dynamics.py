@@ -24,7 +24,9 @@ from payoffcontrol import (
     MixedAction,
     NoConvergenceError,
     OtherSchedule,
+    PayoffRelation,
     StrategyProfile,
+    SynthesisTarget,
     average_distribution,
     classify_schedule,
     effective_payoffs,
@@ -33,7 +35,9 @@ from payoffcontrol import (
     repeat_strategy,
     sample_markov_strategy,
     survival_probabilities,
+    synthesize,
     transition_matrix,
+    verify_relation,
 )
 from payoffcontrol import dynamics
 from payoffcontrol.control import sample_markov_tables
@@ -92,6 +96,9 @@ def test_schedule_validation():
         Custom((1.2,))
 
 
+NEAR_ONE = 1.0 - 1e-13
+
+
 @pytest.mark.parametrize("schedule, expected", [
     (Infinite(), InfiniteExpectedRounds()),
     (Delta(0.6), ConstantContinuation(0.6)),
@@ -103,6 +110,12 @@ def test_schedule_validation():
     # all continuations strictly positive with tail 1: rounds diverge
     (Custom((0.9, 0.8), tail=1.0), InfiniteExpectedRounds()),
     (Custom((), tail=1.0), InfiniteExpectedRounds()),
+    # compared exactly: a tail just below 1 is a constant continuation, as
+    # Delta is, and values the kernel averages as given are not rounded
+    (Custom((), tail=NEAR_ONE), ConstantContinuation(NEAR_ONE)),
+    (Custom((NEAR_ONE,), tail=NEAR_ONE), ConstantContinuation(NEAR_ONE)),
+    (Custom((1.0, NEAR_ONE), tail=1.0), InfiniteExpectedRounds()),
+    (Custom((0.5, 0.5 + 1e-13), tail=0.5), OtherSchedule()),
 ])
 def test_classify_schedule(schedule, expected):
     assert classify_schedule(schedule) == expected
@@ -136,6 +149,33 @@ def test_classify_and_expected_rounds_agree(schedule, diverges):
     form = classify_schedule(schedule)
     assert isinstance(form, InfiniteExpectedRounds) == diverges
     assert expected_rounds(schedule) == (math.inf if diverges else 1.0)
+
+
+def test_near_one_custom_tail_reads_like_delta():
+    # about 1e13 expected rounds, not infinitely many
+    tail, delta = Custom((), tail=NEAR_ONE), Delta(NEAR_ONE)
+    assert expected_rounds(tail) == expected_rounds(delta)
+    assert 0.99e13 < expected_rounds(tail) < 1.01e13
+    # simulation draws the same episode lengths, with or without a cap
+    for cap in (None, 50):
+        lengths = [_episode_lengths(np.random.default_rng(4), schedule, 10,
+                                    cap) for schedule in (tail, delta)]
+        assert np.array_equal(*lengths)
+
+
+def test_near_one_custom_tail_pin_verifies_like_delta(donation):
+    # the pin synthesized for the tail is the pin for Delta, and its
+    # residual sits at machine epsilon under either schedule
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
+    reports = []
+    for schedule in (Custom((), tail=NEAR_ONE), Delta(NEAR_ONE)):
+        result = synthesize(donation, schedule, SynthesisTarget(rel, (0,)))
+        reports.append(verify_relation(donation, result.strategies, schedule,
+                                       rel, samples=200, seed=0))
+    tail, delta = reports
+    assert tail.passed and tail.max_abs_violation < 1e-14
+    assert tail.max_abs_violation == delta.max_abs_violation
+    assert np.array_equal(tail.payoffs, delta.payoffs)
 
 
 # ---------------------------------------------------------------------------

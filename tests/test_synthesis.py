@@ -31,7 +31,7 @@ from payoffcontrol import (
     synthesize,
     verify_relation,
 )
-from payoffcontrol import synthesis
+from payoffcontrol import cli, synthesis
 from payoffcontrol.control import _controller_setup
 from payoffcontrol.dynamics import classify_schedule, repeat_strategy
 from payoffcontrol.fileio import parse_game_file
@@ -305,6 +305,77 @@ def test_lp_certificate_costs_one_program(monkeypatch, donation, pd, case):
     assert result.certificate == "exact-lp-empty"
     assert result.conclusive
     assert len(calls) == 1
+
+
+def test_proposal_rejects_row_targets_outside_y():
+    # y = (0, 1, 2) at delta 0.9: every profile row targets
+    # (1 - 0.1 mval) / 0.9, and the initial row targets mval itself
+    y, jhat, w = [0.0, 1.0, 2.0], np.zeros(9, dtype=int), np.ones(9)
+    found = synthesis._proposal(np.array(y + [1.0, 1.0]), (3,), jhat, w, 0.9)
+    assert found is not None and found[0] > 0.0
+    assert synthesis._proposal(np.array(y + [1.0, 5.0]), (3,), jhat, w,
+                               0.9) is None
+
+
+def _no_proposal(monkeypatch):
+    monkeypatch.setattr(synthesis, "_proposal", lambda *args: None)
+
+
+def _stalled_proposal(monkeypatch):
+    # every later proposal repeats the first, so the ascent stops at once
+    proposal, first = synthesis._proposal, []
+
+    def stalled(*args):
+        first.append(first[0] if first else proposal(*args))
+        return first[-1]
+    monkeypatch.setattr(synthesis, "_proposal", stalled)
+
+
+def _solver_stops(monkeypatch):
+    # the margin-0 program solves; every later one reports no optimum
+    calls = []
+
+    def once(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs) if len(calls) == 1 \
+            else SimpleNamespace(status=4, x=None)
+    monkeypatch.setattr(synthesis, "linprog", once)
+
+
+def _residual_miss(monkeypatch):
+    monkeypatch.setattr(synthesis, "_family_residual", lambda *args: 1.0)
+
+
+@pytest.mark.parametrize("patch, detail", [
+    (_no_proposal, "no proposed solution keeps every row target"),
+    (_stalled_proposal, None),
+    (_solver_stops, None),
+    (_residual_miss, "the assembled construction misses the target by 1")],
+    ids=["no-proposal", "stalled-proposal", "solver-stops", "residual-miss"])
+def test_search_fallbacks_end_in_a_result_or_an_inconclusive_outcome(
+        monkeypatch, capsys, donation, patch, detail):
+    # the donation pin under delta 0.9 runs the pair-LP ascent; a search
+    # that cannot go on keeps its best construction or says it found none
+    patch(monkeypatch)
+    target = SynthesisTarget(PayoffRelation((0.0, 1.0), -2.0), (0,))
+    result = synthesize(donation, Delta(0.9), target)
+    patch(monkeypatch)  # the same search again, from the command line
+    code = cli.main(["synth", "--game", str(DATA / "donation3.game"),
+                     "--controllers", "1", "--alpha", "0,1", "--gamma", "-2",
+                     "--schedule", "delta:0.9"])
+    out = capsys.readouterr().out
+    if detail is None:
+        assert isinstance(result, SynthesisResult) and result.margin >= 0.0
+        assert code == 0 and out.startswith("feasible:")
+        assert verify_relation(donation, result.strategies, Delta(0.9),
+                               target.relation, samples=50).passed
+    else:
+        assert isinstance(result, Infeasible) and not result.conclusive
+        assert result.certificate == "search-budget-exhausted"
+        assert result.detail.startswith(detail)
+        assert code == 4
+        assert out.splitlines() == ["inconclusive: search-budget-exhausted",
+                                    result.detail]
 
 
 def test_solver_failure_is_no_certificate(monkeypatch, donation):

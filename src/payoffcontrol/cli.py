@@ -238,7 +238,7 @@ def _cmd_classify(args) -> int:
         print("infinite expected rounds: ruling strategies supported "
               "(difference form)")
     elif isinstance(form, ConstantContinuation):
-        print(f"constant continuation delta={form.delta:.12g}: ruling "
+        print(f"constant continuation delta={float(form.delta)!r}: ruling "
               "strategies supported (initial-weighted form)")
     else:
         print("neither infinite expected rounds nor a constant continuation: "

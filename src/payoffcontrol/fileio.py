@@ -286,7 +286,15 @@ def _parse_document(path, game: GameSpec | None):
                 reader.fail(f"bad player id {tokens[1]!r}", lineno)
             if pid in labels:
                 reader.fail(f"duplicate actions line for player {pid}", lineno)
-            labels[pid] = tokens[2:]
+            names = labels[pid] = tokens[2:]
+            # build_game checks these again, with neither the line nor the
+            # file's 1-based player id
+            if len(names) < 2:
+                raise ValidationError(f"player {pid} needs at least two "
+                                      "actions", path=reader.path, line=lineno)
+            if len(set(names)) != len(names):
+                raise ValidationError(f"player {pid} has duplicate action "
+                                      "labels", path=reader.path, line=lineno)
         elif key == "payoffs":
             if game is not None or payoff_rows is not None:
                 reader.fail("unexpected payoffs line", lineno)

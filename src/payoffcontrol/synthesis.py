@@ -65,6 +65,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -440,11 +441,79 @@ def _interval_z(w, rep0, lo, hi) -> float:
 # The stacked margin-m programs over y
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call: only the
-    pair-LP search loads scipy."""
-    from scipy.optimize import linprog
-    return linprog(*args, **kwargs)
+class LPResult(NamedTuple):
+    """What a pair-LP solve reports: ``status`` 0 when ``x`` is optimal."""
+
+    status: int
+    x: np.ndarray | None
+
+
+LP_CHECK_TOL = 10.0 * math.sqrt(1e-9)
+"""How far an optimal solution may sit outside a bound or a row before
+the post-solve check rejects it, as ``scipy.optimize.linprog`` checks."""
+
+
+def linprog(cost, matrix, row_upper, lower, upper,
+            options=None) -> LPResult:
+    """Minimize cost @ x subject to A x <= row_upper and
+    lower <= x <= upper, by one HiGHS solve (Huangfu & Hall 2018) through
+    the bindings bundled with scipy, imported on the first call: only the
+    pair-LP search loads scipy.
+
+    ``matrix`` holds A as the CSC arrays (indptr, indices, data) of
+    _block_diagonal.  HiGHS runs with output off and presolve on, as
+    ``scipy.optimize.linprog(method="highs")`` runs it, plus ``options``
+    (HiGHS option names).  A cost, matrix entry or row bound that is not
+    finite, a NaN column bound, or an option HiGHS refuses raises
+    ValueError.
+
+    Returns ``.status`` and ``.x``: 0 and the solution when HiGHS reports
+    an optimum whose x holds every bound and row to LP_CHECK_TOL;
+    otherwise x is None and the status is 2 (infeasible), 3 (unbounded)
+    or 4 (anything else, a rejected solution included).
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    indptr, indices, data = matrix
+    if not (np.isfinite(cost).all() and np.isfinite(data).all()
+            and np.isfinite(row_upper).all()) \
+            or np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("linear program data must be finite")
+    solver = highs._Highs()
+    for name, value in {"output_flag": False, "presolve": "on",
+                        **(options or {})}.items():
+        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS refuses option {name}={value!r}")
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    # the bindings copy lists faster than arrays
+    lp.a_matrix_.start_ = indptr.tolist()
+    lp.a_matrix_.index_ = indices.tolist()
+    lp.a_matrix_.value_ = data.tolist()
+    lp.col_cost_ = cost.tolist()
+    lp.col_lower_ = lower.tolist()
+    lp.col_upper_ = upper.tolist()
+    lp.row_lower_ = [-math.inf] * len(row_upper)
+    lp.row_upper_ = row_upper.tolist()
+    if solver.passModel(lp) == highs.HighsStatus.kError \
+            or solver.run() == highs.HighsStatus.kError:
+        return LPResult(4, None)
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        return LPResult({highs.HighsModelStatus.kInfeasible: 2,
+                         highs.HighsModelStatus.kUnbounded: 3}.get(status, 4),
+                        None)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = row_upper - np.array(solution.row_value)
+    if np.isnan(x).any() or np.isnan(slack).any() \
+            or not np.all((x >= lower - LP_CHECK_TOL)
+                          & (x <= upper + LP_CHECK_TOL)) \
+            or (slack < -LP_CHECK_TOL).any():
+        return LPResult(4, None)
+    return LPResult(0, x)
 
 
 def _vertex_map(members, m) -> np.ndarray:
@@ -456,9 +525,8 @@ def _vertex_map(members, m) -> np.ndarray:
 
 def _block_diagonal(blocks: np.ndarray):
     """The block-diagonal matrix of the (blocks, rows, columns) ``blocks``
-    as CSC arrays built directly, without its zero entries."""
-    from scipy import sparse
-
+    as the CSC arrays (indptr, indices, data) that linprog takes, built
+    directly and without its zero entries."""
     count, height, width = blocks.shape
     columns = blocks.transpose(0, 2, 1)  # CSC order: block, column, row
     nonzero = columns != 0.0
@@ -467,8 +535,7 @@ def _block_diagonal(blocks: np.ndarray):
         columns.shape)
     indptr = np.zeros(count * width + 1, dtype=np.int64)
     np.cumsum(nonzero.sum(axis=2).ravel(), out=indptr[1:])
-    return sparse.csc_array((columns[nonzero], rows[nonzero], indptr),
-                            shape=(count * height, count * width))
+    return indptr, rows[nonzero], columns[nonzero]
 
 
 def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
@@ -534,10 +601,10 @@ def _margin_program(members, jhat, w, delta, m, pairs, previous=None):
         box[-1] = 0.0, top - m  # no margin exceeds 1/max(s_k)
         options = {"primal_feasibility_tolerance": SLACK_SOLVER_TOL,
                    "dual_feasibility_tolerance": SLACK_SOLVER_TOL}
-    res = linprog(cost.ravel(), A_ub=_block_diagonal(blocks),
-                  b_ub=np.tile(bound, len(pairs)),
-                  bounds=np.tile(box, (len(pairs), 1)), method="highs",
-                  options=options)
+    boxes = np.tile(box, (len(pairs), 1))
+    res = linprog(cost.ravel(), _block_diagonal(blocks),
+                  np.tile(bound, len(pairs)), boxes[:, 0], boxes[:, 1],
+                  options)
     return res.x.reshape(len(pairs), nvar) if res.status == 0 else None
 
 

@@ -221,7 +221,9 @@ def test_detect_accepts_tolerance_from_machine_epsilon(capsys, tol):
 
 @pytest.mark.parametrize("schedule,needle", [
     ("infinite", "infinite expected rounds"),
-    ("delta:0.9", "constant continuation delta=0.9"),
+    ("delta:0.9", "constant continuation delta=0.9:"),
+    ("delta:0.9999999999999",
+     "constant continuation delta=0.9999999999999:"),
     ("horizon:2", "neither infinite expected rounds"),
 ])
 def test_classify_verdicts(capsys, schedule, needle):
@@ -648,7 +650,9 @@ PD_HEAD = "players 2\nactions 1 C D\nactions 2 C D\n"
     ("game", "strategy.1\n", "missing players line", 1),
     ("game", PD_HEAD + "strategy.1\n", "missing payoffs section", 4),
     ("game", "players 2\nactions 1 C C\nactions 2 C D\npayoffs\n"
-     "1 1\n2 2\n3 3\n4 4\n", "player 0 has duplicate action labels", None),
+     "1 1\n2 2\n3 3\n4 4\n", "player 1 has duplicate action labels", 2),
+    ("game", "players 2\nactions 1 C D\nactions 2 C\npayoffs\n"
+     "1 1\n2 2\n", "player 2 needs at least two actions", 3),
     # command line
     (None, ["classify", "--schedule", "delta0.5"], "bad schedule "
      "'delta0.5'; expected infinite, delta:<d>, horizon:<T>, or "

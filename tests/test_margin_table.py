@@ -6,11 +6,18 @@ Newton-scaled ascent replaced it (rounded to 12 digits).  The ascent, with
 each row's margin now in closed form from the roots of the vertex
 polynomials, must reach each within 1e-9 and give the same certificate
 for every infeasible case.
+
+The programs of these cases also pin the pair-LP solver, which calls
+scipy's private HiGHS bindings directly, to ``scipy.optimize.linprog``:
+a scipy release that changes those bindings fails here.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from payoffcontrol import (
     Delta,
@@ -20,6 +27,7 @@ from payoffcontrol import (
     SynthesisResult,
     SynthesisTarget,
     public_goods_game,
+    synthesis,
     synthesize,
 )
 from payoffcontrol.fileio import parse_game_file
@@ -106,3 +114,30 @@ def test_margin_at_least_the_bisection_floor(games, label, mode, schedule):
     interval = label == "pd-pin-2.5" and schedule == "infinite"
     assert result.note == ("interval" if interval else "pair-lp")
     assert result.margin >= floor - 1e-9
+
+
+def test_programs_solve_as_scipy_linprog_solves_them(monkeypatch, games):
+    # every margin-0 and slack program of the 35 cases, solved again by
+    # scipy.optimize.linprog(method="highs") with the same options: the
+    # same outcome and, at an optimum, bitwise the same x
+    solve, programs = synthesis.linprog, []
+
+    def captured(*args):
+        programs.append((args, solve(*args)))
+        return programs[-1][1]
+    monkeypatch.setattr(synthesis, "linprog", captured)
+    for label, mode, schedule in FLOORS:
+        game, controllers, alpha, gamma = TARGETS[label]
+        synthesize(games[game], SCHEDULES[schedule], SynthesisTarget(
+            PayoffRelation(alpha, gamma), controllers, mode))
+    assert len(programs) == 114
+    for (cost, (indptr, indices, data), rows, lower, upper, options), \
+            result in programs:
+        matrix = sparse.csc_array((data, indices, indptr),
+                                  shape=(rows.size, cost.size))
+        want = linprog(cost, A_ub=matrix, b_ub=rows,
+                       bounds=np.column_stack([lower, upper]),
+                       method="highs", options=options)
+        assert (result.status == 0) == (want.status == 0)
+        if want.status == 0:
+            assert np.array_equal(result.x, want.x)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
-from scipy.optimize import linprog
 
 from payoffcontrol import (
     Delta,
@@ -44,6 +43,8 @@ from payoffcontrol.synthesis import (
     _reaches,
     _slack,
 )
+
+solve = synthesis.linprog  # the real solver, under the monkeypatched wrappers
 
 
 def pin(player, value, n=2):
@@ -298,7 +299,7 @@ def test_lp_certificate_costs_one_program(monkeypatch, donation, pd, case):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return solve(*args, **kwargs)
     monkeypatch.setattr(synthesis, "linprog", counted)
     result = synthesize(game, schedule, target)
     assert isinstance(result, Infeasible)
@@ -337,7 +338,7 @@ def _solver_stops(monkeypatch):
 
     def once(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs) if len(calls) == 1 \
+        return solve(*args, **kwargs) if len(calls) == 1 \
             else SimpleNamespace(status=4, x=None)
     monkeypatch.setattr(synthesis, "linprog", once)
 
@@ -388,6 +389,64 @@ def test_solver_failure_is_no_certificate(monkeypatch, donation):
     assert isinstance(result, Infeasible)
     assert result.certificate == "search-budget-exhausted"
     assert not result.conclusive
+
+
+def _one_column(*entries):
+    """CSC arrays of a one-column matrix with the given row entries."""
+    return (np.array([0, len(entries)]), np.arange(len(entries)),
+            np.array(entries, dtype=float))
+
+
+def _tiny(cost, entries, rows, lower, upper, options=None):
+    """Solve min cost x subject to entries x <= rows and lower <= x <= upper
+    with the pair-LP solver."""
+    return solve(np.array([cost]), _one_column(*entries), np.array(rows),
+                 np.array([lower]), np.array([upper]), options)
+
+
+def test_linprog_solves_and_reports_optimal():
+    # min -x s.t. x <= 1, -x <= 0.5 in [-10, 10]: x = 1
+    result = _tiny(-1.0, [1.0, -1.0], [1.0, 0.5], -10.0, 10.0)
+    assert result.status == 0
+    assert np.array_equal(result.x, [1.0])
+
+
+@pytest.mark.parametrize("cost,entries,rows,lower,upper,status", [
+    (1.0, [1.0, -1.0], [1.0, -2.0], -10.0, 10.0, 2),  # x <= 1 and x >= 2
+    (-1.0, [-1.0], [1.0], -np.inf, np.inf, 3)],  # max x s.t. x >= -1
+    ids=["infeasible", "unbounded"])
+def test_linprog_reports_no_optimum(cost, entries, rows, lower, upper,
+                                    status):
+    result = _tiny(cost, entries, rows, lower, upper)
+    assert result.status == status
+    assert result.x is None
+
+
+def test_linprog_refuses_unknown_options_and_values():
+    with pytest.raises(ValueError, match="no_such_option"):
+        _tiny(1.0, [1.0], [1.0], 0.0, 1.0, {"no_such_option": 1})
+    with pytest.raises(ValueError, match="presolve"):
+        _tiny(1.0, [1.0], [1.0], 0.0, 1.0, {"presolve": "sometimes"})
+
+
+@pytest.mark.parametrize("bad", [
+    {"cost": np.nan}, {"entries": [np.inf]}, {"rows": [np.nan]},
+    {"lower": np.nan}, {"upper": np.nan}],
+    ids=["cost", "entry", "row", "lower", "upper"])
+def test_linprog_refuses_non_finite_data(bad):
+    with pytest.raises(ValueError, match="finite"):
+        _tiny(**{"cost": 1.0, "entries": [1.0], "rows": [1.0], "lower": 0.0,
+                 "upper": 1.0, **bad})
+
+
+def test_linprog_rejects_a_solution_that_misses_a_row():
+    # x <= 1 and x >= 1.2: a primal tolerance of 0.5 lets HiGHS call a
+    # point optimal that misses one row by 0.2, which the post-check
+    # refuses (scipy.optimize.linprog returns status 4 for it too)
+    result = _tiny(1.0, [1.0, -1.0], [1.0, -1.2], -10.0, 10.0,
+                   {"primal_feasibility_tolerance": 0.5})
+    assert result.status == 4
+    assert result.x is None
 
 
 @pytest.mark.parametrize("name,target,margin", [
@@ -460,7 +519,7 @@ def test_ascent_needs_few_programs(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return solve(*args, **kwargs)
     monkeypatch.setattr(synthesis, "linprog", counted)
     game, target = _benchmark_case("donation-pin")
     result = synthesize(game, Infinite(), target)
@@ -666,11 +725,12 @@ def test_block_diagonal_matches_scipy(shape, zero_column):
     blocks = rng.integers(-2, 3, shape) * rng.random(shape)  # some zeros
     if zero_column is not None:
         blocks[:, :, zero_column] = 0.0
-    built = _block_diagonal(blocks)
     want = sparse.block_diag(list(blocks))
-    assert built.format == "csc"
-    assert built.shape == want.shape
+    indptr, indices, data = _block_diagonal(blocks)
+    assert indptr.size == want.shape[1] + 1
+    built = sparse.csc_array((data, indices, indptr), shape=want.shape)
     assert np.array_equal(built.toarray(), want.toarray())
+    assert np.all(data != 0.0)
 
 
 # ---------------------------------------------------------------------------

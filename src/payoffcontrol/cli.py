@@ -4,10 +4,21 @@ Subcommands operate on game and strategy files (see fileio for the
 schema) and report results as text plus optional CSV or strategy files.
 Player ids on the command line are 1-based, matching the file format.
 
-Exit codes: 0 success (verify: relation held on every sample), 1 verify
-found a violation, 2 usage or file errors, 3 conclusively infeasible
-synthesis target, 4 inconclusive outcome (synthesis search exhausted, or
-falsification found no counterexample).
+Exit codes: 0 success (verify: relation held on every sample; falsify: a
+counterexample found, or a proved negative), 1 verify found a violation,
+2 usage or file errors, 3 conclusively infeasible synthesis target, 4
+inconclusive outcome (synthesis search exhausted, or falsification found
+no counterexample and proved none impossible).
+
+falsify answers exactly under every schedule whose constant tail is below
+1 (horizon:<T>, delta:<d>, custom files with such a tail): it solves the
+opponents' best response as a Markov decision process and prints the
+optimum over all opponents on a ``bound:`` line.  Where one deterministic
+Markov opponent attains that optimum it is the counterexample, and
+--budget and --seed are ignored; otherwise (rules that change by round)
+the seeded restart search runs as under a tail of 1 (infinite, custom
+tail 1), which prints no bound.  A bound at or below the threshold is a
+proved negative: ``proved:`` and exit 0.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from .dynamics import (
     expected_rounds,
     monte_carlo_play,
 )
-from .errors import InvalidParamsError, PayoffControlError
+from .errors import InvalidParamsError, PayoffControlError, UnknownActionError
 from .fileio import (
     parse_game_file,
     parse_schedule_file,
@@ -255,25 +266,37 @@ def _cmd_falsify(args) -> int:
         raise InvalidParamsError(
             "falsify expects exactly one controller strategy block")
     strategy = strategies[0]
-    action = game.action_index(strategy.player, args.action)
+    labels = game.action_labels[strategy.player]
+    if args.action not in labels:
+        raise UnknownActionError(f"player {strategy.player + 1} has no "
+                                 f"action {args.action!r}")
+    action = labels.index(args.action)
     column = strategy.conditionals[:, action]
     repeat = (game.profile_actions[:, strategy.player] == action).astype(float)
     report = falsify_candidate(game, [strategy], schedule, column - repeat,
                                budget=args.budget, seed=args.seed,
                                threshold=args.threshold)
+    bound = report.bound
+    proved = bound is not None and bound <= report.threshold
     if report.conclusive:
         print(f"falsified: |<candidate, vbar>| reaches {report.achieved:.6g} "
               f"> threshold {report.threshold:g}")
-        if args.out and report.counterexample is not None:
-            write_strategy_file(
-                args.out, game, report.counterexample, schedule=schedule,
-                header=[f"counterexample achieving {report.achieved:.12g}"])
-            print(f"wrote {args.out}")
-        return EXIT_OK
-    print(f"inconclusive: best |<candidate, vbar>| found "
-          f"{report.achieved:.6g} <= threshold {report.threshold:g} "
-          f"within budget {args.budget}")
-    return EXIT_INCONCLUSIVE
+    elif proved:
+        print(f"proved: no opponent takes |<candidate, vbar>| above "
+              f"threshold {report.threshold:g}")
+    else:
+        print(f"inconclusive: best |<candidate, vbar>| found "
+              f"{report.achieved:.6g} <= threshold {report.threshold:g} "
+              f"within budget {args.budget}")
+    if bound is not None:
+        print(f"bound: |<candidate, vbar>| <= {bound:.6g} against every "
+              "opponent")
+    if report.conclusive and args.out:
+        write_strategy_file(
+            args.out, game, report.counterexample, schedule=schedule,
+            header=[f"counterexample achieving {report.achieved:.12g}"])
+        print(f"wrote {args.out}")
+    return EXIT_OK if report.conclusive or proved else EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("falsify", help="search for opponents breaking a "
+    p = sub.add_parser("falsify", help="find opponents breaking a "
                                        "candidate ruling vector")
     common(p, strategy=True)
     p.add_argument("--action", required=True,
                    help="controller action label defining the candidate")
-    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--budget", type=int, default=100,
+                   help="restarts of the search (unused where a "
+                        "deterministic Markov opponent is optimal)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--out", default=None,

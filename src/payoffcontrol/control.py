@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
+    MAX_ROUNDS,
     Classification,
     ConstantContinuation,
     ContinuationSchedule,
@@ -42,6 +43,8 @@ from .dynamics import (
     MarkovStrategy,
     MixedAction,
     OtherSchedule,
+    _continuations,
+    _survival,
     # unused here, but the benchmark tracer rebinds this name
     average_distribution,
     check_strategy,
@@ -553,13 +556,116 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
 
 @dataclass(frozen=True)
 class FalsificationReport:
-    """Search result for opponents breaking a candidate ruling vector."""
+    """Outcome of the search for opponents breaking a candidate ruling
+    vector.
+
+    ``bound`` is the largest |<candidate, vbar>| that any opponents reach,
+    computed for schedules whose constant tail is below 1 and None
+    otherwise; at or below ``threshold`` it proves the candidate holds."""
 
     candidate: np.ndarray
     achieved: float
     threshold: float
     counterexample: tuple[MarkovStrategy, ...] | None
     conclusive: bool  # True when a counterexample was found
+    bound: float | None
+
+
+# Policy-iteration steps allowed for a constant tail; every step that
+# switches an action raises the tail's value, and a handful suffice.
+POLICY_STEPS = 100
+
+# A decision rule switches action only when another gains more than this
+# many ulps of the value at stake, so rounding never changes the play.
+SWITCH_ULPS = 64
+
+
+def _improve(q: np.ndarray, rule: np.ndarray, tol: float) -> np.ndarray:
+    """Per sign and state, the action of ``rule`` unless another action's
+    value in ``q`` (..., states, actions) exceeds it by more than tol."""
+    best = q.argmax(axis=-1)
+    kept = np.take_along_axis(q, rule[..., None], -1)[..., 0]
+    top = np.take_along_axis(q, best[..., None], -1)[..., 0]
+    return np.where(top > kept + tol, best, rule)
+
+
+def _best_response(rows: np.ndarray, succ: np.ndarray, candidate: np.ndarray,
+                   schedule: ContinuationSchedule
+                   ) -> tuple[float, np.ndarray | None]:
+    """The opponents' optimum against fixed controllers, solved as a Markov
+    decision process.
+
+    State 0 is the start and state r + 1 follows profile r.  ``rows`` holds
+    the controllers' joint row in each state (their joint initial action,
+    then one joint conditional row per profile), and ``succ[j, a]`` is the
+    profile their joint action j and the opponents' joint action a make.
+    A round of survival weight p pays p * candidate at the profile it
+    makes, for both signs of the candidate at once.  The explicit rounds
+    are solved by backward induction, a constant tail c < 1 by policy
+    iteration (Puterman 1994, ch. 4 and 6).  An action changes from the
+    round after (or the policy step before) only on a gain above
+    SWITCH_ULPS ulps of the value at stake.
+
+    Returns the largest |<candidate, vbar>| over all opponents and, when
+    the better sign plays one rule in every round from round 2 on, that
+    deterministic Markov opponent as a joint action per state (None
+    otherwise).  Raises NoConvergenceError beyond MAX_ROUNDS explicit
+    rounds or POLICY_STEPS steps.
+    """
+    values, c = _continuations(schedule)
+    survival, reached = _survival(values)
+    if reached > MAX_ROUNDS:
+        raise NoConvergenceError(
+            f"backward induction needs more than MAX_ROUNDS={MAX_ROUNDS} "
+            "rounds")
+    opens_tail = reached == len(survival) and c > 0.0
+    states, count = len(rows), len(rows) - 1
+    # step[s, a, b]: probability that opponent action a in state s makes
+    # profile b
+    step = (rows @ (succ[..., None] == np.arange(count))
+            .reshape(len(succ), -1)).reshape(states, -1, count)
+    ahead = step.reshape(-1, count).T
+
+    def expected(value):
+        """Per sign, state and action: the value of the state reached."""
+        return (value[:, 1:] @ ahead).reshape(2, states, -1)
+
+    pay = np.multiply.outer((1.0, -1.0), step @ candidate)
+    ulps = SWITCH_ULPS * MACHINE_EPS * float(np.abs(candidate).max())
+    rule = np.zeros((2, states), dtype=np.intp)
+    value, weight, rules = np.zeros((2, states)), 0.0, []
+    if opens_tail:
+        weight = 1.0 / (1.0 - c)
+        eye, picks = np.eye(states), np.arange(states)
+        moves = np.zeros((2, states, states))  # nothing returns to the start
+        for _ in range(POLICY_STEPS):
+            moves[:, :, 1:] = step[picks, rule]
+            value = np.linalg.solve(
+                eye - c * moves,
+                np.take_along_axis(pay, rule[..., None], -1))[..., 0]
+            new = _improve(pay + c * expected(value), rule, ulps * weight)
+            if (new == rule).all():
+                break
+            rule = new
+        else:
+            raise NoConvergenceError(
+                f"policy iteration did not settle in {POLICY_STEPS} steps")
+        weight *= survival[-1]
+        value *= survival[-1]
+        rules.append(rule)
+    for p in reversed(survival[:reached - opens_tail]):
+        weight += p
+        q = p * pay + expected(value)
+        rule = _improve(q, rule, ulps * weight)
+        value = np.take_along_axis(q, rule[..., None], -1)[..., 0]
+        rules.append(rule)
+    sign = int(value[1, 0] > value[0, 0])
+    bound = max(float(value[sign, 0]) / weight, 0.0)
+    # rules[-1] plays round 1 and the rest every later round
+    later = [r[sign, 1:] for r in rules[:-1]] or [rules[-1][sign, 1:]]
+    if any((r != later[0]).any() for r in later[1:]):
+        return bound, None
+    return bound, np.concatenate([rules[-1][sign, :1], later[0]])
 
 
 def _project_rows(table: np.ndarray) -> np.ndarray:
@@ -598,14 +704,21 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
                       schedule: ContinuationSchedule, candidate: np.ndarray,
                       budget: int = 100, seed: int = 0,
                       threshold: float = 1e-6) -> FalsificationReport:
-    """Search opponent strategies maximizing |<candidate, vbar>|.
+    """Find opponent strategies maximizing |<candidate, vbar>|.
 
-    ``budget`` random restarts (at least 1) followed by coordinatewise
-    refinement over every opponent probability (rows re-projected to the
-    simplex).  Exceeding ``threshold`` certifies that the candidate is not
-    a ruling vector under this schedule, so the threshold must be finite
-    and positive; not exceeding it within the budget proves nothing and
-    is reported as inconclusive.
+    Exceeding ``threshold`` certifies that the candidate is not a ruling
+    vector under this schedule, so the threshold must be finite and
+    positive.
+
+    Under a constant tail below 1 the opponents' best response is solved
+    exactly (``_best_response``) and ``bound`` reports the optimum over
+    all opponents.  Where one deterministic Markov opponent attains it,
+    that opponent is the answer, evaluated once, and ``budget`` and
+    ``seed`` go unused.  Otherwise (a tail of 1, or an optimum that plays
+    differently by round) ``budget`` random restarts (at least 1) are
+    refined coordinatewise over every opponent probability (rows
+    re-projected to the simplex); a value within the threshold then
+    proves nothing unless the bound does.
 
     The restarts run in lockstep, VERIFY_BLOCK at a time: each trial
     evaluates every restart still refining at that step as one stack.
@@ -624,38 +737,56 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     opponents = [p for p in range(game.player_count) if p not in controllers]
     if not opponents:
         raise InvalidParamsError("no free opponent to search over")
+    ordered, _, _, jhat = _controller_setup(game, strategies)
     shared = {s.player: np.vstack([s.initial.probs, s.conditionals])
-              for s in _controller_setup(game, strategies)[0]}
-    width = sum((game.profile_count + 1) * game.action_counts[p]
-                for p in opponents)
-    flats = np.random.default_rng(seed).random((budget, width))
+              for s in ordered}
+    bound = play = None
+    if _continuations(schedule)[1] < 1.0:
+        rows = np.vstack([joint_initial(ordered), _joint_table(ordered)])
+        sizes, khat = joint_index(game, opponents)
+        succ = np.empty((rows.shape[1], math.prod(sizes)), dtype=np.intp)
+        succ[jhat, khat] = np.arange(game.profile_count)
+        bound, play = _best_response(rows, succ, candidate, schedule)
+    if play is not None:
+        tables = {p: np.eye(size)[None, actions] for p, size, actions in
+                  zip(opponents, sizes, np.unravel_index(play, sizes))}
+        vbar, residual, settled = _chain_average(
+            game, schedule, {**shared, **tables}, 1)
+        _require_settled(residual, settled)
+        achieved = abs(float(vbar[0] @ candidate))
+    else:
+        width = sum((game.profile_count + 1) * game.action_counts[p]
+                    for p in opponents)
+        flats = np.random.default_rng(seed).random((budget, width))
 
-    def objective(flat):
-        """(|<candidate, vbar>|, residual, settled) of a stack of flat
-        vectors, each chain built from its projected tables."""
-        tables = {**shared, **_opponent_tables(game, opponents, flat)}
-        vbar, residual, settled = _chain_average(game, schedule, tables,
-                                                 len(flat))
-        # a dot product per chain: the same sum wherever it sits in the stack
-        values = np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
-        return values, residual, settled
+        def objective(flat):
+            """(|<candidate, vbar>|, residual, settled) of a stack of flat
+            vectors, each chain built from its projected tables."""
+            tables = {**shared, **_opponent_tables(game, opponents, flat)}
+            vbar, residual, settled = _chain_average(game, schedule, tables,
+                                                     len(flat))
+            # a dot product per chain: the same sum wherever it sits in
+            # the stack
+            values = np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
+            return values, residual, settled
 
-    values = np.concatenate([
-        _refine(flats[start:start + VERIFY_BLOCK], objective)
-        for start in range(0, budget, VERIFY_BLOCK)])
-    best = int(np.argmax(values))
-    found = bool(values[best] > threshold)
+        values = np.concatenate([
+            _refine(flats[start:start + VERIFY_BLOCK], objective)
+            for start in range(0, budget, VERIFY_BLOCK)])
+        best = int(np.argmax(values))
+        achieved = float(values[best])
+        tables = _opponent_tables(game, opponents, flats[best:best + 1])
+    found = achieved > threshold
     counterexample = tuple(
         MarkovStrategy(p, MixedAction(table[0, 0]), table[0, 1:])
-        for p, table in _opponent_tables(
-            game, opponents, flats[best:best + 1]).items()) \
-        if found else None
+        for p, table in tables.items()) if found else None
     return FalsificationReport(
         candidate=candidate,
-        achieved=float(values[best]),
+        achieved=achieved,
         threshold=threshold,
         counterexample=counterexample,
         conclusive=found,
+        bound=bound,
     )
 
 

@@ -325,6 +325,41 @@ def test_falsify_true_ruling_vector_inconclusive(capsys):
     assert stdout.startswith("inconclusive")
 
 
+def test_falsify_two_rounds_prints_the_optimum_and_bound(capsys):
+    # the exact path: seed and budget do not matter
+    for seed in ("7", "43", "76"):
+        code, stdout, _ = run(capsys, "falsify", "--game", DONATION,
+                              "--strategy", PIN, "--schedule", "horizon:2",
+                              "--action", "C1", "--seed", seed)
+        assert code == 0
+        assert stdout == (
+            "falsified: |<candidate, vbar>| reaches 0.19 > threshold 1e-06\n"
+            "bound: |<candidate, vbar>| <= 0.19 against every opponent\n")
+
+
+@pytest.mark.parametrize("schedule", ["horizon:3", "delta:0.9"])
+def test_falsify_proves_a_memoryless_column(tmp_path, capsys, schedule):
+    # always-C's column is a ruling vector under every schedule
+    spath = tmp_path / "always.strategy"
+    write_strategy_file(spath, parse_game_file(PD).game, [always(0, 0)])
+    code, stdout, _ = run(capsys, "falsify", "--game", PD,
+                          "--strategy", str(spath), "--schedule", schedule,
+                          "--action", "C")
+    assert code == 0
+    assert stdout == (
+        "proved: no opponent takes |<candidate, vbar>| above threshold "
+        "1e-06\n"
+        "bound: |<candidate, vbar>| <= 0 against every opponent\n")
+
+
+def test_falsify_unknown_action_names_the_file_player(capsys):
+    # the pin is player 1 in its file
+    code, stdout, stderr = run(capsys, "falsify", "--game", DONATION,
+                               "--strategy", PIN, "--action", "X")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: player 1 has no action 'X'\n"
+
+
 @pytest.mark.parametrize("threshold, budget", [
     ("-1", "10"), ("0", "10"), ("nan", "10"), ("inf", "10"),
     ("1e-6", "0"), ("1e-6", "-3")])

@@ -605,18 +605,46 @@ FALSIFY_SCHEDULES = [FiniteHorizon(2), FiniteHorizon(10),
                      Custom((0.9, 0.5), tail=0.8), Delta(0.9), Infinite()]
 
 
+# Two rounds written with a tail of 1: the sums of FiniteHorizon(2), but
+# the restart search answers
+TWO_ROUNDS_SEARCHED = Custom((1.0, 0.0), tail=1.0)
+
+
+def _count_refine(monkeypatch):
+    """A list that gains an entry at every ``control._refine`` call."""
+    refine, calls = control._refine, []
+
+    def counting(flat, objective):
+        calls.append(len(flat))
+        return refine(flat, objective)
+
+    monkeypatch.setattr(control, "_refine", counting)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("schedule", FALSIFY_SCHEDULES,
                          ids=["horizon2", "horizon10", "custom", "delta0.9",
                               "infinite"])
 @pytest.mark.parametrize("case", FALSIFY_CASES)
-def test_falsify_matches_sequential_search(request, case, schedule, seed):
+def test_falsify_matches_sequential_search(monkeypatch, request, case,
+                                           schedule, seed):
     game, controllers, candidate = _falsify_case(request, case)
+    searched = _count_refine(monkeypatch)
     report = falsify_candidate(game, controllers, schedule, candidate,
                                budget=3, seed=seed)
     achieved, best = falsify_sequential(game, controllers, schedule,
                                         candidate, 3, seed)
-    _assert_same_search(report, achieved, best)
+    if searched:
+        _assert_same_search(report, achieved, best)
+    else:
+        # the opponents' optimum answered: never below the search
+        assert report.achieved >= achieved - 1e-15
+    # every schedule but infinite play has a tail below 1
+    assert (report.bound is None) == isinstance(schedule, Infinite)
+    if report.bound is not None:
+        assert report.bound >= achieved - 1e-15
+        assert report.bound >= report.achieved - 1e-15
 
 
 def _full_objective(game, controllers, schedule, candidate, chains):
@@ -686,11 +714,14 @@ def _refine_every_trial(flat, objective, counts):
     return value
 
 
-def _searches(monkeypatch, request, budget, seed):
-    """A donation C1 search under two rounds, run as the search does it
-    and with every trial built from scratch.  Returns both reports, the
-    chains of each ``markov_average`` call of the search, the chains of
-    each stack of the every-trial reference and its trial counts."""
+def _searches(monkeypatch, request, budget, seed,
+              schedule=FiniteHorizon(10)):
+    """A donation C1 search, by default under ten rounds (where the
+    optimum's rules differ by round, so the search runs), run as the
+    search does it and with every trial built from scratch.  Returns both
+    reports, the chains of each ``markov_average`` call of the search,
+    the chains of each stack of the every-trial reference and its trial
+    counts."""
     game, controllers, candidate = _falsify_case(request, "donation-C1")
     kernel, stacks = control.markov_average, []
 
@@ -699,16 +730,16 @@ def _searches(monkeypatch, request, budget, seed):
         return kernel(m, v1, schedule)
 
     monkeypatch.setattr(control, "markov_average", counting_kernel)
-    report = falsify_candidate(game, controllers, FiniteHorizon(2),
+    report = falsify_candidate(game, controllers, schedule,
                                candidate, budget=budget, seed=seed)
     monkeypatch.setattr(control, "markov_average", kernel)
     every_stacks = []
     counts = dict.fromkeys(["stacked", "stacks", "followed", "follow_ups"], 0)
-    full = _full_objective(game, controllers, FiniteHorizon(2), candidate,
+    full = _full_objective(game, controllers, schedule, candidate,
                           every_stacks)
     monkeypatch.setattr(control, "_refine", lambda flat, objective:
                         _refine_every_trial(flat, full, counts))
-    every = falsify_candidate(game, controllers, FiniteHorizon(2),
+    every = falsify_candidate(game, controllers, schedule,
                               candidate, budget=budget, seed=seed)
     return report, every, stacks, every_stacks, counts
 
@@ -723,7 +754,8 @@ def _assert_bitwise_same(report, every):
 
 def test_falsify_blocks_and_first_best(monkeypatch, request):
     # seven restarts in blocks of 3, 3 and 1; the best value is reached
-    # by restarts in different blocks, and the first of them must win
+    # by restarts in different blocks, and the first of them must win.
+    # Two rounds: restarts tie exactly at the one-hot optimum
     monkeypatch.setattr(control, "VERIFY_BLOCK", 3)
     finals, calls = [], []
     refine = control._refine
@@ -740,7 +772,7 @@ def test_falsify_blocks_and_first_best(monkeypatch, request):
     monkeypatch.setattr(control, "_refine", recording)
     monkeypatch.setattr(conftest, "average_distribution", counting_average)
     report, every, stacks, every_stacks, counts = _searches(
-        monkeypatch, request, budget=7, seed=1)
+        monkeypatch, request, budget=7, seed=1, schedule=TWO_ROUNDS_SEARCHED)
     assert [len(values) for _, values in finals] == [3, 3, 1]
     flats = np.concatenate([flat for flat, _ in finals])
     values = np.concatenate([values for _, values in finals])
@@ -748,8 +780,8 @@ def test_falsify_blocks_and_first_best(monkeypatch, request):
     assert ties[0] // 3 != ties[-1] // 3
     assert not np.array_equal(flats[ties[0]], flats[ties[-1]])
     game, controllers, candidate = _falsify_case(request, "donation-C1")
-    achieved, best = falsify_sequential(game, controllers, FiniteHorizon(2),
-                                        candidate, 7, 1)
+    achieved, best = falsify_sequential(game, controllers,
+                                        TWO_ROUNDS_SEARCHED, candidate, 7, 1)
     _assert_same_search(report, achieved, best)
     _assert_same_search(every, achieved, best)
     _assert_bitwise_same(report, every)
@@ -764,11 +796,13 @@ def test_falsify_blocks_and_first_best(monkeypatch, request):
 
 
 def test_refine_skips_trials_that_cannot_move(monkeypatch, request):
-    # a budget-10 donation C1 search: a probability at 0 or 1 pushed
-    # further out is the current chain, and -step after a +step win is
-    # the base again unless clipping or rounding moves it elsewhere
+    # a budget-10 donation C1 search over two rounds: a probability at 0
+    # or 1 pushed further out is the current chain, and -step after a
+    # +step win is the base again unless clipping or rounding moves it
+    # elsewhere
     report, every, stacks, every_stacks, counts = _searches(
-        monkeypatch, request, budget=10, seed=2)
+        monkeypatch, request, budget=10, seed=2,
+        schedule=TWO_ROUNDS_SEARCHED)
     _assert_bitwise_same(report, every)
     assert len(stacks) == 1 + counts["stacks"] + counts["follow_ups"]
     assert sum(stacks) == 10 + counts["stacked"] + counts["followed"]
@@ -836,11 +870,12 @@ def test_refine_raises_on_unsettled_trials_it_counts(sign, raises):
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("case, schedule", [
-    ("donation-C1", FiniteHorizon(2)),
-    ("pd-wsls-C", Custom((0.9, 0.5), tail=0.8))],
-    ids=["donation-C1-horizon2", "pd-wsls-C-custom"])
+    ("donation-C1", FiniteHorizon(10)),
+    ("pd-wsls-C", Infinite())],
+    ids=["donation-C1-horizon10", "pd-wsls-C-infinite"])
 def test_falsify_seed_sweep_matches_sequential_search(request, case,
                                                       schedule, seed):
+    # schedules where the restart search still runs
     game, controllers, candidate = _falsify_case(request, case)
     report = falsify_candidate(game, controllers, schedule, candidate,
                                budget=3, seed=seed)
@@ -866,13 +901,137 @@ def test_falsify_builds_no_per_trial_objects(monkeypatch, request):
         post_init(self)
 
     monkeypatch.setattr(MarkovStrategy, "__post_init__", counting)
-    report = falsify_candidate(game, controllers, FiniteHorizon(2),
+    report = falsify_candidate(game, controllers, FiniteHorizon(10),
                                candidate, budget=4, seed=0)
     assert report.conclusive and built == [1]
     built.clear()
     report = falsify_candidate(game, controllers, Infinite(), candidate,
                                budget=4, seed=0)
     assert not report.conclusive and built == []
+
+
+# ---------------------------------------------------------------------------
+# Exact falsification against every deterministic Markov opponent
+
+
+def _deterministic_averages(game, controllers, schedule):
+    """vbar of every deterministic Markov strategy of the one free player
+    (an action in its start state and after each profile), all from one
+    stacked ``markov_average`` call."""
+    taken = {s.player for s in controllers}
+    (free,) = [p for p in range(game.player_count) if p not in taken]
+    m, states = game.action_counts[free], game.profile_count + 1
+    tables = {s.player: np.vstack([s.initial.probs, s.conditionals])
+              for s in controllers}
+    tables[free] = np.eye(m)[np.indices((m,) * states).reshape(states, -1).T]
+    chains = dynamics.profile_product(
+        game, [tables[p] for p in range(game.player_count)])
+    vbar, _, settled = dynamics.markov_average(chains[:, 1:], chains[:, 0],
+                                               schedule)
+    assert settled.all()
+    return vbar
+
+
+def _assert_matches_oracle(report, oracle, searched):
+    if searched:
+        # the optimum plays differently by round: only the bound is exact
+        assert report.bound >= oracle - 1e-15
+    else:
+        assert abs(report.achieved - oracle) <= 1e-12
+        assert abs(report.bound - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("schedule", [
+    FiniteHorizon(2), FiniteHorizon(3), Delta(0.5),
+    Custom((0.9, 0.5), tail=0.8)],
+    ids=["horizon2", "horizon3", "delta0.5", "custom"])
+def test_falsify_matches_every_deterministic_pd_opponent(monkeypatch,
+                                                         request, schedule):
+    # 2^5 opponents against win-stay lose-shift
+    game, controllers, candidate = _falsify_case(request, "pd-wsls-C")
+    vbar = _deterministic_averages(game, controllers, schedule)
+    searched = _count_refine(monkeypatch)
+    report = falsify_candidate(game, controllers, schedule, candidate,
+                               budget=3, seed=0)
+    _assert_matches_oracle(report, float(np.abs(vbar @ candidate).max()),
+                           searched)
+
+
+@pytest.mark.parametrize("schedule, searched", [
+    (FiniteHorizon(2), [False] * 3), (FiniteHorizon(3), [True, True, False]),
+    (Delta(0.9), [False] * 3)], ids=["horizon2", "horizon3", "delta0.9"])
+def test_falsify_matches_every_deterministic_donation_opponent(
+        monkeypatch, request, schedule, searched):
+    # 3^10 opponents against the pin, for each of its three columns.  Over
+    # three rounds the C1 and C2 optima play differently by round; under a
+    # constant continuation a stationary opponent is optimal, so donation
+    # D's optimum at delta 0.9 is 0.0199381
+    vbar, paths = None, []
+    for case in ("donation-C1", "donation-C2", "donation-D"):
+        game, controllers, candidate = _falsify_case(request, case)
+        if vbar is None:
+            vbar = _deterministic_averages(game, controllers, schedule)
+        calls = _count_refine(monkeypatch)
+        report = falsify_candidate(game, controllers, schedule, candidate,
+                                   budget=3, seed=0)
+        oracle = float(np.abs(vbar @ candidate).max())
+        _assert_matches_oracle(report, oracle, calls)
+        paths.append(bool(calls))
+    assert paths == searched
+    if isinstance(schedule, Delta):
+        assert f"{report.achieved:.6g}" == "0.0199381"  # donation D
+
+
+# The exact optima of the benchmark's two-round and custom-tail falsify
+# ops, to 6 digits
+BENCHMARK_OPTIMA = {
+    ("pd-wsls-C", "horizon2"): "0.5",
+    ("donation-C1", "horizon2"): "0.19",
+    ("donation-C2", "horizon2"): "0.113333",
+    ("donation-D", "horizon2"): "0.101667",
+    ("pd-wsls-C", "custom"): "0.240964",
+    ("donation-C1", "custom"): "0.0882564",
+    ("donation-C2", "custom"): "0.0420703",
+    ("donation-D", "custom"): "0.048083",
+}
+BENCHMARK_SCHEDULES = {"horizon2": FiniteHorizon(2),
+                       "custom": Custom((0.9, 0.5), tail=0.8)}
+
+
+@pytest.mark.parametrize("seed", [7, 43, 76])
+def test_exact_falsify_runs_no_search(monkeypatch, request, seed):
+    def refuse(flat, objective):
+        raise AssertionError("the restart search ran")
+
+    monkeypatch.setattr(control, "_refine", refuse)
+    for (case, tag), optimum in BENCHMARK_OPTIMA.items():
+        game, controllers, candidate = _falsify_case(request, case)
+        report = falsify_candidate(game, controllers,
+                                   BENCHMARK_SCHEDULES[tag], candidate,
+                                   seed=seed)
+        assert report.conclusive
+        assert f"{report.achieved:.6g}" == optimum
+    for case in FALSIFY_CASES:
+        game, controllers, candidate = _falsify_case(request, case)
+        for schedule in (Delta(0.0), Delta(0.5), Delta(0.9)):
+            report = falsify_candidate(game, controllers, schedule,
+                                       candidate, seed=seed)
+            assert report.achieved <= report.bound + 1e-15
+
+
+def test_falsify_proves_a_memoryless_column(pd):
+    # a memoryless controller's column is a ruling vector under every
+    # schedule: the bound proves it without a search
+    steady = MarkovStrategy(0, MixedAction(np.array([0.3, 0.7])),
+                            np.tile([0.3, 0.7], (4, 1)))
+    candidate = _column_candidate(pd, steady, 0)
+    for schedule in (FiniteHorizon(3), Delta(0.9),
+                     Custom((0.9, 0.5), tail=0.8)):
+        report = falsify_candidate(pd, [steady], schedule, candidate)
+        assert not report.conclusive and report.counterexample is None
+        assert report.bound <= 1e-15 and report.achieved <= 1e-15
+    report = falsify_candidate(pd, [steady], Infinite(), candidate, budget=2)
+    assert report.bound is None
 
 
 def test_falsify_argument_errors(donation, pgg, pin_strategy):
@@ -917,6 +1076,32 @@ def test_falsify_unsettled_trial_raises(monkeypatch, request):
     with pytest.raises(NoConvergenceError):
         falsify_candidate(game, controllers, Infinite(), candidate,
                           budget=2, seed=0)
+
+
+def test_exact_falsify_raises_on_an_unsettled_optimum(monkeypatch, request):
+    kernel = control.markov_average
+
+    def unsettled(m, v1, schedule):
+        vbar, residual, settled = kernel(m, v1, schedule)
+        settled[:] = False
+        return vbar, residual, settled
+
+    monkeypatch.setattr(control, "markov_average", unsettled)
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    with pytest.raises(NoConvergenceError):
+        falsify_candidate(game, controllers, Delta(0.9), candidate)
+
+
+def test_exact_falsify_bounds_its_work(monkeypatch, request):
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    # the round cap of markov_average, before any round is solved
+    with pytest.raises(NoConvergenceError, match="MAX_ROUNDS"):
+        falsify_candidate(game, controllers,
+                          FiniteHorizon(dynamics.MAX_ROUNDS + 1), candidate)
+    # policy iteration needs more than one step from its all-first start
+    monkeypatch.setattr(control, "POLICY_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match="policy iteration"):
+        falsify_candidate(game, controllers, Delta(0.9), candidate)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,15 @@ values and c = 1, ``Delta`` no values and c = delta, ``FiniteHorizon(T)``
 T - 1 ones and c = 0, ``Custom`` its values and tail.  The explicit rounds
 are summed as v1 M^(t-1); the tail is the resolvent average
 (1 - c) v (I - cM)^-1, whose c = 1 case is the Cesàro limit v P* (the
-long-run running average, for periodic and reducible chains too).  The
-tail takes one of two forms per chain:
+long-run running average, for periodic and reducible chains too).  Every
+tail, c = 1 included, is one state reduction of the chain extended by a
+start state (``_tail_average``): it never subtracts, so each entry keeps a
+small relative error also on nearly decomposable chains and for c near 1,
+and closed classes need no separate decomposition.
 
-* one closed class: the resolvent system with its last equation replaced
-  by sum(x) = 1, which stays well conditioned as c -> 1;
-* several closed classes, or a first form that fails its a-posteriori
-  check: the projector form v P* + (1 - c)(v - v P*)(I - c(M - P*))^-1,
-  with P* from the strongly-connected-component decomposition.
-
-A chain that neither form settles is reported, never returned as a number.
-``average_distribution`` is the kernel's one-chain case.
+A chain whose average fails its a-posteriori check is reported, never
+returned as a number.  ``average_distribution`` is the kernel's one-chain
+case.
 """
 
 from __future__ import annotations
@@ -232,8 +230,10 @@ class MarkovStrategy:
         object.__setattr__(self, "conditionals", table)
 
     def is_strict(self) -> bool:
-        """True unless the strategy ignores the previous profile entirely."""
-        return not np.allclose(self.conditionals, self.conditionals[0], atol=1e-15)
+        """True unless the strategy ignores the previous profile entirely:
+        False exactly when every row is within 1e-15 of the first."""
+        return not np.allclose(self.conditionals, self.conditionals[0],
+                               rtol=0.0, atol=1e-15)
 
     def __eq__(self, other):
         return (isinstance(other, MarkovStrategy)
@@ -328,8 +328,10 @@ class AvgDistributionResult:
 
     method: "cesaro" (infinite expected rounds), "closed_form_delta"
     (constant continuation) or "truncated_sum" (any other schedule), as
-    ``classify_schedule`` sorts the schedule.  ``residual`` is the tail's
-    a-posteriori residual, at most RESIDUAL_TOL, and 0 without a tail.
+    ``classify_schedule`` sorts the schedule; all three run the same
+    kernel, ``markov_average``.  ``residual`` is the tail's a-posteriori
+    residual |x (I - cM) - (1 - c) u|_1, at most RESIDUAL_TOL, and 0
+    without a tail.
     """
 
     dist: ProfileDistribution
@@ -337,35 +339,9 @@ class AvgDistributionResult:
     residual: float
 
 
-def _stationary(m: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of an irreducible stochastic matrix:
-    (I - M)^T x = 0 with its last equation replaced by sum(x) = 1."""
-    a = (np.eye(len(m)) - m).T
-    a[-1, :] = 1.0
-    b = np.zeros(len(m))
-    b[-1] = 1.0
-    x = np.clip(np.linalg.solve(a, b), 0.0, None)
-    return x / x.sum()
-
-
-def _closures(support: np.ndarray):
-    """Reach within 1, 2, 4, ... steps of a stack of support graphs, by
-    repeated squaring, up to the full closure (paths of n - 1 steps)."""
-    reach = support | np.eye(support.shape[-1], dtype=bool)
-    yield reach
-    for _ in range(max(support.shape[-1] - 2, 0).bit_length()):
-        step = reach.astype(float)
-        reach = (step @ step) > 0.0
-        yield reach
-
-
-def connected_components(support: np.ndarray) -> tuple[int, np.ndarray]:
-    """(count, labels) of the strongly connected components of one support
-    graph, numbered by lowest state: states that reach each other."""
-    *_, reach = _closures(support)
-    roots, labels = np.unique(np.argmax(reach & reach.T, axis=1),
-                              return_inverse=True)
-    return roots.size, labels
+def connected_components(*args, **kwargs):  # unused; bound for perfbench/tracing.py
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(*args, **kwargs)
 
 
 def csr_matrix(*args, **kwargs):  # unused; bound for perfbench/tracing.py
@@ -373,124 +349,84 @@ def csr_matrix(*args, **kwargs):  # unused; bound for perfbench/tracing.py
     return csr_matrix(*args, **kwargs)
 
 
-def _projector(m: np.ndarray) -> np.ndarray:
-    """Cesàro limit projector P* = lim (1/T) sum_t M^t of one chain.
-
-    Decomposes the chain into recurrent classes and transient states:
-    row i of P* is the absorption probability from i into each class
-    times that class's stationary distribution.  Valid for periodic and
-    reducible chains.  Raises LinAlgError when the absorption system is
-    singular.
-    """
-    support = m > 0.0
-    n_comp, labels = connected_components(support)
-    leaving = (support & (labels[:, None] != labels)).any(axis=1)
-    closed = ~np.isin(np.arange(n_comp), labels[leaving])
-
-    recurrent = [np.where(labels == k)[0] for k in range(n_comp) if closed[k]]
-    transient = np.where(~closed[labels])[0]
-    absorb = (labels[:, None] == np.flatnonzero(closed)).astype(float)
-    if transient.size:
-        lhs = np.eye(transient.size) - m[np.ix_(transient, transient)]
-        rhs = np.column_stack(
-            [m[np.ix_(transient, states)].sum(axis=1) for states in recurrent])
-        absorb[transient] = np.linalg.solve(lhs, rhs)
-
-    pstar = np.zeros_like(m)
-    for k, states in enumerate(recurrent):
-        pstar[:, states] = np.outer(absorb[:, k],
-                                    _stationary(m[np.ix_(states, states)]))
-    return pstar
-
-
-def single_closed_class(m: np.ndarray) -> np.ndarray:
-    """For each chain of an (N, n, n) stack, True when the support graph
-    M > 0 has exactly one closed class.
-
-    That holds exactly when some state is reachable from every state, on
-    the same support that ``_projector`` decomposes.
-    """
-    for reach in _closures(m > 0.0):
-        single = reach.all(axis=-2).any(axis=-1)
-        if single.all():
-            break
-    return single
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a[k] x[k] = b[k] for an (N, n, n) stack and b of shape
-    (N, n, 1); a singular member gets a NaN row instead of failing the
-    whole stack."""
-    try:
-        return np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape[:-1], np.nan)
-        for k in range(a.shape[0]):
-            try:
-                x[k] = np.linalg.solve(a[k], b[k])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return x
-
-
 def _settled(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Per row of ``_normalized`` output: residual within RESIDUAL_TOL and
-    sum within ProfileDistribution's tolerance of 1.  Normalizing already
-    put every entry in [0, 1]; a non-finite row fails both comparisons."""
+    """Per row of ``_tail_average`` output: residual within RESIDUAL_TOL
+    and sum within ProfileDistribution's tolerance of 1.  The reduction
+    never subtracts, so no entry is negative; a non-finite row fails both
+    comparisons."""
     return (residual <= RESIDUAL_TOL) & (np.abs(x.sum(axis=-1) - 1.0) <= DIST_SUM_TOL)
-
-
-def _normalized(x: np.ndarray, lhs: np.ndarray,
-                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solved rows clipped at 0 and scaled to sum 1, with their residuals
-    |x lhs - rhs|_1."""
-    x = np.maximum(x, 0.0)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x, np.abs((x[:, None, :] @ lhs)[:, 0] - rhs).sum(axis=-1)
 
 
 def _tail_average(m: np.ndarray, u: np.ndarray,
                   c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(1 - c) u (I - cM)^-1 for each chain, the Cesàro limit at c = 1,
-    with its residual |x (I - cM) - (1 - c) u|_1 and whether it is
+    """(1 - c) u (I - cM)^-1 for each chain, the Cesàro limit u P* at
+    c = 1, with its residual |x (I - cM) - (1 - c) u|_1 and whether it is
     ``_settled``.
 
-    A chain with one closed class solves the row-replaced resolvent: the
-    last equation of x (I - cM) = (1 - c) u becomes sum(x) = 1, which
-    removes the eigenvalue that vanishes as c -> 1.  A chain with several
-    closed classes, or whose solve is not settled, takes the projector
-    form u P* + (1 - c)(u - u P*)(I - c(M - P*))^-1.
+    x is the stationary law of a chain with one more state: a start state
+    0 whose row is u, while every other state follows c M and returns to
+    the start with probability 1 - c.  Scaled so that the start carries
+    1 - c, states 1..n carry x.  State reduction (Grassmann, Taksar &
+    Heyman 1985) eliminates states n..1 in turn and never subtracts: a
+    pivot is the row's mass on the other live states, never 1 - p_kk, so
+    every entry keeps a small relative error however nearly decomposable
+    the chain is.  Below c = 1 every pivot is at least 1 - c.  At c = 1
+    the start is never re-entered, and a pivot of exactly 0 marks the
+    last state of a closed class, which stays live.  The start's column,
+    all 0 there, then holds the time vector tau (Heyman & Reeves 1989),
+    which each elimination updates like any other column, so that tau
+    reads a kept state's mean return time within its class;
+    back-substitution seeds that state with the mass the start sends it
+    over tau.
+
+    The stack is held states-major, as (n + 1, n + 1, N), so every step
+    is elementwise along the contiguous chain axis.  A lone chain takes
+    two lanes: numpy sums a single run of values pairwise, so one lane
+    would round differently from the same chain inside a stack.
     """
-    n = u.shape[-1]
-    eye = np.eye(n)
-    single = single_closed_class(m)
-    lhs = eye - c * m
-    rhs = (1.0 - c) * u
-    # a singular or nearly singular solve leaves non-finite or huge rows,
-    # which _settled rejects
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        a = np.swapaxes(lhs, -1, -2).copy()
-        a[:, -1, :] = 1.0
-        a[~single] = eye  # placeholder: these take the projector form
-        b = rhs.copy()
-        b[:, -1] = 1.0
-        x, residual = _normalized(_solve_stack(a, b[..., None]), lhs, rhs)
-        settled = single & _settled(x, residual)
-        if not settled.all():
-            redo = np.flatnonzero(~settled)
-            pstar = np.empty((redo.size, n, n))
-            for i, k in enumerate(redo):
-                try:
-                    pstar[i] = _projector(m[k])
-                except np.linalg.LinAlgError:
-                    pstar[i] = np.nan
-            base = (u[redo, None, :] @ pstar)[:, 0]
-            if c < 1.0:
-                a = np.swapaxes(lhs[redo] + c * pstar, -1, -2)
-                base += _solve_stack(a, (rhs[redo] - (1.0 - c) * base)[..., None])
-            x[redo], residual[redo] = _normalized(base, lhs[redo], rhs[redo])
-            settled[redo] = _settled(x[redo], residual[redo])
-    return x, residual, settled
+    size, n = u.shape
+    lanes = max(size, 2)
+    a = np.empty((n + 1, n + 1, lanes))
+    a[0, 1:] = u.T
+    np.multiply(m.transpose(1, 2, 0), c, out=a[1:, 1:])
+    closing = c == 1.0
+    # column 0 is the return to the start below c = 1; at c = 1, where
+    # nothing returns, it holds tau and stays out of the pivots
+    a[:, 0] = 1.0 if closing else 1.0 - c
+    first = int(closing)
+    kept = np.zeros((n + 1, lanes))
+    top = 0  # no state at or past it is kept
+    for k in range(n, 0, -1):
+        row = a[k, :k]
+        if top > k:
+            # kept states above k are live: their columns join the row
+            row = a[k, :top] * kept[:top]
+            row[:k] = a[k, :k]
+        pivot = np.add.reduce(row[first:])
+        if closing and np.count_nonzero(pivot) < lanes:
+            # a kept state's row has no mass on live states, so with a
+            # unit pivot its update moves only tau, of states never kept
+            closed = pivot == 0.0
+            kept[k] = closed
+            top = max(top, k + 1)
+            pivot[closed] = 1.0
+        col = a[:k, k]
+        col /= pivot
+        a[:k, :len(row)] += col[:, None] * row
+    pi = np.zeros((n + 1, lanes))
+    if closing:
+        # the start carries no weight at c = 1; as a unit source whose row
+        # holds the seeds it feeds the same back-substitution
+        pi[0] = 1.0
+        a[0, 1:] *= kept[1:] / a[1:, 0]
+    else:
+        pi[0] = 1.0 - c
+    for k in range(n):
+        pi[k + 1:] += pi[k] * a[k, k + 1:]
+    x = np.ascontiguousarray(pi[1:, :size].T)
+    residual = np.abs(x - c * (x[:, None, :] @ m)[:, 0]
+                      - (1.0 - c) * u).sum(axis=-1)
+    return x, residual, _settled(x, residual)
 
 
 def _continuations(schedule: ContinuationSchedule) -> tuple[tuple[float, ...], float]:
@@ -525,11 +461,13 @@ def markov_average(m: np.ndarray, v1: np.ndarray,
     settled)``.  The explicit rounds of the schedule are summed by stacked
     products v M until the survival weight reaches 0, so a finite horizon
     solves nothing and is always settled.  A live constant tail c is one
-    ``_tail_average`` from the distribution of the round it starts; a
-    chain is settled when that average is finite, its residual is at most
-    RESIDUAL_TOL and it passes ProfileDistribution's range and sum checks.
-    An unsettled row of ``vbar`` is 0.  Raises NoConvergenceError when the
-    schedule needs more than MAX_ROUNDS explicit rounds.
+    ``_tail_average`` from the distribution of the round it starts: the
+    same subtraction-free state reduction for every c in (0, 1].  A chain
+    is settled when that average is finite, its residual is at most
+    RESIDUAL_TOL and its sum is within ProfileDistribution's tolerance of
+    1; no entry is ever negative.  An unsettled row of ``vbar`` is 0.
+    Raises NoConvergenceError when the schedule needs more than MAX_ROUNDS
+    explicit rounds.
     """
     values, c = _continuations(schedule)
     survival, rounds = _survival(values)

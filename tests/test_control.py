@@ -421,8 +421,8 @@ def test_verify_without_opponents_repeats_the_one_chain(pd):
 @pytest.mark.parametrize("schedule", [Infinite(), Delta(0.9)],
                          ids=["infinite", "delta0.9"])
 def test_verify_matches_per_sample_average(request, case, schedule):
-    # every sample, batched or re-run through the decomposition, agrees
-    # with a per-sample average_distribution on the same opponent draw
+    # every sample of a batch, one closed class or several, agrees with a
+    # per-sample average_distribution on the same opponent draw
     if case == "alliance":
         game = request.getfixturevalue("pgg")
         controllers = request.getfixturevalue("alliance_pin_out")

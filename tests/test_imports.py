@@ -63,7 +63,7 @@ def test_commands_without_lp_never_import_scipy(tmp_path):
     codes, loaded = _run_fresh(
         ["verify", "--game", DONATION, "--strategy", PIN, "--alpha", "0,1",
          "--gamma", "-2", "--samples", "200"],
-        # enough samples that some reducible chains take the projector
+        # enough samples that some draws are reducible chains
         ["verify", "--game", DONATION, "--strategy", EQUALIZER, "--alpha",
          "1,-1", "--gamma", "0", "--samples", "1000"],
         ["simulate", "--game", PD, "--strategy", str(profile),

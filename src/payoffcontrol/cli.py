@@ -6,9 +6,10 @@ Player ids on the command line are 1-based, matching the file format.
 
 Exit codes: 0 success (verify: relation held on every sample; falsify: a
 counterexample found, or a proved negative), 1 verify found a violation,
-2 usage or file errors, 3 conclusively infeasible synthesis target, 4
-inconclusive outcome (synthesis search exhausted, or falsification found
-no counterexample and proved none impossible).
+2 usage or file errors (an input too large to allocate among them), 3
+conclusively infeasible synthesis target, 4 inconclusive outcome
+(synthesis search exhausted, or falsification found no counterexample
+and proved none impossible).
 
 falsify answers exactly under every schedule whose constant tail is below
 1 (horizon:<T>, delta:<d>, custom files with such a tail): it solves the
@@ -417,8 +418,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (PayoffControlError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PayoffControlError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -47,6 +47,7 @@ from .dynamics import (
     _survival,
     # unused here, but the benchmark tracer rebinds this name
     average_distribution,
+    check_seed,
     check_strategy,
     classify_schedule,
     markov_average,
@@ -497,6 +498,7 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
+    check_seed(seed)
     if not (math.isfinite(tol) and tol > 0.0):
         # an infinite tolerance would pass any relation
         raise InvalidParamsError(
@@ -726,6 +728,7 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     """
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
+    check_seed(seed)
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise InvalidParamsError("threshold must be finite and positive")
     candidate = np.asarray(candidate, dtype=float)

@@ -552,6 +552,12 @@ class MonteCarloResult:
     mean_rounds: float
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative generator seed with a message that names it."""
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
+
+
 class _RowSampler:
     """Inverse-CDF draws from the probability rows of a (k, n) array.
 
@@ -580,11 +586,19 @@ class _RowSampler:
         hi = np.searchsorted(self.keys, edges[:, 1:].ravel(), side="left")
         self.cells = np.where(lo == hi, self.targets[lo], -1)
 
-    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The draw from row ``state[i]`` by the uniform ``u[i]``."""
-        drawn = self.cells.take(state * DRAW_CELLS
-                                + (u * DRAW_CELLS).astype(np.intp))
-        split = np.flatnonzero(drawn < 0)
+    def draw(self, state: np.ndarray, u: np.ndarray,
+             index: np.ndarray | None = None) -> np.ndarray:
+        """The draw from row ``state[i]`` by the uniform ``u[i]``.
+
+        ``index``, an intp array at least as long as ``state``, is scratch
+        space for the cell index, so that a caller drawing every round
+        allocates it once.
+        """
+        index = np.multiply(state, DRAW_CELLS,
+                            out=None if index is None else index[:len(state)])
+        index += (u * DRAW_CELLS).astype(np.intp)
+        drawn = self.cells.take(index)
+        split = (drawn < 0).nonzero()[0]
         if split.size:
             drawn[split] = self.search(state[split], u[split])
         return drawn
@@ -657,29 +671,34 @@ def monte_carlo_play(game: GameSpec, profile: StrategyProfile,
     before it.)  A round cap is required whenever an episode could play
     forever and optional otherwise.
     """
-    m = transition_matrix(game, profile)
-    v1 = initial_distribution(game, profile).probs
     if episodes < 1:
         raise InvalidParamsError("episodes must be >= 1")
+    check_seed(seed)
+    m = transition_matrix(game, profile)
+    v1 = initial_distribution(game, profile).probs
     rng = np.random.default_rng(seed)
     lengths = _episode_lengths(rng, schedule, episodes, max_rounds)
     sampler = _RowSampler(np.vstack([m, v1]))
 
-    payoff_sums = np.zeros((episodes, game.player_count))
+    # player-major, so each round adds along contiguous rows and the
+    # closing sums run along the episode axis
+    payoffs = game.payoffs.T
+    payoff_sums = np.zeros((game.player_count, episodes))
     state = np.full(episodes, len(v1))  # the start row
+    index = np.empty(episodes, np.intp)
     ends = (-lengths).tolist()  # ascending
     for t in range(1, int(lengths[0]) + 1):
         alive = bisect.bisect_right(ends, -t)
         live = state[:alive]
-        live[:] = sampler.draw(live, rng.random(alive))
-        payoff_sums[:alive] += game.payoffs.take(live, axis=0)
+        live[:] = sampler.draw(live, rng.random(alive), index)
+        payoff_sums[:, :alive] += payoffs.take(live, axis=1)
 
     total_rounds = lengths.sum()
-    means = payoff_sums.sum(axis=0) / total_rounds
+    means = payoff_sums.sum(axis=1) / total_rounds
     mean_rounds = total_rounds / episodes
     if episodes > 1:
-        centered = payoff_sums - np.outer(lengths, means)
-        std_errors = centered.std(axis=0, ddof=1) / (mean_rounds * math.sqrt(episodes))
+        centered = payoff_sums - np.outer(means, lengths)
+        std_errors = centered.std(axis=1, ddof=1) / (mean_rounds * math.sqrt(episodes))
     else:
         std_errors = np.zeros(game.player_count)
     return MonteCarloResult(means, std_errors, episodes, float(mean_rounds))

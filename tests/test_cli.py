@@ -375,6 +375,51 @@ def test_falsify_rejects_bad_threshold_and_budget(capsys, threshold, budget):
             else "threshold must be finite and positive") in stderr
 
 
+def _sampling_argv(tmp_path, command):
+    """A valid command line for each subcommand that takes --seed."""
+    if command == "simulate":
+        path = tmp_path / "profile.strategy"
+        write_strategy_file(path, parse_game_file(PD).game,
+                            [wsls_pd(0), wsls_pd(1)])
+        return ["simulate", "--game", PD, "--strategy", str(path),
+                "--schedule", "delta:0.5"]
+    if command == "falsify":
+        return ["falsify", "--game", DONATION, "--strategy", PIN,
+                "--schedule", "horizon:2", "--action", "C1"]
+    return ["verify", "--game", DONATION, "--strategy", PIN,
+            "--alpha", "0,1", "--gamma", "-2"]
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "falsify"])
+def test_negative_seed_names_the_seed(tmp_path, capsys, command):
+    # numpy's own message named nothing; under horizon:2 falsify never
+    # builds a generator, and still rejects the seed
+    code, stdout, stderr = run(capsys, *_sampling_argv(tmp_path, command),
+                               "--seed", "-1")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command, name", [("verify", "verify_relation"),
+                                           ("simulate", "monte_carlo_play")])
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array",
+     "Unable to allocate 74.5 GiB for an array"),
+    ("", "out of memory")], ids=["numpy", "bare"])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, name,
+                               message, shown):
+    # a huge --samples fails in numpy's allocator; stand in for it, so
+    # that nothing is allocated here
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, name, exhausted)
+    code, stdout, stderr = run(capsys, *_sampling_argv(tmp_path, command),
+                               "--samples", "10000000000")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {shown}\n"
+
+
 # ---------------------------------------------------------------------------
 # outputs pinned byte for byte
 

@@ -541,6 +541,19 @@ def test_monte_carlo_memory_does_not_grow_with_rounds(donation):
     assert res.mean_rounds == rounds
     # a (rounds x episodes) array of bytes alone would take 2 MB
     assert peak < 0.25 * episodes * rounds
+    # with few episodes the bound above is tighter than the fixed costs,
+    # so compare two caps instead: ten times the rounds, the same peak
+    peaks = []
+    for cap in (1000, 10000):
+        tracemalloc.start()
+        try:
+            res = monte_carlo_play(donation, profile, Infinite(), episodes=4,
+                                   seed=3, max_rounds=cap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.mean_rounds == cap
+    assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -648,24 +661,64 @@ def _benchmark_profiles():
     ]
 
 
+def _completed_benchmark_profiles(seed):
+    """(game, full profile) of each benchmark profile, its opponents drawn
+    from one generator seeded by ``seed``."""
+    rng = np.random.default_rng([seed, 0x51])
+    completed = []
+    for game, fixed in _benchmark_profiles():
+        taken = {s.player for s in fixed}
+        drawn = tuple(sample_markov_strategy(rng, game, p)
+                      for p in range(game.player_count) if p not in taken)
+        completed.append((game, StrategyProfile(tuple(fixed) + drawn)))
+    return completed
+
+
 @pytest.mark.parametrize("schedule", [FiniteHorizon(10), Delta(0.9)],
                          ids=["horizon:10", "delta:0.9"])
 def test_monte_carlo_benchmark_check(schedule):
     # the benchmark's simulate check: every mean within 5 SE of the exact
     # effective payoff, at 4000 episodes
     for seed in range(5):
-        rng = np.random.default_rng([seed, 0x51])
-        for game, fixed in _benchmark_profiles():
-            taken = {s.player for s in fixed}
-            drawn = tuple(sample_markov_strategy(rng, game, p)
-                          for p in range(game.player_count) if p not in taken)
-            profile = StrategyProfile(tuple(fixed) + drawn)
+        for game, profile in _completed_benchmark_profiles(seed):
             exact = effective_payoffs(game, profile, schedule)
             res = monte_carlo_play(game, profile, schedule, episodes=4000,
                                    seed=seed)
             assert np.all(res.std_errors > 0.0)
             assert np.all(np.abs(res.means - exact) <= 5.0 * res.std_errors), \
                 (seed, game.player_count)
+
+
+@pytest.mark.parametrize("schedule, mean_rounds, expected", [
+    (FiniteHorizon(10), 10.0, [
+        ([1.4943, 2.802175],
+         [0.008232181952855846, 0.004976633808586581]),
+        ([1.665325, 1.952],
+         [0.009922998668214746, 0.009785151368109963]),
+        ([1.2583, 1.160275, 1.06885],
+         [0.0075480640443562775, 0.0072801515262602475,
+          0.009498485388795967]),
+    ]),
+    (Delta(0.9), 9.624, [
+        ([1.4893495428096426, 2.815980881130507],
+         [0.008472716201651034, 0.005250543188707329]),
+        ([1.6497558187863675, 1.9520729426433916],
+         [0.00999053697288105, 0.010136265807161716]),
+        ([1.2646248960931006, 1.146794472152951, 1.0852296342477141],
+         [0.007731233884151475, 0.007412183182217023,
+          0.009898440307866104]),
+    ]),
+], ids=["horizon:10", "delta:0.9"])
+def test_monte_carlo_draws_are_pinned(schedule, mean_rounds, expected):
+    # (means, std errors) per benchmark profile at seed 0, as drawn since
+    # the joint-chain sampler: a changed draw moves them far beyond 1e-12,
+    # a new summation order of the pooled figures by a few ulps at most
+    for (game, profile), (means, std_errors) in zip(
+            _completed_benchmark_profiles(0), expected, strict=True):
+        res = monte_carlo_play(game, profile, schedule, episodes=4000, seed=0)
+        assert res.mean_rounds == mean_rounds
+        assert_allclose(res.means, means, rtol=1e-12, atol=0.0)
+        assert_allclose(res.std_errors, std_errors, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,16 @@ conclusively infeasible synthesis target, 4 inconclusive outcome
 (synthesis search exhausted, or falsification found no counterexample
 and proved none impossible).
 
-falsify answers exactly under every schedule whose constant tail is below
-1 (horizon:<T>, delta:<d>, custom files with such a tail): it solves the
-opponents' best response as a Markov decision process and prints the
-optimum over all opponents on a ``bound:`` line.  Where one deterministic
-Markov opponent attains that optimum it is the counterexample, and
---budget and --seed are ignored; otherwise (rules that change by round)
-the seeded restart search runs as under a tail of 1 (infinite, custom
-tail 1), which prints no bound.  A bound at or below the threshold is a
-proved negative: ``proved:`` and exit 0.
+falsify answers exactly unless the schedule's constant tail is both
+reached and equal to 1: it solves the opponents' best response as a Markov
+decision process and prints the optimum over all opponents on a ``bound:``
+line.  Where one deterministic Markov opponent attains that optimum it is
+the counterexample, and --budget and --seed are ignored; otherwise (rules
+that change by round) --budget deterministic stationary opponents drawn
+from --seed climb by steepest ascent over single-entry changes, as under a
+reached tail of 1 (infinite, custom tail 1), which prints no bound.  A
+bound at or below the threshold is a proved negative: ``proved:`` and
+exit 0.
 """
 
 from __future__ import annotations
@@ -371,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", required=True,
                    help="controller action label defining the candidate")
     p.add_argument("--budget", type=int, default=100,
-                   help="restarts of the search (unused where a "
-                        "deterministic Markov opponent is optimal)")
+                   help="deterministic stationary opponents the "
+                        "ascent starts from (unused where a deterministic "
+                        "Markov opponent is optimal)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--out", default=None,

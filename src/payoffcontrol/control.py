@@ -562,8 +562,9 @@ class FalsificationReport:
     vector.
 
     ``bound`` is the largest |<candidate, vbar>| that any opponents reach,
-    computed for schedules whose constant tail is below 1 and None
-    otherwise; at or below ``threshold`` it proves the candidate holds."""
+    computed unless the schedule's constant tail is both reached and equal
+    to 1 (then None); at or below ``threshold`` it proves the candidate
+    holds."""
 
     candidate: np.ndarray
     achieved: float
@@ -670,36 +671,38 @@ def _best_response(rows: np.ndarray, succ: np.ndarray, candidate: np.ndarray,
     return bound, np.concatenate([rules[-1][sign, :1], later[0]])
 
 
-def _project_rows(table: np.ndarray) -> np.ndarray:
-    """Rows of entries in [0, 1] scaled to sum 1; a zero row turns
-    uniform."""
-    sums = table.sum(axis=-1, keepdims=True)
-    if not sums.all():
-        table = np.where(sums > 0.0, table, 1.0)
-        sums = table.sum(axis=-1, keepdims=True)
-    return table / sums
+def _rule_tables(game: GameSpec, opponents: Sequence[int],
+                 rules: np.ndarray) -> dict[int, np.ndarray]:
+    """Each opponent's one-hot (..., count + 1, m) table from stacked
+    deterministic rules: per opponent, in order, an action for the start
+    state and one after each profile, so table row r + 1 is conditional
+    row r."""
+    return {p: np.eye(game.action_counts[p])[part] for p, part in
+            zip(opponents, np.split(rules, len(opponents), axis=-1))}
 
 
-def _opponent_tables(game: GameSpec, opponents: Sequence[int],
-                     flat: np.ndarray) -> dict[int, np.ndarray]:
-    """Each opponent's (len(flat), count + 1, m) projected table from the
-    flat vectors: per opponent, its initial action then its conditional
-    rows, so table row r + 1 is conditional row r."""
-    tables, start = {}, 0
-    for player in opponents:
-        m = game.action_counts[player]
-        width = (game.profile_count + 1) * m
-        tables[player] = _project_rows(
-            flat[:, start:start + width].reshape(len(flat), -1, m))
-        start += width
-    return tables
-
-
-def _require_settled(residual: np.ndarray, settled: np.ndarray) -> None:
-    """Raise NoConvergenceError unless every trial average settled."""
-    if not settled.all():
-        raise NoConvergenceError(f"trial average did not settle "
-                                 f"(residual {residual[~settled][0]:.3e})")
+def _rule_values(game: GameSpec, schedule: ContinuationSchedule,
+                 shared: dict[int, np.ndarray], candidate: np.ndarray,
+                 rules: np.ndarray) -> np.ndarray:
+    """|<candidate, vbar>| of each row of ``rules`` against the controllers'
+    ``shared`` tables, VERIFY_BLOCK chains at a time.  Raises
+    NoConvergenceError unless every average settled."""
+    opponents = [p for p in range(game.player_count) if p not in shared]
+    values = np.empty(len(rules))
+    for start in range(0, len(rules), VERIFY_BLOCK):
+        block = rules[start:start + VERIFY_BLOCK]
+        tables = {**shared, **_rule_tables(game, opponents, block)}
+        vbar, residual, settled = _chain_average(game, schedule, tables,
+                                                 len(block))
+        if not settled.all():
+            raise NoConvergenceError(
+                f"trial average did not settle "
+                f"(residual {residual[~settled][0]:.3e})")
+        # a dot product per chain: the same sum wherever it sits in the
+        # stack
+        values[start:start + len(block)] = np.abs(
+            (vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
+    return values
 
 
 def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
@@ -712,19 +715,16 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     vector under this schedule, so the threshold must be finite and
     positive.
 
-    Under a constant tail below 1 the opponents' best response is solved
-    exactly (``_best_response``) and ``bound`` reports the optimum over
-    all opponents.  Where one deterministic Markov opponent attains it,
-    that opponent is the answer, evaluated once, and ``budget`` and
-    ``seed`` go unused.  Otherwise (a tail of 1, or an optimum that plays
-    differently by round) ``budget`` random restarts (at least 1) are
-    refined coordinatewise over every opponent probability (rows
-    re-projected to the simplex); a value within the threshold then
-    proves nothing unless the bound does.
-
-    The restarts run in lockstep, VERIFY_BLOCK at a time: each trial
-    evaluates every restart still refining at that step as one stack.
-    Among equal best values the first restart wins.
+    Unless the schedule's constant tail is both reached and equal to 1,
+    the opponents' best response is solved exactly (``_best_response``)
+    and ``bound`` reports the optimum over all opponents.  Where one
+    deterministic Markov opponent attains it, that opponent is the answer,
+    evaluated once, and ``budget`` and ``seed`` go unused.  Otherwise (a
+    reached tail of 1, or an optimum that plays differently by round)
+    ``budget`` random deterministic stationary opponents (at least 1),
+    drawn from ``seed``, each climb by ``_ascend`` over single-entry
+    changes; a value within the threshold then proves nothing unless the
+    bound does.  Among equal best values the first restart wins.
     """
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
@@ -743,46 +743,32 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     ordered, _, _, jhat = _controller_setup(game, strategies)
     shared = {s.player: np.vstack([s.initial.probs, s.conditionals])
               for s in ordered}
+    sizes, khat = joint_index(game, opponents)
+    explicit, c = _continuations(schedule)
+    survival, reached = _survival(explicit)
     bound = play = None
-    if _continuations(schedule)[1] < 1.0:
+    if c < 1.0 or reached < len(survival):
         rows = np.vstack([joint_initial(ordered), _joint_table(ordered)])
-        sizes, khat = joint_index(game, opponents)
         succ = np.empty((rows.shape[1], math.prod(sizes)), dtype=np.intp)
         succ[jhat, khat] = np.arange(game.profile_count)
         bound, play = _best_response(rows, succ, candidate, schedule)
+    values_of = functools.partial(_rule_values, game, schedule, shared,
+                                  candidate)
     if play is not None:
-        tables = {p: np.eye(size)[None, actions] for p, size, actions in
-                  zip(opponents, sizes, np.unravel_index(play, sizes))}
-        vbar, residual, settled = _chain_average(
-            game, schedule, {**shared, **tables}, 1)
-        _require_settled(residual, settled)
-        achieved = abs(float(vbar[0] @ candidate))
+        rules = np.concatenate(np.unravel_index(play, sizes))[None]
+        values = values_of(rules)
     else:
-        width = sum((game.profile_count + 1) * game.action_counts[p]
-                    for p in opponents)
-        flats = np.random.default_rng(seed).random((budget, width))
-
-        def objective(flat):
-            """(|<candidate, vbar>|, residual, settled) of a stack of flat
-            vectors, each chain built from its projected tables."""
-            tables = {**shared, **_opponent_tables(game, opponents, flat)}
-            vbar, residual, settled = _chain_average(game, schedule, tables,
-                                                     len(flat))
-            # a dot product per chain: the same sum wherever it sits in
-            # the stack
-            values = np.abs((vbar[:, None, :] @ candidate[:, None])[:, 0, 0])
-            return values, residual, settled
-
-        values = np.concatenate([
-            _refine(flats[start:start + VERIFY_BLOCK], objective)
-            for start in range(0, budget, VERIFY_BLOCK)])
-        best = int(np.argmax(values))
-        achieved = float(values[best])
-        tables = _opponent_tables(game, opponents, flats[best:best + 1])
+        choices = np.repeat(sizes, game.profile_count + 1)
+        rules = np.random.default_rng(seed).integers(
+            choices, size=(budget, len(choices)))
+        values = _ascend(rules, choices, values_of)
+    best = int(np.argmax(values))
+    achieved = float(values[best])
     found = achieved > threshold
     counterexample = tuple(
-        MarkovStrategy(p, MixedAction(table[0, 0]), table[0, 1:])
-        for p, table in tables.items()) if found else None
+        MarkovStrategy(p, MixedAction(table[0]), table[1:])
+        for p, table in _rule_tables(game, opponents, rules[best]).items()
+    ) if found else None
     return FalsificationReport(
         candidate=candidate,
         achieved=achieved,
@@ -793,72 +779,30 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     )
 
 
-def _refine(flat: np.ndarray, objective) -> np.ndarray:
-    """Coordinatewise ascent from every row of ``flat`` (updated in place)
-    at steps 0.3, 0.1 and 0.03, at most three sweeps each; a row leaves a
-    step after a sweep that improved nothing.  ``objective`` maps a stack
-    of flat vectors to (values, residual, settled) as ``markov_average``
-    reports them.  Returns the values reached.
-
-    Each coordinate tries +step, then -step from wherever +step left it.
-    Both trials from the current point run as one stack: -step counts
-    where +step did not improve.  Where +step did, -step from the new
-    point is a follow-up trial, needed only when clipping or rounding
-    keeps it off the old point, whose value is known.  A trial that
-    clipping leaves at the current point is the current chain, so it is
-    not evaluated either.
-    """
-    value, residual, settled = objective(flat)
-    _require_settled(residual, settled)
-
-    def trial(rows, i, points):
-        stack = flat[rows]
-        stack[:, i] = points
-        return objective(stack)
-
-    for step in (0.3, 0.1, 0.03):
-        live = np.arange(len(flat))
-        for _ in range(3):
-            improved = np.zeros(len(flat), dtype=bool)
-            for i in range(flat.shape[1]):
-                base = flat[live, i]
-                # flat stays in [0, 1]: a step can only pass one bound
-                plus = np.minimum(base + step, 1.0)
-                minus = np.maximum(base - step, 0.0)
-                up, down = plus != base, minus != base
-                raised = live[up]
-                rows = np.concatenate([raised, live[down]])
-                if not rows.size:
-                    continue
-                points = np.concatenate([plus[up], minus[down]])
-                values, residual, settled = trial(rows, i, points)
-                ups = raised.size
-                better = values > value[rows] + 1e-15
-                gain = np.zeros(live.size, dtype=bool)
-                gain[up] = better[:ups]
-                # where +step won, -step from the base is no trial
-                moot = gain[down]
-                better[ups:] &= ~moot
-                if not settled.all():
-                    settled[ups:] |= moot
-                    _require_settled(residual, settled)
-                if not better.any():
-                    continue
-                moved = rows[better]
-                flat[moved, i], value[moved] = points[better], values[better]
-                improved[moved] = True
-                # -step from where +step won, unless it is the base again
-                top = plus[gain]
-                back = np.maximum(top - step, 0.0)
-                again = (back != top) & (back != base[gain])
-                if again.any():
-                    rows, back = live[gain][again], back[again]
-                    values, residual, settled = trial(rows, i, back)
-                    _require_settled(residual, settled)
-                    better = values > value[rows] + 1e-15
-                    moved = rows[better]
-                    flat[moved, i], value[moved] = back[better], values[better]
-            live = live[improved[live]]
-            if not live.size:
-                break
+def _ascend(rules: np.ndarray, choices: np.ndarray, values_of) -> np.ndarray:
+    """Steepest ascent from every row of ``rules`` (updated in place), whose
+    entry i takes one of ``choices[i]`` actions.  ``values_of`` maps a
+    stack of rules to their values.  Each step evaluates every
+    single-entry neighbour of every live row as one stack; a row moves to
+    its first best neighbour when that beats its value by more than
+    1e-15, and stops after a step that does not.  The values only rise on
+    a finite set, so the ascent ends.  Returns the values reached."""
+    # neighbour k sets entry at[k] to its other[k]-th action other than
+    # the current one
+    at = np.repeat(np.arange(len(choices)), choices - 1)
+    other = np.concatenate([np.arange(m - 1) for m in choices])
+    every = np.arange(len(at))
+    value = values_of(rules)
+    live = np.arange(len(rules))
+    while live.size:
+        near = np.repeat(rules[live, None], len(at), axis=1)
+        near[:, every, at] = other + (other >= near[:, every, at])
+        values = values_of(near.reshape(-1, len(choices))) \
+            .reshape(len(live), -1)
+        best = values.argmax(axis=1)
+        top = values[np.arange(len(live)), best]
+        better = top > value[live] + 1e-15
+        live = live[better]
+        rules[live] = near[better, best[better]]
+        value[live] = top[better]
     return value

@@ -8,6 +8,8 @@ from payoffcontrol import (
     Custom,
     Infinite,
     PayoffRelation,
+    StrategyProfile,
+    average_distribution,
     public_goods_game,
     verify_relation,
 )
@@ -335,6 +337,50 @@ def test_falsify_two_rounds_prints_the_optimum_and_bound(capsys):
         assert stdout == (
             "falsified: |<candidate, vbar>| reaches 0.19 > threshold 1e-06\n"
             "bound: |<candidate, vbar>| <= 0.19 against every opponent\n")
+
+
+def test_falsify_unreached_tail_of_one_prints_the_bound(tmp_path, capsys):
+    # two rounds written with a tail of 1 that is never reached: solved
+    # exactly, as horizon:2 is
+    tail = tmp_path / "two.schedule"
+    tail.write_text(schedule_line(Custom((1.0, 0.0), tail=1.0)) + "\n",
+                    encoding="utf-8")
+    outputs = [run(capsys, "falsify", "--game", DONATION, "--strategy", PIN,
+                   "--schedule", schedule, "--action", "C1")
+               for schedule in ("horizon:2", f"custom:{tail}")]
+    assert outputs[1] == outputs[0]
+    assert outputs[1][1] == (
+        "falsified: |<candidate, vbar>| reaches 0.19 > threshold 1e-06\n"
+        "bound: |<candidate, vbar>| <= 0.19 against every opponent\n")
+
+
+@pytest.mark.parametrize("schedule, threshold", [("horizon:10", "1e-6"),
+                                                 ("infinite", "1e-300")])
+def test_falsify_out_reproduces_the_value_found(tmp_path, capsys, schedule,
+                                                threshold):
+    # the ascent's counterexample parses back to a deterministic opponent
+    # that reaches the value in its header.  Under infinite play the pin's
+    # column is a ruling vector, so only a threshold below rounding keeps
+    # a counterexample
+    cpath = tmp_path / "counter.strategy"
+    code, stdout, _ = run(capsys, "falsify", "--game", DONATION,
+                          "--strategy", PIN, "--schedule", schedule,
+                          "--action", "C1", "--budget", "10",
+                          "--threshold", threshold, "--out", str(cpath))
+    assert code == 0 and stdout.startswith("falsified")
+    header = cpath.read_text(encoding="utf-8").splitlines()[0]
+    achieved = float(header.removeprefix("# counterexample achieving "))
+    game = parse_game_file(DONATION).game
+    (pin,) = parse_strategy_file(PIN, game).strategies
+    doc = parse_strategy_file(cpath, game)
+    (opponent,) = doc.strategies
+    assert set(opponent.conditionals.ravel()) <= {0.0, 1.0}
+    assert set(opponent.initial.probs) <= {0.0, 1.0}
+    vbar = average_distribution(game, StrategyProfile((pin, opponent)),
+                                doc.schedule).dist.probs
+    repeat = game.profile_actions[:, 0] == 0
+    candidate = pin.conditionals[:, 0] - repeat
+    assert abs(abs(float(candidate @ vbar)) - achieved) <= 1e-12
 
 
 @pytest.mark.parametrize("schedule", ["horizon:3", "delta:0.9"])

@@ -393,11 +393,12 @@ _COMMANDS = next(action.choices for action in _PARSER._actions
 def _attach_numbers(argv: list[str]) -> list[str]:
     """``--opt -1,1`` as ``--opt=-1,1``.  argparse reads a value that starts
     with "-" as an option name unless it is a plain negative decimal, so
-    ``--alpha -1,1`` or ``--gamma -2e0`` would lack their values.  A token
-    that starts like a negative number is one: no option name does."""
+    ``--alpha -1,1``, ``--gamma -2e0`` or ``--gamma -inf`` would lack their
+    values.  A token that starts like a negative number (a digit, or "inf"
+    or "nan" in any case, after the sign) is one: no option name does."""
     attached = []
     for token in argv:
-        if attached and re.match(r"-\.?\d", token) \
+        if attached and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE) \
                 and attached[-1].startswith("--") and "=" not in attached[-1]:
             attached[-1] += "=" + token
         else:

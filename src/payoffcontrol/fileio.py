@@ -23,15 +23,18 @@ blank lines separate nothing, numbers are whitespace separated.
                              # custom v1 v2 ... [tail v]
 
 Profiles are ordered lexicographically with player 1 most significant.
-Files are UTF-8; numbers are written with 17 significant digits so a
-written file re-parses to equal objects.  CSV output uses 12 significant
-digits, comma separators, and LF line endings.
+Files are UTF-8, a leading byte-order mark allowed; numbers are written
+with 17 significant digits so a written file re-parses to equal objects.
+CSV output uses 12 significant digits, comma separators, and LF line
+endings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,18 +78,14 @@ def _fmt_row(values) -> str:
 
 
 class _Reader:
-    """Comment-stripped, tokenized lines: ``tokens`` holds the non-blank
-    ones and ``linenos`` their 1-based line numbers."""
+    """Comment-stripped, tokenized lines of a file's bytes: ``tokens`` holds
+    the non-blank ones and ``linenos`` their 1-based line numbers."""
 
-    def __init__(self, path):
+    def __init__(self, data: bytes, path):
         self.path = str(path)
-        try:
-            with open(path, "rb", buffering=0) as fh:  # one read, no buffer
-                data = fh.read()
-        except OSError as exc:
-            raise ParseError(str(exc), path=str(path)) from None
         self.linenos, self.tokens = [], []
-        for lineno, raw in enumerate(data.decode("utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(data.decode("utf-8-sig").splitlines(),
+                                     1):
             tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
             if tokens:
                 self.linenos.append(lineno)
@@ -252,10 +251,9 @@ def _parse_strategy_block(reader, header_tokens, lineno, game: GameSpec):
                               line=row_linenos[exc.row]) from None
 
 
-def _parse_document(path, game: GameSpec | None):
+def _parse_document(reader, game: GameSpec | None):
     """Shared walk over one file; game sections allowed only when game is
     None, strategy blocks validated against the given or parsed game."""
-    reader = _Reader(path)
     player_count = None
     labels: dict[int, list[str]] = {}
     payoff_rows = None
@@ -325,7 +323,7 @@ def _parse_document(path, game: GameSpec | None):
 
     if player_count is not None and game is None:
         game = _finish_game(reader, player_count, labels, payoff_rows, None)
-    return reader, game, tuple(strategies), schedule
+    return game, tuple(strategies), schedule
 
 
 def _finish_game(reader, player_count, labels, payoff_rows, lineno):
@@ -340,28 +338,79 @@ def _finish_game(reader, player_count, labels, payoff_rows, lineno):
         raise ValidationError(str(exc), path=reader.path) from None
 
 
-def parse_game_file(path) -> GameDocument:
-    """Parse a game file; strategy blocks and a schedule line may follow."""
-    reader, game, strategies, schedule = _parse_document(path, None)
+# Documents parsed in this process, least recently used first, keyed by
+# (builder, file bytes, id of the game a strategy file was checked
+# against).  Each entry holds that game, so its id names no other object
+# while the entry lives.  Documents are immutable, so a hit hands out the
+# one built earlier; a failed parse is not stored.
+PARSE_MEMO_SIZE = 64
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _read(path) -> bytes:
+    try:
+        with open(path, "rb", buffering=0) as fh:  # one read, no buffer
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
+
+
+def _memoized(build, path, game=None):
+    """``build(reader, game)`` over the file's bytes, or what an earlier
+    call built from the same bytes and the same game object."""
+    data = _read(path)
+    key = (build, data, id(game))
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is not None:
+            _memo.move_to_end(key)
+            return entry[1]
+    doc = build(_Reader(data, path), game)
+    with _memo_lock:
+        _memo[key] = game, doc
+        if len(_memo) > PARSE_MEMO_SIZE:
+            _memo.popitem(last=False)
+    return doc
+
+
+def _game_document(reader, _) -> GameDocument:
+    game, strategies, schedule = _parse_document(reader, None)
     if game is None:
         reader.fail("file defines no game")
     return GameDocument(game, strategies, schedule)
 
 
-def parse_strategy_file(path, game: GameSpec) -> StrategyDocument:
-    """Parse strategy blocks (and an optional schedule) against a game."""
-    reader, _, strategies, schedule = _parse_document(path, game)
+def _strategy_document(reader, game) -> StrategyDocument:
+    _, strategies, schedule = _parse_document(reader, game)
     if not strategies:
         reader.fail("file defines no strategy block")
     return StrategyDocument(strategies, schedule)
 
 
-def parse_schedule_file(path) -> ContinuationSchedule:
-    """Parse a file whose payload is a single schedule line."""
-    reader, _, _, schedule = _parse_document(path, _SCHEDULE_ONLY_SENTINEL)
+def _schedule_document(reader, game) -> ContinuationSchedule:
+    _, _, schedule = _parse_document(reader, game)
     if schedule is None:
         reader.fail("file defines no schedule line")
     return schedule
+
+
+def parse_game_file(path) -> GameDocument:
+    """Parse a game file; strategy blocks and a schedule line may follow.
+
+    Each parse_* call reads its file; for bytes this process has parsed
+    before it returns the document built from them then."""
+    return _memoized(_game_document, path)
+
+
+def parse_strategy_file(path, game: GameSpec) -> StrategyDocument:
+    """Parse strategy blocks (and an optional schedule) against a game."""
+    return _memoized(_strategy_document, path, game)
+
+
+def parse_schedule_file(path) -> ContinuationSchedule:
+    """Parse a file whose payload is a single schedule line."""
+    return _memoized(_schedule_document, path, _SCHEDULE_ONLY_SENTINEL)
 
 
 class _ScheduleOnly:

@@ -660,6 +660,14 @@ def test_negative_values_written_apart_from_their_option(capsys, argv, code,
      "tolerance must lie in [machine epsilon, 1), got -0.5"),
     (("verify", "--game", DONATION, "--strategy", PIN, "--alpha", "0,1",
       "--gamma", "-2", "--tol", "-1e-8"), "tolerance must be positive"),
+    *((("synth", "--game", PD, "--controllers", "1", *args),
+       "relation coefficients must be finite")
+      for args in [("--alpha", "0,1", "--gamma", "-inf"),
+                   ("--alpha", "0,1", "--gamma", "-nan"),
+                   ("--alpha", "0,1", "--gamma", "-Infinity"),
+                   ("--alpha", "0,1", "--gamma", "-NaN"),
+                   ("--alpha", "-inf,1", "--gamma", "0"),
+                   ("--gamma", "0", "--alpha", "-INF,1")]),
 ])
 def test_negative_values_reach_the_command_checks(capsys, argv, message):
     code, stdout, stderr = run(capsys, *argv)

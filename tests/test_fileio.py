@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +278,7 @@ def test_section_reader_matches_float_per_token(tmp_path_factory, count,
     path = tmp_path_factory.mktemp("section") / "rows.txt"
     path.write_text("\n".join(["# rows", *(" ".join(r) for r in rows),
                                "tail"]) + "\n", encoding="utf-8")
-    reader = _Reader(path)
+    reader = _Reader(path.read_bytes(), path)
     linenos, values = _numeric_section(reader, count, width, "payoff")
     expected = np.array([[float(t) for t in row] for row in rows])
     assert values.shape == (count, width)
@@ -297,6 +298,14 @@ def test_each_probability_table_is_checked_once(tmp_path, monkeypatch):
     for module in (games, dynamics, fileio):
         if getattr(module, "check_rows", None) is real:
             monkeypatch.setattr(module, "check_rows", spy)
+    opened = []
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "open", spy_open, raising=False)
+    monkeypatch.setattr(fileio, "_memo", OrderedDict())
     rng = np.random.default_rng(3)
     game = build_game([("a", "b", "c"), ("x", "y"), ("p", "q")],
                       rng.normal(size=(12, 3)))
@@ -305,8 +314,108 @@ def test_each_probability_table_is_checked_once(tmp_path, monkeypatch):
         out = tmp_path / f"doc{k}.game"
         write_game_file(out, game, strategies[:k])
         tables.clear()
-        assert len(parse_game_file(out).strategies) == k
+        opened.clear()
+        doc = parse_game_file(out)
+        assert len(doc.strategies) == k
         assert len(tables) == 2 * k
+        # the same bytes again: read, but neither parsed nor checked
+        tables.clear()
+        assert parse_game_file(out) is doc
+        assert tables == []
+        assert opened == [out, out]
+
+
+# ---------------------------------------------------------------------------
+# parsed documents are memoized by the bytes they came from
+
+
+def parse_any(path):
+    """The document of a game file, a strategy file for donation3.game or
+    a schedule file, told apart by suffix."""
+    if path.suffix == ".game":
+        return parse_game_file(path)
+    if path.suffix == ".strategy":
+        return parse_strategy_file(
+            path, parse_game_file(DATA / "donation3.game").game)
+    return parse_schedule_file(path)
+
+
+@pytest.mark.parametrize("name", ["pd.game", "donation-pin.strategy",
+                                  "sched.txt"])
+def test_byte_order_mark_is_accepted(tmp_path, name):
+    plain = DATA / name
+    if name == "sched.txt":  # no schedule file ships
+        plain = tmp_path / name
+        plain.write_text("schedule custom 0.5 tail 0.25\n")
+    bom = tmp_path / f"bom-{name}"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_any(bom) == parse_any(plain)
+
+
+def test_rewritten_file_is_read_fresh(tmp_path):
+    # same path, same length, no pause: neither path nor mtime may be a key
+    out = tmp_path / "sched.txt"
+    out.write_text("schedule delta 0.25\n")
+    assert parse_schedule_file(out) == Delta(0.25)
+    out.write_text("schedule delta 0.75\n")
+    assert parse_schedule_file(out) == Delta(0.75)
+
+
+def test_failed_parse_is_not_remembered(tmp_path):
+    lines = ["players 2", "actions 1 C D", "actions 2 C D",
+             "payoffs", "1 1", "2 oops", "3 3", "4 4"]
+    out = write_lines(tmp_path, *lines)
+    copy = tmp_path / "copy.game"
+    copy.write_bytes(out.read_bytes())
+    for path in (out, out, copy):
+        with pytest.raises(ParseError) as err:
+            parse_game_file(path)
+        assert str(err.value).startswith(f"{path}:6: ")
+    lines[5] = "2 2"
+    out = write_lines(tmp_path, *lines)
+    assert parse_game_file(out).game.payoffs[1].tolist() == [2.0, 2.0]
+
+
+def test_strategy_file_is_checked_against_each_game(tmp_path, pd):
+    out = tmp_path / "tft.strategy"
+    out.write_text("strategy.1\ninitial 1 0\n1 0\n0 1\n1 0\n0 1\n")
+    assert parse_strategy_file(out, pd).strategies[0].player == 0
+    donation = parse_game_file(DATA / "donation3.game").game
+    with pytest.raises(ParseError):
+        parse_strategy_file(out, donation)
+
+
+def test_memo_hit_shares_read_only_arrays(tmp_path, pd):
+    out = tmp_path / "wsls.game"
+    write_game_file(out, pd, [MarkovStrategy(
+        0, MixedAction([1.0, 0.0]),
+        [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])])
+    first = parse_game_file(out)
+    doc = parse_game_file(out)
+    assert doc is first
+    strategy, = doc.strategies
+    for array in (doc.game.payoffs, strategy.initial.probs,
+                  strategy.conditionals):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+
+
+def test_memo_keeps_the_most_recently_used_documents(tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(fileio, "_memo", OrderedDict())
+    paths = [tmp_path / f"sched{k}.txt"
+             for k in range(fileio.PARSE_MEMO_SIZE + 5)]
+    for k, out in enumerate(paths):
+        out.write_text(f"schedule horizon {k + 1}\n")
+        parse_schedule_file(out)
+        if k == 0 or k == fileio.PARSE_MEMO_SIZE - 1:
+            parse_schedule_file(paths[0])  # a hit: paths[0] is used last
+    assert len(fileio._memo) == fileio.PARSE_MEMO_SIZE
+    kept = {key[1] for key in fileio._memo}
+    assert paths[0].read_bytes() in kept
+    assert not {out.read_bytes() for out in paths[1:6]} & kept
+    assert {out.read_bytes() for out in paths[6:]} <= kept
 
 
 def test_strategy_block_in_schedule_file_rejected(tmp_path):

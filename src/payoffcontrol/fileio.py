@@ -79,13 +79,21 @@ def _fmt_row(values) -> str:
 
 class _Reader:
     """Comment-stripped, tokenized lines of a file's bytes: ``tokens`` holds
-    the non-blank ones and ``linenos`` their 1-based line numbers."""
+    the non-blank ones and ``linenos`` their 1-based line numbers.  Bytes
+    that are not UTF-8 raise a ParseError at the line of the first one."""
 
     def __init__(self, data: bytes, path):
         self.path = str(path)
         self.linenos, self.tokens = [], []
-        for lineno, raw in enumerate(data.decode("utf-8-sig").splitlines(),
-                                     1):
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one decode; count lines as
+            # splitlines below does
+            before = exc.object[:exc.start].decode("utf-8", "replace")
+            self.fail(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
+                      f"({exc.reason})", len((before + ".").splitlines()))
+        for lineno, raw in enumerate(text.splitlines(), 1):
             tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
             if tokens:
                 self.linenos.append(lineno)

@@ -40,6 +40,14 @@ one linear program that maximizes the sum of the z; m is reached when some
 z is positive, with y = Y / z.  At m = 0 this is the existence question
 itself, so z = 0 in every block is a proof, not a search failure.
 
+Most of the J(J - 1) blocks cannot hold z > 0, and their signs tell which
+before any program runs: at m = 0 a profile where the controllers played
+lo needs z w(a) >= 0 and one where they played hi needs z w(a) <= 0.  So
+only pairs with w >= 0 wherever lo is played and w <= 0 wherever hi is
+played get a block (a 5-member public-goods alliance keeps 36 of 992), and
+when none does the signs alone prove the target infeasible, with no
+program.  A w(a) within the rounding of its terms counts as both signs.
+
 The margin then rises by a Newton-scaled ascent.  At the best exact
 margin so far each block gets a slack t that moves its row targets away
 from V_lo and V_hi at the average rates at which those grow from there
@@ -70,6 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import (
+    MACHINE_EPS,
     RANK_TOL,
     PayoffRelation,
     _joint_table,
@@ -137,7 +146,8 @@ class Infeasible:
 
     certificate: "exact-interval-empty" for the single-controller
     two-action interval proof, "exact-lp-empty" when the margin-0 program
-    solves to optimality with z = 0 in every (min, max) block, and
+    solves to optimality with z = 0 in every (min, max) block or the signs
+    of w leave no block, and
     "search-budget-exhausted" when the solver fails at margin 0 or no
     solution survives the exact checks.
     """
@@ -457,8 +467,8 @@ def linprog(cost, matrix, row_upper, lower, upper,
             options=None) -> LPResult:
     """Minimize cost @ x subject to A x <= row_upper and
     lower <= x <= upper, by one HiGHS solve (Huangfu & Hall 2018) through
-    the bindings bundled with scipy, imported on the first call: only the
-    pair-LP search loads scipy.
+    the bindings bundled with scipy, imported on the first call: only a
+    pair-LP search with a block left after the sign test loads scipy.
 
     ``matrix`` holds A as the CSC arrays (indptr, indices, data) of
     _block_diagonal.  HiGHS runs with output off and presolve on, as
@@ -624,18 +634,86 @@ def _proposal(solution, members, jhat, w, delta):
     return float(_max_margin(y, members, low, high)[0]), (y, mval)
 
 
-def _search_margin(members, jhat, w, delta):
+def _signs(game: GameSpec, relation: PayoffRelation,
+           w: np.ndarray) -> np.ndarray:
+    """Per profile, the sign of w(a) that rounding cannot flip: -1, 1, or
+    0 where |w(a)| lies within the rounding of its terms.
+
+    w(a) = sum_i alpha_i u_i(a) + gamma carries at most n + 3 roundings of
+    eps/2 relative to sum_i |alpha_i u_i(a)| + |gamma|: the canonical
+    scaling of each coefficient, the parsing of each payoff, and every
+    product and sum.  So a w(a) that the relation makes 0 reads 0 here,
+    also where the float coefficients, taken as exact, would not sum to 0
+    (alpha = (-3, 2) scales to (1, -2/3), and at payoffs (1, 2) the floats
+    leave 2^-54).
+    """
+    scale = np.abs(game.payoffs) @ np.abs(relation.alpha) + abs(relation.gamma)
+    near = (game.player_count + 3) * MACHINE_EPS * scale
+    return np.where(w > near, 1, np.where(w < -near, -1, 0))
+
+
+def _sign_pairs(joint_count, jhat, signs):
+    """The (lo, hi) pairs whose block can hold z > 0, in the order of
+    itertools.permutations, with the joint actions that can be a block's
+    lo and those that can be its hi.
+
+    At margin 0 a profile where the controllers played lo needs
+    z w(a) >= (1 - d)(M - Y_lo) >= 0, and one where they played hi needs
+    z w(a) <= (1 - d)(M - Y_hi) <= 0 (equalities at d = 0).  So a block
+    with z > 0 has w >= 0 wherever lo is played and w <= 0 wherever hi is.
+    """
+    can_lo = np.ones(joint_count, dtype=bool)
+    can_lo[jhat[signs < 0]] = False
+    can_hi = np.ones(joint_count, dtype=bool)
+    can_hi[jhat[signs > 0]] = False
+    pairs = [(lo, hi) for lo, hi in itertools.product(
+        np.flatnonzero(can_lo), np.flatnonzero(can_hi)) if lo != hi]
+    return np.array(pairs, dtype=int).reshape(-1, 2), can_lo, can_hi
+
+
+def _sign_witness(jhat, signs, can_lo, can_hi) -> str:
+    """Why no (lo, hi) pair passes the sign test: a profile (payoff row,
+    1-based) per joint action where w has the sign that bars it, or the
+    single joint action that passes both tests."""
+    for sign, can, role, need in ((-1, can_lo, "min", ">="),
+                                  (1, can_hi, "max", "<=")):
+        if not can.any():
+            barred = np.flatnonzero(signs == sign)
+            _, first = np.unique(jhat[barred], return_index=True)
+            rows = ", ".join(str(row) for row in barred[first] + 1)
+            return (f"w {'<' if sign < 0 else '>'} 0 on payoff rows {rows}, "
+                    f"one where the controllers play each joint action, and "
+                    f"a block's {role} needs w {need} 0 wherever it is played")
+    only = int(np.flatnonzero(can_lo)[0]) + 1
+    return (f"only joint action {only} can be a block's min or max (w = 0 "
+            f"wherever it is played), and a block needs two")
+
+
+def _search_margin(members, jhat, w, delta, signs):
     """(y, mval) of the best exact margin met in the ascent, or the
     Infeasible outcome.
 
-    The margin-0 program decides existence.  Each later program runs at
-    the best exact margin so far and proposes, from its block with the
-    largest slack t, a y that is adopted when its exact margin beats the
-    best.  A block whose t is 0 holds no y reaching beyond the best margin,
-    so it is dropped; when no block has room left the search is done.
+    Only the pairs that pass the sign test of _sign_pairs get a block;
+    when none does, the signs of w alone prove the target infeasible and
+    no program runs.  The margin-0 program over the rest decides
+    existence.  Each later program runs at the best exact margin so far
+    and proposes, from its block with the largest slack t, a y that is
+    adopted when its exact margin beats the best.  A block whose t is 0
+    holds no y reaching beyond the best margin, so it is dropped; when no
+    block has room left the search is done.
     """
     joint_count = int(np.prod(members))
-    pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
+    blocks = joint_count * (joint_count - 1)
+    pairs, can_lo, can_hi = _sign_pairs(joint_count, jhat, signs)
+    if not len(pairs):
+        return Infeasible(
+            certificate="exact-lp-empty",
+            conclusive=True,
+            detail=f"all {blocks} (min, max) pair blocks admit only z = 0 by "
+                   f"the signs of w: "
+                   f"{_sign_witness(jhat, signs, can_lo, can_hi)}; no Markov "
+                   "controller tables reach the target under this schedule "
+                   "form")
     x = _margin_program(members, jhat, w, delta, 0.0, pairs)
     if x is None:
         return Infeasible(
@@ -647,7 +725,7 @@ def _search_margin(members, jhat, w, delta):
         return Infeasible(
             certificate="exact-lp-empty",
             conclusive=True,
-            detail=f"all {len(pairs)} (min, max) pair blocks admit only "
+            detail=f"all {blocks} (min, max) pair blocks admit only "
                    "z = 0; no Markov controller tables reach the "
                    "target under this schedule form")
     best, chosen = 0.0, None
@@ -743,9 +821,10 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     A single controller with two actions under infinite rounds is decided
     by the exact z-interval analysis alone: it is the exact optimum over
     every construction, and an empty interval is a conclusive certificate.
-    Every other target solves all (min, max) pair blocks as one linear
-    program at margin 0, where z = 0 in every block is the conclusive
-    ``exact-lp-empty`` certificate, and then raises the margin by a
+    Every other target solves the (min, max) pair blocks that the signs
+    of w leave as one linear program at margin 0, where z = 0 in every
+    block, or no block left, is the conclusive ``exact-lp-empty``
+    certificate, and then raises the margin by a
     Newton-scaled ascent: each slack program at the best margin so far
     proposes a y, and the search moves to that y's exact margin until no
     block has room left.  The solution whose y reaches the largest exact
@@ -777,7 +856,8 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
         z = _interval_z(w, rep0, *interval)
         y_full, mval, note = np.array([1.0 / z, 0.0]), 0.0, "interval"
     else:
-        found = _search_margin(members, jhat, w, delta)
+        found = _search_margin(members, jhat, w, delta,
+                               _signs(game, target.relation, w))
         if isinstance(found, Infeasible):
             return found
         (y_full, mval), note = found, "pair-lp"

@@ -352,6 +352,29 @@ def test_byte_order_mark_is_accepted(tmp_path, name):
     assert parse_any(bom) == parse_any(plain)
 
 
+@pytest.mark.parametrize("name", ["pd.game", "donation-pin.strategy",
+                                  "sched.txt"])
+@pytest.mark.parametrize("line", [1, 3])
+def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, name, line):
+    plain = DATA / name
+    if name == "sched.txt":  # no schedule file ships; old Mac line ends
+        plain = tmp_path / name
+        plain.write_bytes(b"# a schedule\r\rschedule custom 0.5 tail 0.25\r")
+    lines = plain.read_bytes().splitlines(keepends=True)
+    lines.insert(line - 1, b"# \xff\n")
+    broken = tmp_path / f"broken-{name}"
+    # a byte-order mark shifts no line
+    broken.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+    with pytest.raises(ParseError) as info:
+        parse_any(broken)
+    assert (info.value.path, info.value.line) == (str(broken), line)
+    assert str(info.value) == (f"{broken}:{line}: byte 0xff is not UTF-8 "
+                               "(invalid start byte)")
+    # a failed parse is not memoized: the mended file parses
+    broken.write_bytes(plain.read_bytes())
+    assert parse_any(broken) == parse_any(plain)
+
+
 def test_rewritten_file_is_read_fresh(tmp_path):
     # same path, same length, no pause: neither path nor mtime may be a key
     out = tmp_path / "sched.txt"

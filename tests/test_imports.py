@@ -1,6 +1,6 @@
-"""Imports of the package: only pair-LP synthesis needs scipy, so every
-other command runs in a fresh interpreter without ever importing it, and
-no module imports a name it does not use."""
+"""Imports of the package: only pair-LP synthesis that reaches a program
+needs scipy, so every other command runs in a fresh interpreter without
+ever importing it, and no module imports a name it does not use."""
 
 import ast
 import importlib.util
@@ -82,8 +82,11 @@ def test_commands_without_lp_never_import_scipy(tmp_path):
          "--gamma", "-2"],
         ["synth", "--game", PGG, "--controllers", "1", "--alpha", "0,0,1",
          "--gamma", "-1"],
+        # the sign test: player 1 cannot pin its own PD payoff to 2
+        ["synth", "--game", PD, "--controllers", "1", "--alpha", "1,0",
+         "--gamma", "-2", "--schedule", "delta:0.9"],
     )
-    assert codes == [0, 0, 0, 0, 4, 0, 0, 0, 0, 3]
+    assert codes == [0, 0, 0, 0, 4, 0, 0, 0, 0, 3, 3]
     assert loaded == []
 
 

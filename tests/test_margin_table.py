@@ -1,11 +1,13 @@
-"""Margins of the 35 synthesis cases of the roundtrip benchmark workload:
-seven targets under ``infinite`` and four continuation probabilities.
+"""Margins of the 35 synthesis cases of the roundtrip benchmark workload
+(seven targets under ``infinite`` and four continuation probabilities),
+and of the 4-member public-goods alliance in both modes under delta:0.9.
 
 The floors are the margins the bisection on m reached before the
-Newton-scaled ascent replaced it (rounded to 12 digits).  The ascent, with
-each row's margin now in closed form from the roots of the vertex
-polynomials, must reach each within 1e-9 and give the same certificate
-for every infeasible case.
+Newton-scaled ascent replaced it (rounded to 12 digits); the pgg5 floors
+are the margins before the sign test pruned the pair blocks.  The
+ascent, with each row's margin now in closed form from the roots of the
+vertex polynomials, must reach each within 1e-9 and give the same
+certificate for every infeasible case.
 
 The programs of these cases also pin the pair-LP solver, which calls
 scipy's private HiGHS bindings directly, to ``scipy.optimize.linprog``:
@@ -41,6 +43,8 @@ TARGETS = {
     "pd-pin-2.5": ("pd.game", (0,), (0.0, 1.0), -2.5),
     "pgg3-outsider-pin": ("pgg3.game", (0, 1), (0.0, 0.0, 1.0), -1.0),
     "pgg4-alliance-pin": ("pgg4", (0, 1, 2), (0.0, 0.0, 0.0, 1.0), -1.5),
+    "pgg5-alliance-pin": ("pgg5", (0, 1, 2, 3), (0.0, 0.0, 0.0, 0.0, 1.0),
+                          -1.5),
 }
 
 SCHEDULES = {"infinite": Infinite(), "delta:0.5": Delta(0.5),
@@ -86,6 +90,8 @@ FLOORS = {
     ("pgg3-outsider-pin", "correlated", "delta:0.999999"): 0.125,
     ("pgg4-alliance-pin", "independent", "delta:0.999999"): 0.333333166463,
     ("pgg4-alliance-pin", "correlated", "delta:0.999999"): 0.0833332916522,
+    ("pgg5-alliance-pin", "independent", "delta:0.9"): 0.291666666667,
+    ("pgg5-alliance-pin", "correlated", "delta:0.9"): 0.0364583333333,
 }
 
 
@@ -94,6 +100,7 @@ def games():
     loaded = {name: parse_game_file(DATA / name).game
               for name in ("donation3.game", "pd.game", "pgg3.game")}
     loaded["pgg4"] = public_goods_game(4, 3.0, 2.0)
+    loaded["pgg5"] = public_goods_game(5, 3.0, 2.0)
     return loaded
 
 
@@ -117,7 +124,7 @@ def test_margin_at_least_the_bisection_floor(games, label, mode, schedule):
 
 
 def test_programs_solve_as_scipy_linprog_solves_them(monkeypatch, games):
-    # every margin-0 and slack program of the 35 cases, solved again by
+    # every margin-0 and slack program of the 37 cases, solved again by
     # scipy.optimize.linprog(method="highs") with the same options: the
     # same outcome and, at an optimum, bitwise the same x
     solve, programs = synthesis.linprog, []
@@ -130,7 +137,7 @@ def test_programs_solve_as_scipy_linprog_solves_them(monkeypatch, games):
         game, controllers, alpha, gamma = TARGETS[label]
         synthesize(games[game], SCHEDULES[schedule], SynthesisTarget(
             PayoffRelation(alpha, gamma), controllers, mode))
-    assert len(programs) == 114
+    assert len(programs) == 124  # 114 of them for the benchmark's 35
     for (cost, (indptr, indices, data), rows, lower, upper, options), \
             result in programs:
         matrix = sparse.csc_array((data, indices, indptr),

@@ -31,7 +31,7 @@ from payoffcontrol import (
     verify_relation,
 )
 from payoffcontrol import cli, synthesis
-from payoffcontrol.control import _controller_setup
+from payoffcontrol.control import _controller_setup, joint_index
 from payoffcontrol.dynamics import classify_schedule, repeat_strategy
 from payoffcontrol.fileio import parse_game_file
 from payoffcontrol.synthesis import (
@@ -287,14 +287,23 @@ def test_target_validation():
 # The stacked margin programs
 
 
-@pytest.mark.parametrize("case", ["donation-equalizer", "one-shot-pd-pin"])
-def test_lp_certificate_costs_one_program(monkeypatch, donation, pd, case):
+# own-pin-*: player 1 of the PD pinning its own payoff to 2 has w < 0 on
+# a profile of each of its actions, so no block passes the sign test and
+# the certificate costs no program
+@pytest.mark.parametrize("case, programs", [
+    ("donation-equalizer", 1), ("one-shot-pd-pin", 1),
+    ("own-pin-delta0.9", 0), ("own-pin-delta0.5", 0), ("own-pin-delta0", 0)])
+def test_lp_certificate_costs_one_program(monkeypatch, donation, pd, case,
+                                          programs):
     if case == "donation-equalizer":
         game, schedule = donation, Delta(0.9)
         target = SynthesisTarget(PayoffRelation((1.0, -1.0), 0.0), (0,))
-    else:
+    elif case == "one-shot-pd-pin":
         game, schedule = pd, Delta(0.0)
         target = SynthesisTarget(pin(1, 2.0), (0,))
+    else:
+        game, schedule = pd, Delta(float(case.rpartition("delta")[2]))
+        target = SynthesisTarget(pin(0, 2.0), (0,))
     calls = []
 
     def counted(*args, **kwargs):
@@ -305,7 +314,84 @@ def test_lp_certificate_costs_one_program(monkeypatch, donation, pd, case):
     assert isinstance(result, Infeasible)
     assert result.certificate == "exact-lp-empty"
     assert result.conclusive
-    assert len(calls) == 1
+    assert len(calls) == programs
+    if not programs:
+        # w = u1 - 2 = (1, -2, 3, -1): payoff rows 2 and 4 bar C and D
+        assert "by the signs of w: w < 0 on payoff rows 2, 4," \
+            in result.detail
+
+
+@pytest.mark.parametrize("w, detail", [
+    ([1.0, -1.0, 1.0, -1.0], "w < 0 on payoff rows 2, 4,"),
+    ([-1.0, 1.0, 1.0, 1.0], "w > 0 on payoff rows 2, 3,"),
+    ([0.0, 0.0, 1.0, -1.0], "only joint action 1 can be a block's min or max")])
+def test_sign_witness_covers_each_empty_case(w, detail):
+    jhat, signs = np.array([0, 0, 1, 1]), np.sign(w)
+    pairs, can_lo, can_hi = synthesis._sign_pairs(2, jhat, signs)
+    assert pairs.shape == (0, 2)
+    assert synthesis._sign_witness(jhat, signs, can_lo, can_hi) \
+        .startswith(detail)
+
+
+def test_sign_test_reads_a_rounded_zero_as_zero():
+    # alpha = (-2, 3), gamma = -2 scale to (2/3, -1), 2/3, whose floats,
+    # taken as exact, sum to -2^-52 at payoffs (5, 4) rather than 0;
+    # reading that sign would drop every block and certify as infeasible
+    # a target that this construction enforces
+    game = build_game([("C", "D"), ("C", "D")],
+                      [[1, 4], [3, 5], [5, 4], [0, 0]])
+    relation = PayoffRelation((-2.0, 3.0), -2.0)
+    w = relation_vector(game, relation)
+    assert w[2] != 0.0
+    assert synthesis._signs(game, relation, w).tolist() == [-1, -1, 0, 1]
+    result = synthesize(game, Delta(0.9), SynthesisTarget(relation, (0,)))
+    assert isinstance(result, SynthesisResult)
+    report = verify_relation(game, result.strategies, Delta(0.9), relation,
+                             samples=100, seed=2)
+    assert report.passed
+
+
+@st.composite
+def _sign_cases(draw):
+    counts = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    players = len(counts)
+    payoffs = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=players, max_size=players),
+        min_size=int(np.prod(counts)), max_size=int(np.prod(counts))))
+    alpha = draw(st.lists(st.integers(-3, 3), min_size=players,
+                          max_size=players).filter(any))
+    controllers = draw(st.lists(st.integers(0, players - 1), min_size=1,
+                                max_size=players, unique=True).filter(
+        lambda ps: int(np.prod([counts[p] for p in ps])) <= 9))
+    joint_count = int(np.prod([counts[p] for p in controllers]))
+    delta = draw(st.sampled_from([0.0, 0.5, 0.9]
+                                 + ([1.0] if joint_count > 2 else [])))
+    mode = draw(st.sampled_from(["independent", "correlated"]))
+    game = build_game([tuple("ABC"[:c]) for c in counts], payoffs)
+    relation = PayoffRelation(tuple(map(float, alpha)),
+                              float(draw(st.integers(-4, 4))))
+    return game, relation, tuple(sorted(controllers)), mode, delta
+
+
+@given(_sign_cases())
+@settings(max_examples=60, deadline=None)
+def test_sign_test_drops_only_blocks_without_z(case):
+    # every pair the sign test drops takes z = 0, to solver tolerance, in
+    # the margin-0 program over all J(J - 1) pairs
+    game, relation, controllers, mode, delta = case
+    w = relation_vector(game, relation)
+    sizes, jhat = joint_index(game, controllers)
+    joint_count = int(np.prod(sizes))
+    members = sizes if mode == "independent" else (joint_count,)
+    kept, _, _ = synthesis._sign_pairs(joint_count, jhat,
+                                       synthesis._signs(game, relation, w))
+    # in the order of the unpruned pairs, so ties still go to the first
+    assert kept.tolist() == sorted(kept.tolist())
+    pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
+    x = _margin_program(members, jhat, w, delta, 0.0, pairs)
+    assert x is not None
+    dropped = ~(pairs[:, None] == kept[None]).all(axis=2).any(axis=1)
+    assert np.all(x[dropped, joint_count] <= 1e-7)
 
 
 def test_proposal_rejects_row_targets_outside_y():

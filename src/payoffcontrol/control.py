@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    MAX_ROUNDS,
     Classification,
     ConstantContinuation,
     ContinuationSchedule,
@@ -43,8 +42,6 @@ from .dynamics import (
     MarkovStrategy,
     MixedAction,
     OtherSchedule,
-    _continuations,
-    _survival,
     # unused here, but the benchmark tracer rebinds this name
     average_distribution,
     check_seed,
@@ -52,6 +49,7 @@ from .dynamics import (
     classify_schedule,
     markov_average,
     profile_product,
+    schedule_rounds,
 )
 from .errors import (
     DimensionMismatchError,
@@ -420,7 +418,10 @@ class VerificationReport:
 def interior_simplex(rng: np.random.Generator, size: int,
                      count: int | tuple[int, ...] | None = None,
                      low: float = 0.05) -> np.ndarray:
-    """Dirichlet draws squeezed so every entry lies in [low, 1 - low]."""
+    """Dirichlet draws squeezed so every entry is at least the floor
+    min(low, 1 / (2 size)).  The floors take at most half of the mass, so
+    for size >= 2 every entry lies in (0, 1) and the draws still vary."""
+    low = min(low, 0.5 / size)
     raw = rng.dirichlet(np.ones(size), size=count)
     return low + (1.0 - size * low) * raw
 
@@ -431,9 +432,9 @@ def sample_markov_tables(rng: np.random.Generator, game: GameSpec,
     """``count`` random Markov strategies of one player, as arrays.
 
     Returns conditionals of shape (count, profile_count, m) and initials
-    of shape (count, m).  Interior entries lie in [0.05, 0.95]; boundary
-    draws make about half the rows one-hot and the initial action a
-    point mass with probability 1/2.
+    of shape (count, m).  Interior entries are at least min(0.05, 1/(2m))
+    (``interior_simplex``); boundary draws make about half the rows
+    one-hot and the initial action a point mass with probability 1/2.
     """
     m = game.action_counts[player]
     conditionals = interior_simplex(rng, m, (count, game.profile_count))
@@ -487,11 +488,11 @@ def verify_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],
                     boundary_fraction: float = 0.1) -> VerificationReport:
     """Check a relation against randomly sampled opponent strategies.
 
-    Interior draws keep all probabilities in [0.05, 0.95]; a
-    ``boundary_fraction`` share of draws mixes in exact 0/1 entries to
-    exercise reducible and periodic chains.  Effective payoffs use the
-    exact limiting average, so residuals reflect the claim, not estimator
-    noise.
+    Interior draws keep every probability of an opponent with m actions
+    at least min(0.05, 1/(2m)); a ``boundary_fraction`` share of draws
+    mixes in exact 0/1 entries to exercise reducible and periodic chains.
+    Effective payoffs use the exact limiting average, so residuals reflect
+    the claim, not estimator noise.
 
     All opponents are drawn at once and evaluated block by block with
     ``_chain_average``; a sample whose average does not settle is skipped.
@@ -594,7 +595,7 @@ def _improve(q: np.ndarray, rule: np.ndarray, tol: float) -> np.ndarray:
 
 def _best_response(rows: np.ndarray, succ: np.ndarray, candidate: np.ndarray,
                    schedule: ContinuationSchedule
-                   ) -> tuple[float, np.ndarray | None]:
+                   ) -> tuple[float | None, np.ndarray | None]:
     """The opponents' optimum against fixed controllers, solved as a Markov
     decision process.
 
@@ -612,16 +613,14 @@ def _best_response(rows: np.ndarray, succ: np.ndarray, candidate: np.ndarray,
     Returns the largest |<candidate, vbar>| over all opponents and, when
     the better sign plays one rule in every round from round 2 on, that
     deterministic Markov opponent as a joint action per state (None
-    otherwise).  Raises NoConvergenceError beyond MAX_ROUNDS explicit
-    rounds or POLICY_STEPS steps.
+    otherwise).  A reached tail of 1 has no discounted form to iterate,
+    so it returns (None, None) before any solve.  Raises
+    NoConvergenceError beyond MAX_ROUNDS explicit rounds
+    (``schedule_rounds``) or POLICY_STEPS steps.
     """
-    values, c = _continuations(schedule)
-    survival, reached = _survival(values)
-    if reached > MAX_ROUNDS:
-        raise NoConvergenceError(
-            f"backward induction needs more than MAX_ROUNDS={MAX_ROUNDS} "
-            "rounds")
-    opens_tail = reached == len(survival) and c > 0.0
+    weights, opening, c = schedule_rounds(schedule)
+    if opening and c == 1.0:
+        return None, None
     states, count = len(rows), len(rows) - 1
     # step[s, a, b]: probability that opponent action a in state s makes
     # profile b
@@ -637,7 +636,7 @@ def _best_response(rows: np.ndarray, succ: np.ndarray, candidate: np.ndarray,
     ulps = SWITCH_ULPS * MACHINE_EPS * float(np.abs(candidate).max())
     rule = np.zeros((2, states), dtype=np.intp)
     value, weight, rules = np.zeros((2, states)), 0.0, []
-    if opens_tail:
+    if opening:
         weight = 1.0 / (1.0 - c)
         eye, picks = np.eye(states), np.arange(states)
         moves = np.zeros((2, states, states))  # nothing returns to the start
@@ -653,10 +652,10 @@ def _best_response(rows: np.ndarray, succ: np.ndarray, candidate: np.ndarray,
         else:
             raise NoConvergenceError(
                 f"policy iteration did not settle in {POLICY_STEPS} steps")
-        weight *= survival[-1]
-        value *= survival[-1]
+        weight *= opening
+        value *= opening
         rules.append(rule)
-    for p in reversed(survival[:reached - opens_tail]):
+    for p in reversed(weights):
         weight += p
         q = p * pay + expected(value)
         rule = _improve(q, rule, ulps * weight)
@@ -715,16 +714,17 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     vector under this schedule, so the threshold must be finite and
     positive.
 
-    Unless the schedule's constant tail is both reached and equal to 1,
-    the opponents' best response is solved exactly (``_best_response``)
-    and ``bound`` reports the optimum over all opponents.  Where one
-    deterministic Markov opponent attains it, that opponent is the answer,
-    evaluated once, and ``budget`` and ``seed`` go unused.  Otherwise (a
-    reached tail of 1, or an optimum that plays differently by round)
-    ``budget`` random deterministic stationary opponents (at least 1),
-    drawn from ``seed``, each climb by ``_ascend`` over single-entry
-    changes; a value within the threshold then proves nothing unless the
-    bound does.  Among equal best values the first restart wins.
+    The opponents' best response is solved exactly (``_best_response``)
+    and ``bound`` reports the optimum over all opponents, or is None when
+    the schedule's constant tail is both reached and equal to 1.  Where
+    one deterministic Markov opponent attains the bound, that opponent is
+    the answer, evaluated once, and ``budget`` and ``seed`` go unused.
+    Otherwise (a reached tail of 1, or an optimum that plays differently
+    by round) ``budget`` random deterministic stationary opponents (at
+    least 1), drawn from ``seed``, each climb by ``_ascend`` over
+    single-entry changes; a value within the threshold then proves nothing
+    unless the bound does.  Among equal best values the first restart
+    wins.
     """
     if budget < 1:
         raise InvalidParamsError("budget must be >= 1")
@@ -744,14 +744,10 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     shared = {s.player: np.vstack([s.initial.probs, s.conditionals])
               for s in ordered}
     sizes, khat = joint_index(game, opponents)
-    explicit, c = _continuations(schedule)
-    survival, reached = _survival(explicit)
-    bound = play = None
-    if c < 1.0 or reached < len(survival):
-        rows = np.vstack([joint_initial(ordered), _joint_table(ordered)])
-        succ = np.empty((rows.shape[1], math.prod(sizes)), dtype=np.intp)
-        succ[jhat, khat] = np.arange(game.profile_count)
-        bound, play = _best_response(rows, succ, candidate, schedule)
+    rows = np.vstack([joint_initial(ordered), _joint_table(ordered)])
+    succ = np.empty((rows.shape[1], math.prod(sizes)), dtype=np.intp)
+    succ[jhat, khat] = np.arange(game.profile_count)
+    bound, play = _best_response(rows, succ, candidate, schedule)
     values_of = functools.partial(_rule_values, game, schedule, shared,
                                   candidate)
     if play is not None:

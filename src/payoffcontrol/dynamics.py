@@ -452,45 +452,62 @@ def _survival(values: Sequence[float]) -> tuple[list[float], int]:
     return survival, survival.index(0.0) if 0.0 in survival else len(survival)
 
 
+def schedule_rounds(schedule: ContinuationSchedule
+                    ) -> tuple[list[float], float, float]:
+    """How the kernels read a schedule: ``(weights, opening, c)``.
+
+    ``weights`` are the survival weights p(1), p(2), ... of the rounds
+    summed one by one: every reached round before a live constant tail c,
+    or every reached round when no tail is live.  ``opening`` is the
+    survival weight of the round that opens a live tail, the round after
+    the last weight (0 when no such round is reached).  Raises
+    NoConvergenceError when the weights and the opening round number more
+    than MAX_ROUNDS.
+    """
+    values, c = _continuations(schedule)
+    survival, reached = _survival(values)
+    if reached > MAX_ROUNDS:
+        raise NoConvergenceError(
+            f"schedule needs more than MAX_ROUNDS={MAX_ROUNDS} rounds")
+    # round k + 1 opens the tail when it is reached and the tail is live
+    if reached == len(survival) and c > 0.0:
+        return survival[:-1], survival[-1], c
+    return survival[:reached], 0.0, c
+
+
 def markov_average(m: np.ndarray, v1: np.ndarray,
                    schedule: ContinuationSchedule
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p-weighted limiting averages of a stack of chains.
 
     ``m`` is (N, n, n), ``v1`` is (N, n).  Returns ``(vbar, residual,
-    settled)``.  The explicit rounds of the schedule are summed by stacked
-    products v M until the survival weight reaches 0, so a finite horizon
-    solves nothing and is always settled.  A live constant tail c is one
-    ``_tail_average`` from the distribution of the round it starts: the
-    same subtraction-free state reduction for every c in (0, 1].  A chain
-    is settled when that average is finite, its residual is at most
+    settled)``.  The rounds of ``schedule_rounds`` are summed by stacked
+    products v M, so a schedule whose survival weight reaches 0 solves
+    nothing and is always settled.  A live constant tail c is one
+    ``_tail_average`` from the distribution of the round that opens it:
+    the same subtraction-free state reduction for every c in (0, 1].  A
+    chain is settled when that average is finite, its residual is at most
     RESIDUAL_TOL and its sum is within ProfileDistribution's tolerance of
     1; no entry is ever negative.  An unsettled row of ``vbar`` is 0.
     Raises NoConvergenceError when the schedule needs more than MAX_ROUNDS
     explicit rounds.
     """
-    values, c = _continuations(schedule)
-    survival, rounds = _survival(values)
-    if rounds > MAX_ROUNDS:
-        raise NoConvergenceError(
-            f"weighted sum needs more than MAX_ROUNDS={MAX_ROUNDS} rounds")
-    # round k + 1 opens the tail when it is reached and the tail is live
-    opens_tail = rounds == len(survival) and c > 0.0
+    weights, p, c = schedule_rounds(schedule)
     v = v1[:, None, :]
     num = np.zeros(v.shape)
     den = 0.0
-    for t, w in enumerate(survival[:rounds]):
+    for t, w in enumerate(weights):
         if t:
             v = v @ m
-        if t < rounds - opens_tail:
-            num += v if w == 1.0 else w * v  # 1.0 * v is v exactly
-            den += w
-    num, v = num[:, 0], v[:, 0]
-    if not opens_tail:
+        num += v if w == 1.0 else w * v  # 1.0 * v is v exactly
+        den += w
+    num = num[:, 0]
+    if not p:
         return num / den, np.zeros(len(v1)), np.ones(len(v1), dtype=bool)
-    x, residual, settled = _tail_average(m, v, c)
+    if weights:
+        v = v @ m  # the round that opens the tail
+    x, residual, settled = _tail_average(m, v[:, 0], c)
     # (num + p/(1 - c) x) / (den + p/(1 - c)), scaled to hold at c = 1
-    p = survival[rounds - 1]
     scale = den * (1.0 - c) + p
     vbar = num * ((1.0 - c) / scale) + x * (p / scale)
     vbar[~settled] = 0.0

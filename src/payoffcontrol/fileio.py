@@ -31,7 +31,6 @@ endings.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -160,22 +159,10 @@ def _numeric_section(reader, count, width, what):
     """The next ``count`` rows of ``width`` numbers as one (count, width)
     array, with their line numbers.
 
-    All tokens go through one conversion, which reads each ``str`` as
-    ``float()`` does.  A missing row, a wrong width or a token that is no
-    number sends the section back through ``_numeric_row`` row by row, so
-    the error is the one that walk raises at its line.
+    Each row is read by ``_numeric_row``, so a missing row, a wrong width
+    or a token that is no number fails at its own line.  A file parsed
+    before skips this walk: the parse memo returns its document.
     """
-    start, stop = reader.pos, reader.pos + count
-    rows = reader.tokens[start:stop]
-    if len(rows) == count and set(map(len, rows)) == {width}:
-        try:
-            values = np.array(list(itertools.chain.from_iterable(rows)),
-                              dtype=float)
-        except ValueError:
-            pass
-        else:
-            reader.pos = stop
-            return reader.linenos[start:stop], values.reshape(count, width)
     linenos, rows = zip(*[_numeric_row(reader, width, what)
                           for _ in range(count)])
     return list(linenos), np.array(rows)

@@ -327,6 +327,22 @@ def test_falsify_true_ruling_vector_inconclusive(capsys):
     assert stdout.startswith("inconclusive")
 
 
+def test_falsify_reached_tail_of_one_prints_no_bound(tmp_path, capsys):
+    # explicit rounds before a tail of 1 that is reached: no bound is
+    # solved, and the pin's column stays a ruling vector up to rounding
+    tail = tmp_path / "tail.schedule"
+    tail.write_text(schedule_line(Custom((0.9, 0.5), tail=1.0)) + "\n",
+                    encoding="utf-8")
+    code, stdout, _ = run(capsys, "falsify", "--game", DONATION,
+                          "--strategy", PIN, "--schedule", f"custom:{tail}",
+                          "--action", "C1", "--budget", "10")
+    assert code == 4
+    (line,) = stdout.splitlines()
+    prefix = "inconclusive: best |<candidate, vbar>| found "
+    assert line.startswith(prefix)
+    assert float(line.removeprefix(prefix).split()[0]) < 1e-15
+
+
 def test_falsify_two_rounds_prints_the_optimum_and_bound(capsys):
     # the exact path: seed and budget do not matter
     for seed in ("7", "43", "76"):

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -559,6 +560,28 @@ def test_sample_markov_strategy_is_one_table_draw(donation):
     np.testing.assert_array_equal(strategy.initial.probs, init[0])
 
 
+@pytest.mark.parametrize("m", [20, 30])
+def test_many_opponent_actions_keep_interior_draws_varied(m):
+    # a floor of 0.05 per action takes all of the mass at m = 20 (every
+    # entry exactly 0.05) and more than all of it beyond (negative entries)
+    rng = np.random.default_rng(0)
+    game = build_game([["C", "D"], [f"a{k}" for k in range(m)]],
+                      rng.uniform(0.0, 5.0, (2 * m, 2)))
+    cond, init = sample_markov_tables(np.random.default_rng(0), game, 1, 50)
+    for table in (cond, init):
+        assert table.min() > 0.0 and table.max() < 1.0
+        assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
+    rows = cond.reshape(-1, m)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    controller = sample_markov_strategy(rng, game, 0)
+    report = verify_relation(game, [controller], Infinite(),
+                             PayoffRelation(alpha=(1.0, 0.0), gamma=-1.0),
+                             samples=100, seed=0)
+    assert report.samples_used == 100
+    interior = report.payoffs[~report.boundary_mask]
+    assert len(np.unique(interior, axis=0)) == len(interior) == 90
+
+
 # ---------------------------------------------------------------------------
 # Falsification by ascent over deterministic stationary opponents
 
@@ -587,8 +610,11 @@ def _falsify_case(request, case):
 
 FALSIFY_CASES = ["donation-C1", "donation-C2", "donation-D", "pd-wsls-C",
                  "pgg-alliance-u3-player1"]
+# Explicit rounds before a tail of 1 that is reached
+REACHED_TAIL_OF_ONE = Custom((0.9, 0.5), tail=1.0)
 FALSIFY_SCHEDULES = [FiniteHorizon(2), FiniteHorizon(10),
-                     Custom((0.9, 0.5), tail=0.8), Delta(0.9), Infinite()]
+                     Custom((0.9, 0.5), tail=0.8), Delta(0.9), Infinite(),
+                     REACHED_TAIL_OF_ONE]
 
 
 # Two rounds written with a tail of 1 that is never reached: the sums of
@@ -642,7 +668,7 @@ def _neighbour_values(game, controllers, schedule, candidate, opponents):
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("schedule", FALSIFY_SCHEDULES,
                          ids=["horizon2", "horizon10", "custom", "delta0.9",
-                              "infinite"])
+                              "infinite", "custom-tail1"])
 @pytest.mark.parametrize("case", FALSIFY_CASES)
 def test_falsify_returns_a_local_optimum(monkeypatch, request, case,
                                          schedule, seed):
@@ -653,7 +679,8 @@ def test_falsify_returns_a_local_optimum(monkeypatch, request, case,
     report = falsify_candidate(game, controllers, schedule, candidate,
                                budget=3, seed=seed, threshold=1e-300)
     # only a reached tail of 1 has no bound, and there the ascent runs
-    assert (report.bound is None) == isinstance(schedule, Infinite)
+    assert (report.bound is None) == (schedule in (Infinite(),
+                                                   REACHED_TAIL_OF_ONE))
     if report.bound is None:
         assert searched
     else:
@@ -978,6 +1005,22 @@ def test_exact_falsify_bounds_its_work(monkeypatch, request):
     monkeypatch.setattr(control, "POLICY_STEPS", 1)
     with pytest.raises(NoConvergenceError, match="policy iteration"):
         falsify_candidate(game, controllers, Delta(0.9), candidate)
+
+
+def test_falsify_checks_the_round_cap_before_a_tail_of_one(monkeypatch,
+                                                           request):
+    # one round past the cap, then a tail of 1: refused before any average
+    # is taken, as the exact path refuses FiniteHorizon(MAX_ROUNDS + 1)
+    game, controllers, candidate = _falsify_case(request, "donation-C1")
+    schedule = Custom((1.0,) * (dynamics.MAX_ROUNDS + 1), tail=1.0)
+    averaged = []
+    monkeypatch.setattr(control, "markov_average",
+                        lambda *args: averaged.append(args))
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError, match="MAX_ROUNDS"):
+        falsify_candidate(game, controllers, schedule, candidate)
+    assert time.perf_counter() - start < 1.0
+    assert not averaged
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from payoffcontrol.dynamics import (
     initial_distribution,
     markov_average,
     profile_product,
+    schedule_rounds,
 )
 
 from payoffcontrol.fileio import parse_game_file, parse_strategy_file
@@ -73,6 +74,32 @@ def test_schedule_continuation_values():
     assert [fh.continuation(t) for t in (1, 2, 3, 4)] == [1.0, 1.0, 0.0, 0.0]
     cu = Custom((1.0, 0.5), tail=0.25)
     assert [cu.continuation(t) for t in (1, 2, 3, 4)] == [1.0, 0.5, 0.25, 0.25]
+
+
+@pytest.mark.parametrize("schedule, rounds", [
+    (Infinite(), ([], 1.0, 1.0)),
+    (Delta(0.9), ([], 1.0, 0.9)),
+    (FiniteHorizon(3), ([1.0, 1.0, 1.0], 0.0, 0.0)),
+    (Custom((0.5, 0.5), tail=0.8), ([1.0, 0.5], 0.25, 0.8)),
+    (Custom((0.5, 0.0), tail=1.0), ([1.0, 0.5], 0.0, 1.0)),
+    (Custom((1.0, 0.5), tail=0.0), ([1.0, 1.0, 0.5], 0.0, 0.0)),
+], ids=["infinite", "delta", "horizon", "live-tail", "unreached-tail",
+        "dead-tail"])
+def test_schedule_rounds(schedule, rounds):
+    # the rounds summed one by one, the weight of the round that opens a
+    # live tail, and the tail
+    assert schedule_rounds(schedule) == rounds
+
+
+def test_schedule_rounds_cap_counts_the_opening_round():
+    assert len(schedule_rounds(FiniteHorizon(MAX_ROUNDS))[0]) == MAX_ROUNDS
+    weights, opening, _ = schedule_rounds(
+        Custom((1.0,) * (MAX_ROUNDS - 1), tail=0.5))
+    assert (len(weights), opening) == (MAX_ROUNDS - 1, 1.0)
+    for schedule in (FiniteHorizon(MAX_ROUNDS + 1),
+                     Custom((1.0,) * MAX_ROUNDS, tail=0.5)):
+        with pytest.raises(NoConvergenceError, match="MAX_ROUNDS"):
+            schedule_rounds(schedule)
 
 
 def test_survival_probabilities():

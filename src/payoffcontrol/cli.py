@@ -390,6 +390,10 @@ _COMMANDS = next(action.choices for action in _PARSER._actions
                  if action.dest == "command")
 
 
+# the start of a negative number, as _attach_numbers reads it
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _attach_numbers(argv: list[str]) -> list[str]:
     """``--opt -1,1`` as ``--opt=-1,1``.  argparse reads a value that starts
     with "-" as an option name unless it is a plain negative decimal, so
@@ -398,7 +402,7 @@ def _attach_numbers(argv: list[str]) -> list[str]:
     or "nan" in any case, after the sign) is one: no option name does."""
     attached = []
     for token in argv:
-        if attached and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE) \
+        if attached and _NEGATIVE_NUMBER.match(token) \
                 and attached[-1].startswith("--") and "=" not in attached[-1]:
             attached[-1] += "=" + token
         else:

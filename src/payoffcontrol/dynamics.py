@@ -28,7 +28,6 @@ case.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -105,8 +104,14 @@ class FiniteHorizon(ContinuationSchedule):
     rounds: int
 
     def __post_init__(self):
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
+        # any integer type but bool, stored as a plain int
+        try:
+            rounds = operator.index(self.rounds)
+        except TypeError:
+            rounds = None
+        if isinstance(self.rounds, bool) or rounds is None or rounds < 1:
             raise InvalidParamsError(f"rounds must be an integer >= 1, got {self.rounds!r}")
+        object.__setattr__(self, "rounds", rounds)
 
     def continuation(self, t: int) -> float:
         return 1.0 if t < self.rounds else 0.0
@@ -594,14 +599,26 @@ class _RowSampler:
         keys = np.empty((k, n + 1))
         np.cumsum(rows, axis=1, out=keys[:, :n])
         keys[:, n] = 1.5
-        keys += 2.0 * np.arange(k)[:, None]
+        offsets = 2.0 * np.arange(k)[:, None]
+        keys += offsets
         targets = np.tile(np.arange(n + 1), (k, 1))
         targets[:, n] = n - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
         self.keys, self.targets = keys.ravel(), targets.ravel()
-        edges = 2.0 * np.arange(k)[:, None] + np.arange(DRAW_CELLS + 1) / DRAW_CELLS
-        lo = np.searchsorted(self.keys, edges[:, :-1].ravel(), side="right")
-        hi = np.searchsorted(self.keys, edges[:, 1:].ravel(), side="left")
-        self.cells = np.where(lo == hi, self.targets[lo], -1)
+        # each key in cell units of its row, exactly: the offset comes off
+        # without rounding and DRAW_CELLS is a power of 2
+        scaled = (keys - offsets) * DRAW_CELLS
+        first = np.ceil(scaled)  # the first cell whose left edge is >= key
+        # counted row by row with the cells past the last in one more bin,
+        # the running count is how many keys lie at or below each left edge
+        bins = np.minimum(first, DRAW_CELLS).astype(np.intp)
+        bins += (DRAW_CELLS + 1) * np.arange(k)[:, None]
+        below = np.bincount(bins.ravel(), minlength=k * (DRAW_CELLS + 1))
+        below = below.cumsum().reshape(k, DRAW_CELLS + 1)[:, :DRAW_CELLS]
+        cells = self.targets[below]
+        # a key off the cell edges splits the cell it lies in
+        row, col = ((scaled != first) & (first <= DRAW_CELLS)).nonzero()
+        cells[row, first[row, col].astype(np.intp) - 1] = -1
+        self.cells = cells.ravel()
 
     def draw(self, state: np.ndarray, u: np.ndarray,
              index: np.ndarray | None = None) -> np.ndarray:
@@ -665,7 +682,7 @@ def _episode_lengths(rng: np.random.Generator, schedule: ContinuationSchedule,
         lengths[tail] += rng.geometric(1.0 - c, tail.size) - 1
     if max_rounds is not None:
         np.minimum(lengths, max_rounds, out=lengths)
-    return -np.sort(-lengths)
+    return np.sort(lengths)[::-1]
 
 
 def monte_carlo_play(game: GameSpec, profile: StrategyProfile,
@@ -703,12 +720,17 @@ def monte_carlo_play(game: GameSpec, profile: StrategyProfile,
     payoff_sums = np.zeros((game.player_count, episodes))
     state = np.full(episodes, len(v1))  # the start row
     index = np.empty(episodes, np.intp)
-    ends = (-lengths).tolist()  # ascending
-    for t in range(1, int(lengths[0]) + 1):
-        alive = bisect.bisect_right(ends, -t)
-        live = state[:alive]
-        live[:] = sampler.draw(live, rng.random(alive), index)
-        payoff_sums[:, :alive] += payoffs.take(live, axis=1)
+    # the live prefix shrinks only where the sorted lengths drop, so each
+    # run of rounds between two drops plays the same episodes
+    drops = np.flatnonzero(lengths[1:] != lengths[:-1]) + 1
+    played = 0
+    for alive in [episodes, *drops[::-1].tolist()]:
+        live, sums = state[:alive], payoff_sums[:, :alive]
+        last = int(lengths[alive - 1])
+        for _ in range(last - played):
+            live[:] = sampler.draw(live, rng.random(alive), index)
+            sums += payoffs.take(live, axis=1)
+        played = last
 
     total_rounds = lengths.sum()
     means = payoff_sums.sum(axis=1) / total_rounds

@@ -41,6 +41,7 @@ from payoffcontrol import (
 from payoffcontrol import dynamics
 from payoffcontrol.control import sample_markov_tables
 from payoffcontrol.dynamics import (
+    DRAW_CELLS,
     MAX_ROUNDS,
     _RowSampler,
     _episode_lengths,
@@ -114,10 +115,14 @@ def test_schedule_validation():
         Delta(1.0)
     with pytest.raises(InvalidParamsError):
         Delta(-0.1)
-    with pytest.raises(InvalidParamsError):
-        FiniteHorizon(0)
+    for rounds in (0, True, 3.0):
+        with pytest.raises(InvalidParamsError):
+            FiniteHorizon(rounds)
     with pytest.raises(InvalidParamsError):
         Custom((1.2,))
+    # any other integer type counts rounds, stored as a plain int
+    horizon = FiniteHorizon(np.int64(3))
+    assert type(horizon.rounds) is int and horizon == FiniteHorizon(3)
 
 
 NEAR_ONE = 1.0 - 1e-13
@@ -610,11 +615,28 @@ def test_draw_table_agrees_with_search():
     rows /= rows.sum(axis=1, keepdims=True)
     rows[2, 4:6] = [1e-9, 1e-9]  # several keys inside one cell
     rows[2] /= rows[2].sum()
-    sampler = _RowSampler(rows)
-    assert (sampler.cells < 0).any() and (sampler.cells >= 0).any()
-    state = rng.integers(0, 10, 100000)
-    u = rng.random(100000)
-    assert np.array_equal(sampler.draw(state, u), sampler.search(state, u))
+    # cumulative sums on cell edges, and a row whose sum rounds past 1
+    edges = rng.multinomial(DRAW_CELLS, np.full(9, 1 / 9), size=4) / DRAW_CELLS
+    past_one = np.zeros((1, 9))
+    past_one[0, [1, 4, 8]] = [0.5, 0.25, 0.25 + 2.0 ** -52]
+    assert past_one.cumsum()[-1] > 1.0
+    cell = np.arange(DRAW_CELLS) / DRAW_CELLS  # left edges
+    # a key on a cell edge splits no cell
+    for table, splits in ((rows, True), (np.vstack([edges, past_one]), False)):
+        sampler = _RowSampler(table)
+        assert (sampler.cells < 0).any() == splits
+        k = len(table)
+        keys = sampler.keys.reshape(k, -1) - 2.0 * np.arange(k)[:, None]
+        for s, row_keys in enumerate(keys):
+            inside = ((row_keys[:, None] > cell)
+                      & (row_keys[:, None] < cell + 1 / DRAW_CELLS)).any(axis=0)
+            expected = np.where(inside, -1,
+                                sampler.search(np.full(DRAW_CELLS, s), cell))
+            assert np.array_equal(
+                sampler.cells[s * DRAW_CELLS:(s + 1) * DRAW_CELLS], expected), s
+        state = rng.integers(0, k, 100000)
+        u = rng.random(100000)
+        assert np.array_equal(sampler.draw(state, u), sampler.search(state, u))
 
 
 def test_joint_draw_matches_chain(pgg):

@@ -90,10 +90,12 @@ def test_strategy_file_roundtrip_with_header(tmp_path, donation,
 
 def test_schedule_file_roundtrip(tmp_path):
     for schedule in (Infinite(), Delta(0.25), FiniteHorizon(3),
+                     FiniteHorizon(np.int64(3)),
                      Custom((0.5, 0.5), tail=0.125)):
         out = tmp_path / "sched.txt"
         out.write_text(schedule_line(schedule) + "\n")
         assert parse_schedule_file(out) == schedule
+    assert schedule_line(FiniteHorizon(np.int64(3))) == "schedule horizon 3"
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,7 @@ from .control import (
     verify_relation,
 )
 from .dynamics import (
-    ConstantContinuation,
     Infinite,
-    InfiniteExpectedRounds,
     StrategyProfile,
     classify_schedule,
     expected_rounds,
@@ -245,13 +243,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_classify(args) -> int:
     schedule = parse_schedule_arg(args.schedule
                                   if args.schedule is not None else "infinite")
-    form = classify_schedule(schedule)
+    d = classify_schedule(schedule)
     rounds = expected_rounds(schedule)
-    if isinstance(form, InfiniteExpectedRounds):
+    if d == 1.0:
         print("infinite expected rounds: ruling strategies supported "
               "(difference form)")
-    elif isinstance(form, ConstantContinuation):
-        print(f"constant continuation delta={float(form.delta)!r}: ruling "
+    elif d is not None:
+        print(f"constant continuation delta={d!r}: ruling "
               "strategies supported (initial-weighted form)")
     else:
         print("neither infinite expected rounds nor a constant continuation: "

@@ -35,13 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    Classification,
-    ConstantContinuation,
     ContinuationSchedule,
-    InfiniteExpectedRounds,
     MarkovStrategy,
     MixedAction,
-    OtherSchedule,
     # unused here, but the benchmark tracer rebinds this name
     average_distribution,
     check_seed,
@@ -155,7 +151,7 @@ class RulingBasis:
 
     vectors: np.ndarray  # (r, profile_count)
     controllers: tuple[int, ...]
-    form: Classification
+    delta: float
     sizes: tuple[int, ...]
 
     @cached_property
@@ -244,43 +240,42 @@ def repeat_indicator(game: GameSpec, controllers: Sequence[int],
     return mask.astype(float)
 
 
-def ruling_form(schedule: ContinuationSchedule
-                ) -> InfiniteExpectedRounds | ConstantContinuation:
-    """The schedule's classification, whose ``delta`` is the continuation
-    weight d of its ruling vectors (1 for infinite expected rounds).
+def ruling_weight(schedule: ContinuationSchedule) -> float:
+    """The continuation weight d of the schedule's ruling vectors: its
+    ``classify_schedule`` weight (1 for infinite expected rounds).
 
     Raises UnsupportedScheduleError when the schedule is neither of
     infinite expected rounds nor constant continuation below one.
     """
-    form = classify_schedule(schedule)
-    if isinstance(form, OtherSchedule):
+    delta = classify_schedule(schedule)
+    if delta is None:
         raise UnsupportedScheduleError(
             "schedule supports no ruling vectors: expected rounds are finite "
             "and the continuation probability is not constant")
-    return form
+    return delta
 
 
-def ruling_family(form: Classification, conditionals: np.ndarray,
-                  initial, repeat: np.ndarray) -> np.ndarray:
-    """Ruling vectors as columns: d q + (1 - d) sigma - rep with
-    d = ``form.delta`` and sigma = ``initial``.  At d = 1 this is q - rep
-    exactly."""
-    return form.delta * conditionals + (1.0 - form.delta) * initial - repeat
+def ruling_family(delta: float, conditionals: np.ndarray, initial,
+                  jhat: np.ndarray) -> np.ndarray:
+    """Ruling vectors as columns: d q + (1 - d) sigma - rep with d =
+    ``delta``, sigma = ``initial`` and rep the one-hot rows of the joint
+    actions ``jhat``.  At d = 1 this is q - rep exactly."""
+    repeat = jhat[:, None] == np.arange(conditionals.shape[1])
+    return delta * conditionals + (1.0 - delta) * initial - repeat
 
 
 def ruling_basis(game: GameSpec, strategies: Sequence[MarkovStrategy],
                  schedule: ContinuationSchedule) -> RulingBasis:
     """Build the ruling-vector family of the given controller strategies.
 
-    Raises UnsupportedScheduleError as ``ruling_form`` does.
+    Raises UnsupportedScheduleError as ``ruling_weight`` does.
     """
-    form = ruling_form(schedule)
+    delta = ruling_weight(schedule)
     ordered, players, sizes, jhat = _controller_setup(game, strategies)
-    repeat = jhat[:, None] == np.arange(math.prod(sizes))  # one-hot rows
-    family = ruling_family(form, _joint_table(ordered), joint_initial(ordered),
-                           repeat)
+    family = ruling_family(delta, _joint_table(ordered), joint_initial(ordered),
+                           jhat)
     # the family sums to zero; drop the last joint action
-    return RulingBasis(family.T[:-1], players, form, sizes)
+    return RulingBasis(family.T[:-1], players, delta, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,8 +91,12 @@ class Delta(ContinuationSchedule):
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and 0.0 <= self.delta < 1.0):
+        # any real number but bool, stored as a plain float without -0
+        delta = None if isinstance(self.delta, bool) else self.delta
+        if not (isinstance(delta, numbers.Real) and math.isfinite(delta)
+                and 0.0 <= delta < 1.0):
             raise InvalidParamsError(f"delta must lie in [0, 1), got {self.delta!r}")
+        object.__setattr__(self, "delta", float(delta) + 0.0)
 
     def continuation(self, t: int) -> float:
         return self.delta
@@ -125,7 +130,7 @@ class Custom(ContinuationSchedule):
     tail: float = 0.0
 
     def __post_init__(self):
-        vals = np.array([*self.values, self.tail], dtype=float)
+        vals = np.array([*self.values, self.tail], dtype=float) + 0.0  # no -0
         inside = (vals >= 0.0) & (vals <= 1.0)  # NaN fails both
         if not inside.all():
             bad = float(vals[np.argmin(inside)])
@@ -139,48 +144,22 @@ class Custom(ContinuationSchedule):
         return self.tail
 
 
-# Classification drives which ruling-vector form, if any, applies; the
-# supported forms carry its continuation weight ``delta``.
-
-
-@dataclass(frozen=True)
-class InfiniteExpectedRounds:
-    """The expected number of rounds diverges."""
-
-    delta: ClassVar[float] = 1.0
-
-
-@dataclass(frozen=True)
-class ConstantContinuation:
-    """c(t) is the constant ``delta`` < 1 for every round."""
-
-    delta: float
-
-
-@dataclass(frozen=True)
-class OtherSchedule:
-    """Neither of the two supported regimes."""
-
-
-Classification = InfiniteExpectedRounds | ConstantContinuation | OtherSchedule
-
-
-def classify_schedule(schedule: ContinuationSchedule) -> Classification:
-    """Sort a schedule into one of the three regimes.
+def classify_schedule(schedule: ContinuationSchedule) -> float | None:
+    """The schedule's ruling weight d: 1.0 for infinite expected rounds,
+    the constant continuation c < 1, or None for any other schedule.
 
     The schedule is read as its explicit continuation values followed by
     a constant tail (``_continuations``) and compared exactly.  A tail of
     exactly 1 behind strictly positive values makes the expected round
     count diverge; explicit values all equal to the tail are a constant
-    continuation, so FiniteHorizon(1), with c identically zero, counts as
-    constant continuation 0.
+    continuation, so FiniteHorizon(1), with c identically zero, weighs 0.
     """
     values, c = _continuations(schedule)
     if c == 1.0 and all(v > 0.0 for v in values):
-        return InfiniteExpectedRounds()
+        return 1.0
     if all(v == c for v in values):
-        return ConstantContinuation(c)
-    return OtherSchedule()
+        return c
+    return None
 
 
 def survival_probabilities(schedule: ContinuationSchedule, t_max: int) -> np.ndarray:
@@ -197,7 +176,7 @@ def survival_probabilities(schedule: ContinuationSchedule, t_max: int) -> np.nda
 def expected_rounds(schedule: ContinuationSchedule) -> float:
     """Sum of p(t), i.e. the expected number of rounds (may be math.inf)."""
     # classify_schedule decides divergence, so the two never disagree
-    if isinstance(classify_schedule(schedule), InfiniteExpectedRounds):
+    if classify_schedule(schedule) == 1.0:
         return math.inf
     if isinstance(schedule, Delta):
         return 1.0 / (1.0 - schedule.delta)
@@ -332,8 +311,8 @@ class AvgDistributionResult:
     """Limiting average with provenance.
 
     method: "cesaro" (infinite expected rounds), "closed_form_delta"
-    (constant continuation) or "truncated_sum" (any other schedule), as
-    ``classify_schedule`` sorts the schedule; all three run the same
+    (constant continuation) or "truncated_sum" (any other schedule), by
+    the schedule's ``classify_schedule`` weight; all three run the same
     kernel, ``markov_average``.  ``residual`` is the tail's a-posteriori
     residual |x (I - cM) - (1 - c) u|_1, at most RESIDUAL_TOL, and 0
     without a tail.
@@ -519,11 +498,6 @@ def markov_average(m: np.ndarray, v1: np.ndarray,
     return vbar, residual, settled
 
 
-_METHODS = {InfiniteExpectedRounds: "cesaro",
-            ConstantContinuation: "closed_form_delta",
-            OtherSchedule: "truncated_sum"}
-
-
 def average_distribution(game: GameSpec, profile: StrategyProfile,
                          schedule: ContinuationSchedule) -> AvgDistributionResult:
     """p-weighted limiting average of the per-round profile distributions:
@@ -531,7 +505,9 @@ def average_distribution(game: GameSpec, profile: StrategyProfile,
 
     Raises NoConvergenceError when the average does not settle.
     """
-    method = _METHODS[type(classify_schedule(schedule))]
+    d = classify_schedule(schedule)
+    method = ("truncated_sum" if d is None
+              else "cesaro" if d == 1.0 else "closed_form_delta")
     v1 = initial_distribution(game, profile).probs
     m = transition_matrix(game, profile)
     vbar, residual, settled = markov_average(m[None], v1[None], schedule)
@@ -669,8 +645,7 @@ def _episode_lengths(rng: np.random.Generator, schedule: ContinuationSchedule,
     if max_rounds is not None:
         values = values[:max_rounds - 1]  # later rounds are never played
     survival, _ = _survival(values)
-    if max_rounds is None and isinstance(classify_schedule(schedule),
-                                         InfiniteExpectedRounds):
+    if max_rounds is None and classify_schedule(schedule) == 1.0:
         raise MissingRoundCapError("infinite expected rounds need max_rounds")
     lengths = np.searchsorted(np.negative(survival), -rng.random(episodes),
                               side="left")

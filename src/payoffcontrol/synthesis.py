@@ -87,9 +87,9 @@ from .control import (
     joint_initial,
     relation_vector,
     ruling_family,
-    ruling_form,
+    ruling_weight,
 )
-from .dynamics import Classification, ContinuationSchedule, MarkovStrategy
+from .dynamics import ContinuationSchedule, MarkovStrategy
 from .games import GameSpec, MixedAction
 from .errors import InvalidParamsError, TrivialTargetError
 
@@ -130,7 +130,7 @@ class SynthesisResult:
     """
 
     target: SynthesisTarget
-    form: Classification
+    delta: float
     strategies: tuple[MarkovStrategy, ...] | None
     joint_conditionals: np.ndarray | None
     joint_initial: np.ndarray | None
@@ -807,10 +807,9 @@ def _assemble(game, target, delta, sizes, members, jhat, w, y, mval):
     return strategies, None, None, margin
 
 
-def _family_residual(form, joint_cond, joint_init, jhat, y, w):
+def _family_residual(delta, joint_cond, joint_init, jhat, y, w):
     """Max deviation of sum_j y_j u~_j from w for the assembled tables."""
-    rep = np.eye(joint_cond.shape[1])[jhat]
-    family = ruling_family(form, joint_cond, joint_init, rep)
+    family = ruling_family(delta, joint_cond, joint_init, jhat)
     return float(np.max(np.abs(family @ y - w)))
 
 
@@ -831,7 +830,7 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     margin wins, and each of its rows is built at its own maximin margin
     (``SynthesisResult.margin`` is the smallest of them).
     """
-    form = ruling_form(schedule)
+    delta = ruling_weight(schedule)
     w = relation_vector(game, target.relation)
     if _vanishes(game, w, RANK_TOL):  # is_trivial on the w at hand
         raise TrivialTargetError(
@@ -839,7 +838,6 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     for player in target.controllers:
         game.check_player(player)
     sizes, jhat = joint_index(game, target.controllers)
-    delta = form.delta
     joint_count = math.prod(sizes)
     members = sizes if target.mode == "independent" else (joint_count,)
 
@@ -866,7 +864,7 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
         game, target, delta, sizes, members, jhat, w, y_full, mval)
     built = (joint_cond, joint_init) if strategies is None \
         else (_joint_table(strategies), joint_initial(strategies))
-    residual = _family_residual(form, *built, jhat, y_full, w)
+    residual = _family_residual(delta, *built, jhat, y_full, w)
     if residual > 1e-8 * max(1.0, float(abs(w).max())):
         return Infeasible(
             certificate="search-budget-exhausted",
@@ -875,7 +873,7 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
                    f"{residual:.3g}")
     return SynthesisResult(
         target=target,
-        form=form,
+        delta=delta,
         strategies=strategies,
         joint_conditionals=joint_cond,
         joint_initial=joint_init,

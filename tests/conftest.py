@@ -9,6 +9,7 @@ from payoffcontrol import (
     prisoners_dilemma,
     public_goods_game,
 )
+from payoffcontrol import control
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,19 @@ def pgg():
 @pytest.fixture(scope="session")
 def pd():
     return prisoners_dilemma(3.0, 0.0, 5.0, 1.0)
+
+
+@pytest.fixture
+def no_chain_settles(monkeypatch):
+    """Make every chain of control's Markov-average kernel report that its
+    average did not settle."""
+    kernel = control.markov_average
+
+    def unsettled(m, v1, schedule):
+        vbar, residual, settled = kernel(m, v1, schedule)
+        return vbar, residual, np.zeros_like(settled)
+
+    monkeypatch.setattr(control, "markov_average", unsettled)
 
 
 def cesaro_average_estimate(m, v1, tol=1e-6, max_iter=10 ** 6, window=100):

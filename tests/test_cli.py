@@ -120,6 +120,15 @@ def test_verify_wrong_constant_fails(capsys):
     assert stdout.startswith("FAIL")
 
 
+def test_verify_fails_when_no_sample_settles(no_chain_settles, capsys):
+    code, stdout, _ = run(capsys, "verify", "--game", DONATION,
+                          "--strategy", PIN, "--alpha", "0,1",
+                          "--gamma", "-2", "--samples", "50")
+    assert code == 1
+    assert stdout == ("FAIL: max |relation residual| = -1 over 0 samples "
+                      "(50 skipped), tolerance 1e-08\n")
+
+
 def test_verify_csv_shape(tmp_path, capsys):
     out = tmp_path / "payoffs.csv"
     code, stdout, _ = run(capsys, "verify", "--game", DONATION,
@@ -221,17 +230,34 @@ def test_detect_accepts_tolerance_from_machine_epsilon(capsys, tol):
     assert stdout == "found 1 relation(s)\nalpha=0,1 gamma=-2\n"
 
 
-@pytest.mark.parametrize("schedule,needle", [
-    ("infinite", "infinite expected rounds"),
-    ("delta:0.9", "constant continuation delta=0.9:"),
-    ("delta:0.9999999999999",
-     "constant continuation delta=0.9999999999999:"),
-    ("horizon:2", "neither infinite expected rounds"),
-])
-def test_classify_verdicts(capsys, schedule, needle):
+SUPPORTED = ": ruling strategies supported"
+CONSTANT = SUPPORTED + " (initial-weighted form)\n"
+
+
+CLASSIFY_STDOUT = {
+    "infinite": "infinite expected rounds" + SUPPORTED
+    + " (difference form)\nexpected rounds: inf\n",
+    "delta:0.9": "constant continuation delta=0.9" + CONSTANT
+    + "expected rounds: 10\n",
+    "delta:0.9999999999999": "constant continuation delta=0.9999999999999"
+    + CONSTANT + "expected rounds: 9.9968915147e+12\n",
+    "horizon:2": "neither infinite expected rounds nor a constant "
+    "continuation: strict Markov ruling strategies are not available; use "
+    "falsify to exhibit failures\nexpected rounds: 2\n",
+    # one-shot play is constant continuation 0
+    "horizon:1": "constant continuation delta=0.0" + CONSTANT
+    + "expected rounds: 1\n",
+    # -0 is stored, and so printed, as +0
+    "delta:-0": "constant continuation delta=0.0" + CONSTANT
+    + "expected rounds: 1\n",
+}
+
+
+@pytest.mark.parametrize("schedule", CLASSIFY_STDOUT)
+def test_classify_verdicts(capsys, schedule):
     code, stdout, _ = run(capsys, "classify", "--schedule", schedule)
     assert code == 0
-    assert needle in stdout
+    assert stdout == CLASSIFY_STDOUT[schedule]
 
 
 def test_simulate_full_profile(tmp_path, capsys):

@@ -480,6 +480,19 @@ def test_verify_counts_unsettled_samples_as_skipped(pd):
     assert report.payoffs.shape == (report.samples_used, 2)
 
 
+def test_verify_fails_when_no_sample_settles(no_chain_settles, donation,
+                                             pin_strategy):
+    # nothing was checked, so nothing passes and no opponent is the worst
+    rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
+    report = verify_relation(donation, [pin_strategy], Infinite(), rel,
+                             samples=300, seed=1)
+    assert report.passed is False
+    assert (report.samples_used, report.samples_skipped) == (0, 300)
+    assert report.max_abs_violation == -1.0
+    assert report.worst_opponents == ()
+    assert report.payoffs.shape == (0, 2)
+
+
 def test_verify_refuses_schedule_past_round_cap(pd):
     rel = PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0)
     with pytest.raises(NoConvergenceError):

@@ -10,19 +10,16 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from payoffcontrol import (
-    ConstantContinuation,
     Custom,
     Delta,
     FiniteHorizon,
     InconsistentStrategyError,
     Infinite,
-    InfiniteExpectedRounds,
     InvalidParamsError,
     MarkovStrategy,
     MissingRoundCapError,
     MixedAction,
     NoConvergenceError,
-    OtherSchedule,
     PayoffRelation,
     StrategyProfile,
     SynthesisTarget,
@@ -123,37 +120,51 @@ def test_schedule_validation():
     # any other integer type counts rounds, stored as a plain int
     horizon = FiniteHorizon(np.int64(3))
     assert type(horizon.rounds) is int and horizon == FiniteHorizon(3)
+    # delta: any real number but bool, stored as a plain float without -0
+    for delta in (False, True, np.bool_(False), "0.5", None):
+        with pytest.raises(InvalidParamsError):
+            Delta(delta)
+    for delta, stored in ((0, 0.0), (np.float32(0.5), 0.5),
+                          (np.float64(0.9), 0.9), (-0.0, 0.0)):
+        schedule = Delta(delta)
+        assert type(schedule.delta) is float and schedule.delta == stored
+        assert math.copysign(1.0, schedule.delta) == 1.0
+    custom = Custom((-0.0, np.float32(0.5), 1), tail=-0.0)
+    assert custom == Custom((0.0, 0.5, 1.0), tail=0.0)
+    assert all(type(v) is float and math.copysign(1.0, v) == 1.0
+               for v in (*custom.values, custom.tail))
 
 
 NEAR_ONE = 1.0 - 1e-13
 
 
 @pytest.mark.parametrize("schedule, expected", [
-    (Infinite(), InfiniteExpectedRounds()),
-    (Delta(0.6), ConstantContinuation(0.6)),
-    (Delta(0.0), ConstantContinuation(0.0)),
-    (FiniteHorizon(1), ConstantContinuation(0.0)),  # one-shot
-    (FiniteHorizon(2), OtherSchedule()),
-    (Custom((0.5, 0.5), tail=0.5), ConstantContinuation(0.5)),
-    (Custom((0.9, 0.8), tail=0.5), OtherSchedule()),
+    (Infinite(), 1.0),
+    (Delta(0.6), 0.6),
+    (Delta(0.0), 0.0),
+    (FiniteHorizon(1), 0.0),  # one-shot
+    (FiniteHorizon(2), None),
+    (Custom((0.5, 0.5), tail=0.5), 0.5),
+    (Custom((0.9, 0.8), tail=0.5), None),
     # all continuations strictly positive with tail 1: rounds diverge
-    (Custom((0.9, 0.8), tail=1.0), InfiniteExpectedRounds()),
-    (Custom((), tail=1.0), InfiniteExpectedRounds()),
+    (Custom((0.9, 0.8), tail=1.0), 1.0),
+    (Custom((), tail=1.0), 1.0),
     # compared exactly: a tail just below 1 is a constant continuation, as
     # Delta is, and values the kernel averages as given are not rounded
-    (Custom((), tail=NEAR_ONE), ConstantContinuation(NEAR_ONE)),
-    (Custom((NEAR_ONE,), tail=NEAR_ONE), ConstantContinuation(NEAR_ONE)),
-    (Custom((1.0, NEAR_ONE), tail=1.0), InfiniteExpectedRounds()),
-    (Custom((0.5, 0.5 + 1e-13), tail=0.5), OtherSchedule()),
+    (Custom((), tail=NEAR_ONE), NEAR_ONE),
+    (Custom((NEAR_ONE,), tail=NEAR_ONE), NEAR_ONE),
+    (Custom((1.0, NEAR_ONE), tail=1.0), 1.0),
+    (Custom((0.5, 0.5 + 1e-13), tail=0.5), None),
 ])
 def test_classify_schedule(schedule, expected):
-    assert classify_schedule(schedule) == expected
+    # the ruling weight itself: a plain float, or None when there is none
+    weight = classify_schedule(schedule)
+    assert weight == expected and type(weight) is type(expected)
 
 
 def test_classify_custom_with_zero_before_unit_tail():
     # a zero continuation kills the game; the unit tail never applies
-    form = classify_schedule(Custom((0.0,), tail=1.0))
-    assert form != InfiniteExpectedRounds()
+    assert classify_schedule(Custom((0.0,), tail=1.0)) is None
 
 
 def test_expected_rounds():
@@ -175,8 +186,7 @@ def test_expected_rounds():
 def test_classify_and_expected_rounds_agree(schedule, diverges):
     # a tail of 1 behind strictly positive values diverges, however small
     # they are; one zero ends every game first
-    form = classify_schedule(schedule)
-    assert isinstance(form, InfiniteExpectedRounds) == diverges
+    assert (classify_schedule(schedule) == 1.0) == diverges
     assert expected_rounds(schedule) == (math.inf if diverges else 1.0)
 
 
@@ -486,7 +496,7 @@ def test_monte_carlo_requires_cap_for_custom_tail_of_one(pd):
     # the expected round count diverges, so an uncapped run never ends
     profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
     schedule = Custom((0.9,), tail=1.0)
-    assert isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
+    assert classify_schedule(schedule) == 1.0
     with pytest.raises(MissingRoundCapError):
         monte_carlo_play(pd, profile, schedule, episodes=10, seed=0)
     res = monte_carlo_play(pd, profile, schedule, episodes=10, seed=0,
@@ -524,7 +534,7 @@ def test_monte_carlo_uncapped_tail_of_one_needs_round_cap(pd):
     # however small the first value, a surviving episode plays forever
     profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
     schedule = Custom((1e-13,), tail=1.0)
-    assert isinstance(classify_schedule(schedule), InfiniteExpectedRounds)
+    assert classify_schedule(schedule) == 1.0
     with pytest.raises(MissingRoundCapError):
         monte_carlo_play(pd, profile, schedule, episodes=10, seed=0)
     res = monte_carlo_play(pd, profile, schedule, episodes=10, seed=0,

@@ -91,11 +91,16 @@ def test_strategy_file_roundtrip_with_header(tmp_path, donation,
 def test_schedule_file_roundtrip(tmp_path):
     for schedule in (Infinite(), Delta(0.25), FiniteHorizon(3),
                      FiniteHorizon(np.int64(3)),
-                     Custom((0.5, 0.5), tail=0.125)):
+                     Custom((0.5, 0.5), tail=0.125),
+                     Delta(-0.0), Custom((-0.0, 0.5), tail=-0.0)):
         out = tmp_path / "sched.txt"
         out.write_text(schedule_line(schedule) + "\n")
         assert parse_schedule_file(out) == schedule
     assert schedule_line(FiniteHorizon(np.int64(3))) == "schedule horizon 3"
+    # -0 is stored as +0, so the written line is the canonical one
+    assert schedule_line(Delta(-0.0)) == "schedule delta 0"
+    assert schedule_line(Custom((-0.0, 0.5), tail=-0.0)) \
+        == "schedule custom 0 0.5 tail 0"
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,16 @@ def test_no_unused_imports(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     traced = {name for owner, name in _traced_names() if owner == module}
     assert [name for name in _unused_imports(tree) if name not in traced] == []
+
+
+def test_public_names_match_all():
+    # every public name __init__ binds is exported, and no export is stale
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets}
+    public = {name for name in bound if not name.startswith("_")}
+    assert len(payoffcontrol.__all__) == len(set(payoffcontrol.__all__))
+    assert set(payoffcontrol.__all__) == public
+    assert all(hasattr(payoffcontrol, name) for name in public)

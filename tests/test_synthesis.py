@@ -111,7 +111,7 @@ def test_pd_pin_rows_hold_exact_zeros(pd):
     result = synthesize(pd, Delta(0.5), target)
     strategy = result.strategies[0]
     assert strategy.conditionals[0].tolist() == [1.0, 0.0]
-    residual = _family_residual(result.form, strategy.conditionals,
+    residual = _family_residual(result.delta, strategy.conditionals,
                                 strategy.initial.probs,
                                 pd.profile_actions[:, 0],
                                 np.append(result.y, 0.0), result.w)
@@ -628,7 +628,7 @@ def test_no_block_reaches_past_the_margin(name, schedule):
     members = sizes if target.mode == "independent" else (joint_count,)
     pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
     x = _margin_program(members, jhat, relation_vector(game, target.relation),
-                        classify_schedule(schedule).delta, margin + 1e-7,
+                        classify_schedule(schedule), margin + 1e-7,
                         pairs)
     assert x is not None
     assert np.all(x[:, joint_count] == 0.0)
@@ -854,7 +854,7 @@ def _identity_gap(game, schedule, result):
     jhat = np.ravel_multi_index(tuple(game.profile_actions[:, players].T),
                                 sizes)
     rep = np.eye(int(np.prod(sizes)))[jhat]
-    delta = getattr(result.form, "delta", 1.0)
+    delta = result.delta
     family = delta * result.joint_conditionals \
         + (1.0 - delta) * result.joint_initial[None, :] - rep
     return float(np.max(np.abs(family @ np.append(result.y, 0.0)

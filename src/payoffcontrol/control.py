@@ -58,6 +58,11 @@ from .games import MIXED_SUM_TOL, GameSpec, check_rows
 
 RANK_TOL = 1e-9
 MACHINE_EPS = float(np.finfo(float).eps)
+# Detect's finest cuts: rounding leaves a trivial direction's singular
+# value a few ulps from 1 (at most 3 over 2,800 random games of 4 to 81
+# profiles) and a dependent column's residual in _rref a few ulps from 0,
+# so cuts this many ulps away keep both out even at tol = eps.
+TRIVIAL_ULPS = 8
 
 # Opponents evaluated per stacked solve; bounds the (block, n, n) working
 # set whatever the sample count.
@@ -342,14 +347,21 @@ def detect_relations(game: GameSpec, strategies: Sequence[MarkovStrategy],
     output depends only on the enforced relations.  A repeat strategy,
     whose ruling vectors all vanish, yields an empty list.
 
-    Three small SVDs: the null space of [u_aug, -u~], an orthonormal basis
-    of its (alpha, gamma) parts, and that basis rotated so that its images
-    w are orthogonal.  The rows whose w vanishes span the trivial
-    directions, and the rest, orthogonal to them, span the relations.
+    Two small SVDs.  The first gives an orthonormal basis [X | Y] of the
+    null space of [u_aug, -u~], split into its (alpha, gamma) part X and
+    its ruling part Y.  Its rows are orthonormal, so |a X|^2 + |a Y|^2 = 1
+    for every unit a: the right singular vectors of X with singular value
+    1 are exactly the trivial directions (u_aug x = 0, Y part zero), and
+    the others, orthogonal to them, span the relations (the CS
+    decomposition view of subspace angles; Bjorck & Golub 1973).
 
-    ``tol`` is the relative rank cut of each SVD, so it must lie in
-    [machine epsilon, 1): below rounding every direction counts as
-    independent, and at 1 or above none does.
+    ``tol`` sets both cuts of the second SVD: a singular value s counts
+    when it exceeds tol times the largest, and marks a trivial direction
+    when its sine sqrt(1 - s^2), the length of its Y part, is at most tol,
+    or when s lies within TRIVIAL_ULPS ulps of 1, the finest angle it
+    resolves.  The row-echelon form cuts at tol, or TRIVIAL_ULPS ulps if
+    more.  So ``tol`` must lie in [machine epsilon, 1): below rounding
+    every direction counts as independent, and at 1 or above none does.
     """
     if not (math.isfinite(tol) and MACHINE_EPS <= tol < 1.0):
         raise InvalidParamsError(
@@ -361,23 +373,15 @@ def detect_relations(game: GameSpec, strategies: Sequence[MarkovStrategy],
     system[:, :players] = game.payoffs
     system[:, players] = 1.0
     np.negative(basis.vectors.T, out=system[:, width:])
-    u_aug = system[:, :width]
     _, s, vt = np.linalg.svd(system)
     coeffs = vt[_rank(s, tol):, :width]
     if not coeffs.size:
         return []
     _, s, vt = np.linalg.svd(coeffs, full_matrices=False)
-    span = vt[:_rank(s, tol)]
-    if not span.size:
-        return []
-    left, s, _ = np.linalg.svd(span @ u_aug.T, full_matrices=False)
-    if s[0] <= 0.0:
-        return []
-    rows = left[:, :_rank(s, tol)].T @ span
-    relations = [PayoffRelation(row[:-1], row[-1]) for row in _rref(rows, tol)]
-    canonical = np.array([rel.alpha + (rel.gamma,) for rel in relations])
-    trivial = _vanishes(game, u_aug @ canonical.T, tol).tolist()
-    return [rel for rel, drop in zip(relations, trivial) if not drop]
+    floor = TRIVIAL_ULPS * MACHINE_EPS
+    keep = (s > tol * s[0]) & (s * s < 1.0 - max(tol * tol, 2 * floor))
+    rows = _rref(vt[keep], max(tol, floor))
+    return [PayoffRelation(row[:-1], row[-1]) for row in rows]
 
 
 def enforces_relation(game: GameSpec, strategies: Sequence[MarkovStrategy],

@@ -130,7 +130,15 @@ class Custom(ContinuationSchedule):
     tail: float = 0.0
 
     def __post_init__(self):
-        vals = np.array([*self.values, self.tail], dtype=float) + 0.0  # no -0
+        # any real numbers but bools, stored as plain floats without -0;
+        # each distinct type is checked once, so long schedules stay cheap
+        raw = (*self.values, self.tail)
+        for kind in set(map(type, raw)):
+            if kind is bool or not issubclass(kind, numbers.Real):
+                bad = next(v for v in raw if type(v) is kind)
+                raise InvalidParamsError(
+                    f"continuation value {bad!r} must be a real number")
+        vals = np.array(raw, dtype=float) + 0.0  # no -0
         inside = (vals >= 0.0) & (vals <= 1.0)  # NaN fails both
         if not inside.all():
             bad = float(vals[np.argmin(inside)])

@@ -10,6 +10,7 @@ from payoffcontrol import (
     public_goods_game,
 )
 from payoffcontrol import control
+from payoffcontrol.control import PayoffRelation, _rank, _rref, _vanishes
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +61,38 @@ def cesaro_average_estimate(m, v1, tol=1e-6, max_iter=10 ** 6, window=100):
             prev = avg
     raise NoConvergenceError(
         f"running average still moving after {max_iter} iterations")
+
+
+def detect_relations_reference(game, strategies, schedule, tol):
+    """Three-SVD detection, the reference for control.detect_relations:
+    the null space of [u_aug, -u~], an orthonormal basis of its (alpha,
+    gamma) parts, and that basis rotated so its images w are orthogonal;
+    the rows with w above the rank cut, in reduced row-echelon form, less
+    those whose canonical w vanishes."""
+    basis = control.ruling_basis(game, strategies, schedule)
+    count, players = game.payoffs.shape
+    width = players + 1
+    system = np.empty((count, width + len(basis.vectors)))
+    system[:, :players] = game.payoffs
+    system[:, players] = 1.0
+    np.negative(basis.vectors.T, out=system[:, width:])
+    u_aug = system[:, :width]
+    _, s, vt = np.linalg.svd(system)
+    coeffs = vt[_rank(s, tol):, :width]
+    if not coeffs.size:
+        return []
+    _, s, vt = np.linalg.svd(coeffs, full_matrices=False)
+    span = vt[:_rank(s, tol)]
+    if not span.size:
+        return []
+    left, s, _ = np.linalg.svd(span @ u_aug.T, full_matrices=False)
+    if s[0] <= 0.0:
+        return []
+    rows = left[:, :_rank(s, tol)].T @ span
+    relations = [PayoffRelation(row[:-1], row[-1]) for row in _rref(rows, tol)]
+    canonical = np.array([rel.alpha + (rel.gamma,) for rel in relations])
+    trivial = _vanishes(game, u_aug @ canonical.T, tol).tolist()
+    return [rel for rel, drop in zip(relations, trivial) if not drop]
 
 
 def markov(player, *cols, initial=None):

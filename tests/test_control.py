@@ -40,12 +40,17 @@ from payoffcontrol import (
     verify_relation,
 )
 from payoffcontrol import control, dynamics
-from payoffcontrol.control import _draw_opponents, sample_markov_tables
+from payoffcontrol.control import (
+    MACHINE_EPS,
+    _draw_opponents,
+    sample_markov_tables,
+)
 
 from conftest import (
     ALLIANCE_FREE,
     ALLIANCE_PIN_OUT,
     FREE_COLS,
+    detect_relations_reference,
     markov,
     tit_for_tat,
     wsls_pd,
@@ -149,15 +154,17 @@ def test_detect_drops_trivial_only_spaces():
     assert detect_relations(constant, [free], Infinite()) == []
 
 
-def test_detect_reports_least_norm_relation_beside_trivial_direction():
+@pytest.mark.parametrize("tol", [MACHINE_EPS, 1e-12, 1e-9, 1e-6])
+def test_detect_reports_least_norm_relation_beside_trivial_direction(tol):
     # u3 = -(u1 + u2), so (1, 1, 1, 0) is trivial; the pin u3 = -1 is
-    # reported orthogonal to it, as u1 + u2 - 2 u3 - 3 = 0 scaled
+    # reported orthogonal to it, as u1 + u2 - 2 u3 - 3 = 0 scaled, and the
+    # trivial direction is not reported even at tol = eps
     payoffs = public_goods_game(3, 1.0, 2.0).payoffs.copy()
     payoffs[:, 2] = -(payoffs[:, 0] + payoffs[:, 1])
     game = build_game([("C", "D")] * 3, payoffs)
     pin = synthesize(game, Infinite(), SynthesisTarget(
         PayoffRelation((0.0, 0.0, 1.0), 1.0), (2,)))
-    found = detect_relations(game, pin.strategies, Infinite())
+    found = detect_relations(game, pin.strategies, Infinite(), tol=tol)
     assert len(found) == 1
     assert found[0].close_to(PayoffRelation((0.5, 0.5, -1.0), -1.5))
 
@@ -316,6 +323,17 @@ def test_detect_accepts_tolerance_from_eps_up(donation, pin_strategy, tol):
     found = detect_relations(donation, [pin_strategy], Infinite(), tol=tol)
     assert len(found) == 1
     assert found[0].close_to(PayoffRelation(alpha=(0.0, 1.0), gamma=-2.0))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+def test_detect_keeps_a_pin_at_small_payoff_scale(donation, pin_strategy, tol):
+    # payoffs scaled by 1e-6 leave the pin a ruling part of about 1e-6: the
+    # trivial cut is on its sine, so a cut at 1 - tol (a sine of about
+    # sqrt(2 tol)) would drop it
+    game = build_game(donation.action_labels, donation.payoffs * 1e-6)
+    found = detect_relations(game, [pin_strategy], Infinite(), tol=tol)
+    assert len(found) == 1
+    assert found[0].close_to(PayoffRelation(alpha=(0.0, 1.0), gamma=-2e-6))
 
 
 def test_enforces_relation_negative(donation):
@@ -1037,6 +1055,115 @@ def test_falsify_checks_the_round_cap_before_a_tail_of_one(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# Two-SVD detection against the three-SVD reference
+
+
+@st.composite
+def _detect_cases(draw):
+    counts = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4).filter(
+        lambda c: int(np.prod(c)) <= 18))
+    players, profiles = len(counts), int(np.prod(counts))
+    kind = draw(st.sampled_from(["generic", "trivial", "zero"]))
+    if kind == "zero":
+        payoffs = np.zeros((profiles, players))
+    else:
+        payoffs = np.array(draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=players, max_size=players),
+            min_size=profiles, max_size=profiles)), dtype=float)
+    if kind == "trivial":
+        # u_n = -(u_1 + ... + u_{n-1}) + c: (1, ..., 1, -c) is trivial
+        payoffs[:, -1] = -payoffs[:, :-1].sum(axis=1) + draw(
+            st.integers(-2, 2))
+    game = build_game([tuple("ABC"[:c]) for c in counts], payoffs)
+    schedule = draw(st.sampled_from([Infinite(), Delta(0.9)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    first = draw(st.integers(0, players - 1))
+    second = (first + draw(st.integers(1, players - 1))) % players
+    controllers = draw(st.sampled_from([(first,), (first, second)]))
+    if draw(st.booleans()):
+        # enforce u_k = its mean payoff, where synthesis finds a table
+        k = draw(st.integers(0, players - 1))
+        pin = PayoffRelation(tuple(float(p == k) for p in range(players)),
+                             -float(payoffs[:, k].mean()))
+        if not is_trivial(game, pin):
+            result = synthesize(game, schedule,
+                                SynthesisTarget(pin, controllers))
+            if isinstance(result, SynthesisResult):
+                return game, list(result.strategies), schedule
+    control_kind = draw(st.sampled_from(["random", "free", "repeat"]))
+    if control_kind == "repeat":
+        strategies = [repeat_strategy(game, p) for p in controllers]
+    else:  # random draws make about half the rows one-hot, free ones none
+        strategies = [sample_markov_strategy(rng, game, p,
+                                             control_kind != "free")
+                      for p in controllers]
+    return game, strategies, schedule
+
+
+def _degenerate(game, relations):
+    """Whether the relations' coefficient rows are dependent, or their
+    span is not orthogonal to the trivial directions (u_aug x = 0) or
+    holds a unit combination with vanishing w, each to RANK_TOL (times
+    the payoff scale for w, as in is_trivial)."""
+    if not relations:
+        return False
+    rows = np.array([rel.coefficients() for rel in relations])
+    _, s, span = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None],
+                               full_matrices=False)
+    u_aug = np.column_stack([game.payoffs, np.ones(game.profile_count)])
+    _, s_aug, vt = np.linalg.svd(u_aug)
+    trivial = vt[np.count_nonzero(s_aug > control.RANK_TOL * s_aug[0]):]
+    scale = max(1.0, float(abs(game.payoffs).max()))
+    return bool(s[-1] <= control.RANK_TOL
+                or np.abs(span @ trivial.T).max(initial=0.0) > control.RANK_TOL
+                or np.linalg.svd(u_aug @ span.T, compute_uv=False)[-1]
+                <= control.RANK_TOL * scale)
+
+
+@given(_detect_cases(), st.sampled_from([MACHINE_EPS, 1e-12, 1e-9, 1e-6]))
+@settings(max_examples=300, deadline=None)
+def test_detect_agrees_with_three_svd_reference(case, tol):
+    # at tol = eps the reference's w rank cut sits below rounding, so its
+    # span can hold a trivial direction: it then reports rows that noise
+    # made pivots of, or rows off the orthogonal complement once the
+    # trivial row is dropped.  detect never does, and elsewhere the two
+    # report the same rows
+    game, strategies, schedule = case
+    found = detect_relations(game, strategies, schedule, tol=tol)
+    assert not _degenerate(game, found)
+    reference = detect_relations_reference(game, strategies, schedule, tol)
+    if not _degenerate(game, reference):
+        assert len(found) == len(reference)
+        assert_allclose(np.array([rel.coefficients() for rel in found]),
+                        np.array([rel.coefficients() for rel in reference]),
+                        atol=1e-9)
+
+
+def test_detect_at_machine_eps_pivots_on_no_rounding():
+    # u1 = u2 makes (1, -1, 0, 0) trivial, so every relation has alpha_1 =
+    # alpha_2; a three-player alliance enforces two.  At tol = eps the
+    # second column's residual in the row-echelon walk is rounding, and as
+    # a pivot it split the relations (or divided by zero)
+    payoffs = public_goods_game(3, 1.0, 2.0).payoffs.copy()
+    payoffs[:, 1] = payoffs[:, 0]
+    game = build_game([("C", "D")] * 3, payoffs)
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        strategies = [sample_markov_strategy(rng, game, p) for p in range(3)]
+        found = detect_relations(game, strategies, Infinite(), tol=MACHINE_EPS)
+        assert len(found) == 2
+        assert all(abs(rel.alpha[0] - rel.alpha[1]) <= 1e-9 for rel in found)
+
+
+def test_detect_makes_two_svds(monkeypatch, donation, pin_strategy):
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+    found = detect_relations(donation, [pin_strategy], Infinite())
+    assert len(found) == 1 and len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
 # Canonical detect output
 
 
@@ -1062,12 +1189,18 @@ def test_detect_is_reduced_row_echelon(monkeypatch, schedule):
                     reference, atol=1e-12)
     basis = ruling_basis(game, strategies, schedule)
     rng = np.random.default_rng(4)
+    # detect reads the family through control.ruling_basis, the name the
+    # benchmark tracer wraps, so each patched basis below is the one used
+    reads = []
     for _ in range(3):
         order = rng.permutation(len(basis.vectors))
         scales = rng.uniform(0.1, 10.0, len(order)) \
             * rng.choice([-1.0, 1.0], len(order))
         shuffled = dataclasses.replace(
             basis, vectors=basis.vectors[order] * scales[:, None])
-        monkeypatch.setattr(control, "ruling_basis", lambda *a: shuffled)
+        monkeypatch.setattr(control, "ruling_basis",
+                            lambda *a, b=shuffled: reads.append(b) or b)
         assert_allclose(rows(detect_relations(game, strategies, schedule)),
                         reference, atol=1e-9)
+        assert reads[-1:] == [shuffled]
+    assert len(reads) == 3

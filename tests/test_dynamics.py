@@ -133,6 +133,13 @@ def test_schedule_validation():
     assert custom == Custom((0.0, 0.5, 1.0), tail=0.0)
     assert all(type(v) is float and math.copysign(1.0, v) == 1.0
                for v in (*custom.values, custom.tail))
+    # custom: the same real numbers as delta, each value and the tail
+    for values, tail, bad in (((True,), 0.0, "True"), ((0.5,), False, "False"),
+                              (("0.5",), 0.5, "'0.5'"), ((0.5,), "0.25", "'0.25'"),
+                              ((0.5, np.bool_(True)), 0.0, "True"),
+                              ((None,), 0.0, "None"), ((0.5,), 0.5j, "0.5j")):
+        with pytest.raises(InvalidParamsError, match=bad):
+            Custom(values, tail=tail)
 
 
 NEAR_ONE = 1.0 - 1e-13

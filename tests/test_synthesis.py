@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
@@ -24,6 +24,7 @@ from payoffcontrol import (
     UnsupportedScheduleError,
     build_game,
     detect_relations,
+    is_trivial,
     public_goods_game,
     relation_vector,
     ruling_basis,
@@ -370,14 +371,31 @@ def _sign_cases(draw):
     game = build_game([tuple("ABC"[:c]) for c in counts], payoffs)
     relation = PayoffRelation(tuple(map(float, alpha)),
                               float(draw(st.integers(-4, 4))))
+    # synthesize refuses a trivial target before any program is built, and
+    # there z is unbounded (z w = 0), so the margin program has no optimum
+    assume(not is_trivial(game, relation))
     return game, relation, tuple(sorted(controllers)), mode, delta
+
+
+def test_sign_cases_leave_out_trivial_targets_synthesize_refuses():
+    # w = 0 on all-zero payoffs: the margin program is unbounded in z
+    game = build_game([("A", "B")] * 2, [[0, 0]] * 4)
+    relation = PayoffRelation((0.0, 1.0), 0.0)
+    w = relation_vector(game, relation)
+    assert is_trivial(game, relation)
+    sizes, jhat = joint_index(game, (0,))
+    pairs = np.array([[0, 1], [1, 0]])
+    assert _margin_program(sizes, jhat, w, 0.5, 0.0, pairs) is None
+    with pytest.raises(TrivialTargetError):
+        synthesize(game, Delta(0.5), SynthesisTarget(relation, (0,)))
 
 
 @given(_sign_cases())
 @settings(max_examples=60, deadline=None)
 def test_sign_test_drops_only_blocks_without_z(case):
     # every pair the sign test drops takes z = 0, to solver tolerance, in
-    # the margin-0 program over all J(J - 1) pairs
+    # the margin-0 program over all J(J - 1) pairs; trivial targets are
+    # not drawn (see the test above)
     game, relation, controllers, mode, delta = case
     w = relation_vector(game, relation)
     sizes, jhat = joint_index(game, controllers)

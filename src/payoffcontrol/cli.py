@@ -35,6 +35,7 @@ from .control import (
     PayoffRelation,
     detect_relations,
     falsify_candidate,
+    ruling_family,
     verify_relation,
 )
 from .dynamics import (
@@ -270,10 +271,15 @@ def _cmd_falsify(args) -> int:
     if args.action not in labels:
         raise UnknownActionError(f"player {strategy.player + 1} has no "
                                  f"action {args.action!r}")
-    action = labels.index(args.action)
-    column = strategy.conditionals[:, action]
-    repeat = (game.profile_actions[:, strategy.player] == action).astype(float)
-    report = falsify_candidate(game, [strategy], schedule, column - repeat,
+    # the schedule's own ruling column; d = 1 (the column minus its repeat)
+    # where the schedule has no ruling weight.  Copied contiguous: a
+    # strided column rounds the dot products downstream differently
+    d = classify_schedule(schedule)
+    family = ruling_family(1.0 if d is None else d, strategy.conditionals,
+                           strategy.initial.probs,
+                           game.profile_actions[:, strategy.player])
+    candidate = np.ascontiguousarray(family[:, labels.index(args.action)])
+    report = falsify_candidate(game, [strategy], schedule, candidate,
                                budget=args.budget, seed=args.seed,
                                threshold=args.threshold)
     bound = report.bound

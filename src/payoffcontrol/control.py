@@ -234,7 +234,8 @@ def repeat_indicator(game: GameSpec, controllers: Sequence[int],
     """Indicator of the profiles where each controller plays the given action."""
     players = list(controllers)
     if len(players) != len(set(players)):
-        raise InconsistentStrategyError("duplicate controller player")
+        raise InconsistentStrategyError(
+            f"duplicate controller player in {players}")
     if len(joint_action) != len(players):
         raise DimensionMismatchError(
             f"{len(joint_action)} action labels for {len(players)} controllers")

@@ -173,7 +173,7 @@ def classify_schedule(schedule: ContinuationSchedule) -> float | None:
 def survival_probabilities(schedule: ContinuationSchedule, t_max: int) -> np.ndarray:
     """p(1..t_max): probability that each round is reached."""
     if t_max < 1:
-        raise InvalidParamsError("t_max must be >= 1")
+        raise InvalidParamsError(f"t_max must be >= 1, got {t_max}")
     p = np.empty(t_max)
     p[0] = 1.0
     for t in range(1, t_max):
@@ -216,7 +216,8 @@ class MarkovStrategy:
         table = np.array(self.conditionals, dtype=float)
         if table.ndim != 2 or table.shape[1] != len(self.initial):
             raise DimensionMismatchError(
-                "conditional table must have one column per own action")
+                f"conditional table has shape {table.shape}; it must have "
+                f"one column per own action ({len(self.initial)})")
         table = check_rows(table, MIXED_SUM_TOL, "conditional")
         table.setflags(write=False)  # the copy, or a clipped one
         object.__setattr__(self, "conditionals", table)
@@ -689,7 +690,7 @@ def monte_carlo_play(game: GameSpec, profile: StrategyProfile,
     forever and optional otherwise.
     """
     if episodes < 1:
-        raise InvalidParamsError("episodes must be >= 1")
+        raise InvalidParamsError(f"episodes must be >= 1, got {episodes}")
     check_seed(seed)
     m = transition_matrix(game, profile)
     v1 = initial_distribution(game, profile).probs

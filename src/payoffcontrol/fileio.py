@@ -251,7 +251,7 @@ def _parse_document(reader, game: GameSpec | None):
     None, strategy blocks validated against the given or parsed game."""
     player_count = None
     labels: dict[int, list[str]] = {}
-    payoff_rows = None
+    payoff_lines = payoff_rows = None
     strategies: list[MarkovStrategy] = []
     schedule = None
 
@@ -296,8 +296,8 @@ def _parse_document(reader, game: GameSpec | None):
                 reader.fail("payoffs must follow players and one actions "
                             "line per player", lineno)
             count = math.prod(map(len, labels.values()))
-            _, payoff_rows = _numeric_section(reader, count, player_count,
-                                              "payoff")
+            payoff_lines, payoff_rows = _numeric_section(
+                reader, count, player_count, "payoff")
         elif key.startswith("strategy."):
             if game is _SCHEDULE_ONLY_SENTINEL:
                 reader.fail("schedule file must not contain strategy blocks",
@@ -305,7 +305,7 @@ def _parse_document(reader, game: GameSpec | None):
             target = game
             if target is None:
                 target = _finish_game(reader, player_count, labels,
-                                      payoff_rows, lineno)
+                                      payoff_lines, payoff_rows, lineno)
                 game = target
             strategies.append(
                 _parse_strategy_block(reader, tokens, lineno, target))
@@ -317,11 +317,13 @@ def _parse_document(reader, game: GameSpec | None):
             reader.fail(f"unknown directive {key!r}", lineno)
 
     if player_count is not None and game is None:
-        game = _finish_game(reader, player_count, labels, payoff_rows, None)
+        game = _finish_game(reader, player_count, labels, payoff_lines,
+                            payoff_rows, None)
     return game, tuple(strategies), schedule
 
 
-def _finish_game(reader, player_count, labels, payoff_rows, lineno):
+def _finish_game(reader, player_count, labels, payoff_lines, payoff_rows,
+                 lineno):
     if player_count is None:
         reader.fail("missing players line", lineno)
     if payoff_rows is None:
@@ -330,7 +332,11 @@ def _finish_game(reader, player_count, labels, payoff_rows, lineno):
         return build_game([labels[i] for i in range(1, player_count + 1)],
                           payoff_rows)
     except PayoffControlError as exc:
-        raise ValidationError(str(exc), path=reader.path) from None
+        # an error that names a payoff row fails at that row's line
+        row = getattr(exc, "row", None)
+        raise ValidationError(
+            str(exc), path=reader.path,
+            line=None if row is None else payoff_lines[row]) from None
 
 
 # Documents parsed in this process, least recently used first, keyed by

@@ -195,7 +195,10 @@ def build_game(action_labels: Sequence[Sequence[str]],
             f"payoff table has shape {payoffs.shape}, expected "
             f"({expected_rows}, {len(labels)})")
     if not np.isfinite(payoffs).all():
-        raise NonFiniteEntryError("payoff table contains a non-finite entry")
+        row = int(np.argmin(np.isfinite(payoffs).all(axis=1)))
+        exc = NonFiniteEntryError(f"payoff row {row} has a non-finite entry")
+        exc.row = row  # as check_rows names its row
+        raise exc
     payoffs.setflags(write=False)  # a copy: np.array above copies
     return GameSpec(labels, payoffs)
 
@@ -253,7 +256,8 @@ def donation_game(costs: Sequence[float], benefits: Sequence[float]) -> GameSpec
     if len(costs) != len(benefits):
         raise InvalidParamsError("costs and benefits must have equal length")
     if len(costs) < 2:
-        raise InvalidParamsError("a donation game needs at least two actions")
+        raise InvalidParamsError(
+            f"a donation game needs at least two actions, got {len(costs)}")
     k = len(costs)
     labels = [f"C{j + 1}" for j in range(k)]
     if costs[-1] == 0.0 and benefits[-1] == 0.0:
@@ -271,7 +275,8 @@ def public_goods_game(players: int, cost: float, multiplier: float) -> GameSpec:
     Contributions are multiplied and shared equally among all players.
     """
     if players < 2:
-        raise InvalidParamsError("a public goods game needs at least two players")
+        raise InvalidParamsError(
+            f"a public goods game needs at least two players, got {players}")
     labels = tuple(("C", "D") for _ in range(players))
     count = 2 ** players
     rows = []

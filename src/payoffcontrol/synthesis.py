@@ -61,16 +61,20 @@ left.  Every solution is only a proposal, kept by the exact margin of
 its y.
 
 For a single controller with two actions under infinite rounds every
-construction is s = rep + z*w with z = 1/y.  An exact interval
-intersection in z decides feasibility, which is the certificate reported
-for that case, and the best z maximizes a concave piecewise-linear
-function, so it lies at an interval end or at a crossing of its lines.
+construction is s = rep + z*w with z = 1/y, and a closed form decides.
+The row after profile a needs z w(a) in [-1, 0] where the controller
+played its first action and in [0, 1] otherwise, so every w(a) outside
+its rounding fixes the sign of z (a w(a) within it sets no sign, as in
+the sign test).  When two profiles fix opposite signs only z = 0 remains,
+the certificate reported for that case.  Otherwise each row sits
+min(|z| |w(a)|, 1 - |z| |w(a)|) from 0 and 1, and
+|z| = 1/(min |w| + max |w|), over the profiles that fix the sign, keeps
+the nearest row farthest away.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -408,43 +412,26 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
 # Exact interval rung: single controller, two actions, infinite rounds
 
 
-def _interval_rung(w: np.ndarray, rep0: np.ndarray):
-    """Feasible z interval for s = rep + z*w (infinite form, two actions).
+def _interval_z(w: np.ndarray, played0: np.ndarray, near: np.ndarray):
+    """The z of s = rep + z*w (infinite form, two actions) that keeps every
+    row farthest from 0 and 1, or None when only z = 0 remains.
 
-    Entries with rep0 = 1 need z*w in [-1, 0]; entries with rep0 = 0 need
-    z*w in [0, 1].  Returns (lo, hi) or None when only z = 0 remains.
-    The walk runs on plain floats, one entry per profile.
+    A row where the controller played its first action needs z*w in
+    [-1, 0] and any other row z*w in [0, 1], so z takes the sign of w(a)
+    or -w(a) on every profile; a w(a) within its rounding ``near`` sets no
+    sign, as in the sign test.  Each row then sits
+    min(|z| |w(a)|, 1 - |z| |w(a)|) from the boundary, which
+    |z| = 1/(min |w| + max |w|) over the rows that set a sign maximizes.
+    The rung runs on plain floats, one entry per profile.
     """
-    lo, hi = -math.inf, math.inf
-    for wa, on in zip(w.tolist(), rep0.tolist()):
-        if wa == 0.0:
-            continue
-        a, b = (-1.0 / wa, 0.0 / wa) if on else (0.0 / wa, 1.0 / wa)
-        if b < a:
-            a, b = b, a
-        lo, hi = max(lo, a), min(hi, b)
-    if lo > hi or (lo == 0.0 and hi == 0.0):
+    live = [(wa, on) for wa, on, bound in zip(w.tolist(), played0.tolist(),
+                                              near.tolist()) if abs(wa) > bound]
+    sides = {(wa > 0.0) != on for wa, on in live}
+    if len(sides) != 1:
         return None
-    return lo, hi
-
-
-def _interval_z(w, rep0, lo, hi) -> float:
-    """Nonzero z in [lo, hi] maximizing min_a min(c_a, 1 - c_a) for
-    c = rep0 + z*w.
-
-    The objective is the minimum of the lines c_a and 1 - c_a in z, so its
-    maximum lies at an interval end or where two of those lines cross.
-    """
-    slopes = np.concatenate([w, -w])
-    offsets = np.concatenate([rep0, 1.0 - rep0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossings = (offsets[None, :] - offsets[:, None]) \
-            / (slopes[:, None] - slopes[None, :])
-    inside = crossings[(crossings > lo) & (crossings < hi)]
-    zs = np.concatenate([[lo, hi], inside])
-    zs = zs[zs != 0.0]
-    objective = (offsets[None, :] + zs[:, None] * slopes[None, :]).min(axis=1)
-    return float(zs[np.argmax(objective)])
+    sizes = [abs(wa) for wa, _ in live]
+    z = 1.0 / (min(sizes) + max(sizes))
+    return z if sides.pop() else -z
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +621,26 @@ def _proposal(solution, members, jhat, w, delta):
     return float(_max_margin(y, members, low, high)[0]), (y, mval)
 
 
+def _rounding(game: GameSpec, relation: PayoffRelation) -> np.ndarray:
+    """Per profile, the rounding that w(a) can carry: w(a) =
+    sum_i alpha_i u_i(a) + gamma carries at most n + 3 roundings of eps/2
+    relative to sum_i |alpha_i u_i(a)| + |gamma|, from the canonical
+    scaling of each coefficient, the parsing of each payoff, and every
+    product and sum."""
+    scale = np.abs(game.payoffs) @ np.abs(relation.alpha) + abs(relation.gamma)
+    return (game.player_count + 3) * MACHINE_EPS * scale
+
+
 def _signs(game: GameSpec, relation: PayoffRelation,
            w: np.ndarray) -> np.ndarray:
     """Per profile, the sign of w(a) that rounding cannot flip: -1, 1, or
-    0 where |w(a)| lies within the rounding of its terms.
+    0 where |w(a)| lies within ``_rounding``.
 
-    w(a) = sum_i alpha_i u_i(a) + gamma carries at most n + 3 roundings of
-    eps/2 relative to sum_i |alpha_i u_i(a)| + |gamma|: the canonical
-    scaling of each coefficient, the parsing of each payoff, and every
-    product and sum.  So a w(a) that the relation makes 0 reads 0 here,
-    also where the float coefficients, taken as exact, would not sum to 0
-    (alpha = (-3, 2) scales to (1, -2/3), and at payoffs (1, 2) the floats
-    leave 2^-54).
+    So a w(a) that the relation makes 0 reads 0 here, also where the float
+    coefficients, taken as exact, would not sum to 0 (alpha = (-3, 2)
+    scales to (1, -2/3), and at payoffs (1, 2) the floats leave 2^-54).
     """
-    scale = np.abs(game.payoffs) @ np.abs(relation.alpha) + abs(relation.gamma)
-    near = (game.player_count + 3) * MACHINE_EPS * scale
+    near = _rounding(game, relation)
     return np.where(w > near, 1, np.where(w < -near, -1, 0))
 
 
@@ -666,9 +658,9 @@ def _sign_pairs(joint_count, jhat, signs):
     can_lo[jhat[signs < 0]] = False
     can_hi = np.ones(joint_count, dtype=bool)
     can_hi[jhat[signs > 0]] = False
-    pairs = [(lo, hi) for lo, hi in itertools.product(
-        np.flatnonzero(can_lo), np.flatnonzero(can_hi)) if lo != hi]
-    return np.array(pairs, dtype=int).reshape(-1, 2), can_lo, can_hi
+    allowed = np.logical_and.outer(can_lo, can_hi)
+    np.fill_diagonal(allowed, False)
+    return np.argwhere(allowed), can_lo, can_hi
 
 
 def _sign_witness(jhat, signs, can_lo, can_hi) -> str:
@@ -818,8 +810,9 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     """Find controller strategies enforcing ``target.relation``.
 
     A single controller with two actions under infinite rounds is decided
-    by the exact z-interval analysis alone: it is the exact optimum over
-    every construction, and an empty interval is a conclusive certificate.
+    by the closed form in z = 1/y alone: it is the optimum over every
+    construction, and profiles whose signs of w exclude every z but 0 are
+    a conclusive certificate.
     Every other target solves the (min, max) pair blocks that the signs
     of w leave as one linear program at margin 0, where z = 0 in every
     block, or no block left, is the conclusive ``exact-lp-empty``
@@ -842,16 +835,14 @@ def synthesize(game: GameSpec, schedule: ContinuationSchedule,
     members = sizes if target.mode == "independent" else (joint_count,)
 
     if joint_count == 2 and delta == 1.0:
-        rep0 = (jhat == 0).astype(float)
-        interval = _interval_rung(w, rep0)
-        if interval is None:
+        z = _interval_z(w, jhat == 0, _rounding(game, target.relation))
+        if z is None:
             return Infeasible(
                 certificate="exact-interval-empty",
                 conclusive=True,
                 detail="the per-profile bounds on z = 1/y intersect at most "
                        "in {0}; no Markov strategy of this controller can "
                        "reach the target")
-        z = _interval_z(w, rep0, *interval)
         y_full, mval, note = np.array([1.0 / z, 0.0]), 0.0, "interval"
     else:
         found = _search_margin(members, jhat, w, delta,

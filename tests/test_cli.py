@@ -440,6 +440,30 @@ def test_falsify_proves_a_memoryless_column(tmp_path, capsys, schedule):
         "bound: |<candidate, vbar>| <= 0 against every opponent\n")
 
 
+def test_falsify_probes_the_schedules_ruling_column(tmp_path, capsys):
+    # under delta:0.9 the ruling column is 0.9 q + 0.1 sigma - rep, which
+    # detect reads and which no opponent moves; q - rep alone reached
+    # 0.0522 and printed "falsified"
+    out = tmp_path / "pd9.strategy"
+    schedule = ["--schedule", "delta:0.9"]
+    code, _, _ = run(capsys, "synth", "--game", PD, "--controllers", "1",
+                     "--alpha", "0,1", "--gamma", "-2.5", *schedule,
+                     "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "detect", "--game", PD, "--strategy",
+                          str(out), *schedule)
+    assert stdout == "found 1 relation(s)\nalpha=0,1 gamma=-2.5\n"
+    for action in ("C", "D"):
+        code, stdout, _ = run(capsys, "falsify", "--game", PD, "--strategy",
+                              str(out), *schedule, "--action", action)
+        assert code == 0
+        proved, bound = stdout.splitlines()
+        assert proved == ("proved: no opponent takes |<candidate, vbar>| "
+                          "above threshold 1e-06")
+        prefix = "bound: |<candidate, vbar>| <= "
+        assert float(bound.removeprefix(prefix).split()[0]) < 1e-15
+
+
 def test_falsify_unknown_action_names_the_file_player(capsys):
     # the pin is player 1 in its file
     code, stdout, stderr = run(capsys, "falsify", "--game", DONATION,
@@ -587,6 +611,22 @@ def test_interval_rung_feasible_output_is_pinned(capsys):
     assert stdout == ("feasible: target alpha=0,1 gamma=-2.5 controllers 1\n"
                       "margin 0.166666666667\n"
                       "strategy for player 1: initial [0.5 0.5]\n")
+
+
+def test_interval_rung_reads_a_rounded_zero_as_zero(tmp_path, capsys):
+    # alpha = (-2, 3), gamma = -1 makes w(DD) = 0, which the canonical
+    # scaling leaves at -5.6e-17; read as a sign, it barred every z
+    out = tmp_path / "f.strategy"
+    relation = ["--alpha", "-2,3", "--gamma", "-1", "--schedule", "infinite"]
+    code, stdout, _ = run(capsys, "synth", "--game", PD, "--controllers",
+                          "1", *relation, "--out", str(out))
+    assert code == 0
+    assert stdout.startswith("feasible: target alpha=0.666666666667,-1 "
+                             "gamma=0.333333333333 controllers 1\n")
+    code, stdout, _ = run(capsys, "verify", "--game", PD, "--strategy",
+                          str(out), *relation, "--samples", "2000")
+    assert code == 0
+    assert stdout.startswith("pass: ")
 
 
 @pytest.mark.parametrize("gamma", ["4.0", "1.0", "-0.0", "-1.5", "-4.0",

@@ -101,6 +101,30 @@ def test_relation_vector_golden(donation):
                     donation.payoffs[:, 1] - 2.0)
 
 
+def test_alpha_length_must_match_the_players(pd):
+    relation = PayoffRelation(alpha=(0.0, 1.0, 0.0), gamma=-2.0)
+    message = "^relation has 3 alpha coefficients for 2 players$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        relation_vector(pd, relation)
+    with pytest.raises(DimensionMismatchError, match=message):
+        verify_relation(pd, [wsls_pd(0)], Infinite(), relation, samples=1)
+
+
+def test_controller_tables_need_a_controller(pd):
+    with pytest.raises(InconsistentStrategyError,
+                       match="^at least one controller is required$"):
+        joint_conditionals(pd, [])
+
+
+def test_repeat_indicator_names_its_bad_arguments(pd):
+    with pytest.raises(InconsistentStrategyError,
+                       match=r"^duplicate controller player in \[0, 0\]$"):
+        repeat_indicator(pd, [0, 0], ["C", "C"])
+    with pytest.raises(DimensionMismatchError,
+                       match="^2 action labels for 1 controllers$"):
+        repeat_indicator(pd, [0], ["C", "D"])
+
+
 def test_is_trivial_zero_sum():
     game = build_game([("H", "T"), ("H", "T")],
                       [[1, -1], [-1, 1], [-1, 1], [1, -1]])

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from payoffcontrol import (
     Custom,
     Delta,
+    DimensionMismatchError,
     FiniteHorizon,
     InconsistentStrategyError,
     Infinite,
@@ -21,6 +22,7 @@ from payoffcontrol import (
     MixedAction,
     NoConvergenceError,
     PayoffRelation,
+    PlayerOutOfRangeError,
     StrategyProfile,
     SynthesisTarget,
     average_distribution,
@@ -42,6 +44,7 @@ from payoffcontrol.dynamics import (
     MAX_ROUNDS,
     _RowSampler,
     _episode_lengths,
+    check_strategy,
     initial_distribution,
     markov_average,
     profile_product,
@@ -105,6 +108,23 @@ def test_survival_probabilities():
     assert_allclose(survival_probabilities(FiniteHorizon(2), 4), [1, 1, 0, 0])
     assert_allclose(survival_probabilities(Custom((0.5,), tail=0.0), 3),
                     [1.0, 0.5, 0.0])
+
+
+def test_survival_probabilities_need_a_round():
+    with pytest.raises(InvalidParamsError, match="^t_max must be >= 1, got 0$"):
+        survival_probabilities(Delta(0.9), 0)
+
+
+class _UnknownSchedule(dynamics.ContinuationSchedule):
+    def continuation(self, t):
+        return 0.5
+
+
+def test_unknown_schedule_type_is_named():
+    # only the four schedule types have explicit values and a tail
+    with pytest.raises(InvalidParamsError,
+                       match="^unknown schedule .*_UnknownSchedule"):
+        classify_schedule(_UnknownSchedule())
 
 
 def test_schedule_validation():
@@ -249,9 +269,31 @@ def test_is_strict_compares_absolutely():
     assert not MarkovStrategy(0, MixedAction.uniform(2), same).is_strict()
 
 
+def test_markov_strategy_names_a_negative_player_and_a_column_mismatch():
+    with pytest.raises(PlayerOutOfRangeError,
+                       match="^player index -1 negative$"):
+        MarkovStrategy(-1, MixedAction.uniform(2), np.full((4, 2), 0.5))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^conditional table has shape \(4, 3\); it must "
+                             r"have one column per own action \(2\)$"):
+        MarkovStrategy(0, MixedAction.uniform(2), np.full((4, 3), 1 / 3))
+
+
+def test_check_strategy_names_both_shapes(pd, donation):
+    # a pd strategy has 4 rows; the donation game has 9 profiles
+    with pytest.raises(InconsistentStrategyError,
+                       match=r"^player 0 conditional table has shape "
+                             r"\(4, 2\), expected \(9, 3\)$"):
+        check_strategy(donation, wsls_pd(0))
+
+
 def test_strategy_profile_validation(pd):
     with pytest.raises(InconsistentStrategyError):
         StrategyProfile((wsls_pd(0), wsls_pd(0)))
+    with pytest.raises(InconsistentStrategyError,
+                       match=r"^strategies cover players \[0, 2\], "
+                             r"expected 0\.\.1$"):
+        StrategyProfile((wsls_pd(0), always(2, 0)))
     with pytest.raises(InconsistentStrategyError):
         # one strategy is a valid profile of a one-player set, but not here
         transition_matrix(pd, StrategyProfile((wsls_pd(0),)))
@@ -488,6 +530,27 @@ def test_monte_carlo_finite_horizon_rounds(pd):
     profile = StrategyProfile((wsls_pd(0), wsls_pd(1)))
     res = monte_carlo_play(pd, profile, FiniteHorizon(2), episodes=50, seed=6)
     assert res.mean_rounds == 2.0
+
+
+def test_monte_carlo_needs_an_episode(pd):
+    profile = StrategyProfile((wsls_pd(0), tit_for_tat(1)))
+    with pytest.raises(InvalidParamsError,
+                       match="^episodes must be >= 1, got 0$"):
+        monte_carlo_play(pd, profile, Delta(0.5), episodes=0, seed=0)
+
+
+def test_average_distribution_reports_an_unsettled_chain(monkeypatch, pd):
+    kernel = dynamics.markov_average
+
+    def unsettled(m, v1, schedule):
+        vbar, residual, settled = kernel(m, v1, schedule)
+        return vbar, residual, np.zeros_like(settled)
+
+    monkeypatch.setattr(dynamics, "markov_average", unsettled)
+    profile = StrategyProfile((wsls_pd(0), tit_for_tat(1)))
+    with pytest.raises(NoConvergenceError,
+                       match=r"^cesaro average did not settle \(residual "):
+        average_distribution(pd, profile, Infinite())
 
 
 def test_monte_carlo_requires_cap_for_infinite(pd):

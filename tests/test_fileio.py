@@ -151,6 +151,16 @@ def test_unknown_directive(tmp_path):
         parse_game_file(out)
 
 
+def test_schedule_line_names_a_schedule_it_cannot_write():
+    class Halving(dynamics.ContinuationSchedule):
+        def continuation(self, t):
+            return 0.5
+
+    with pytest.raises(ValidationError,
+                       match="^cannot serialize schedule .*Halving"):
+        schedule_line(Halving())
+
+
 def test_unknown_schedule_kind(tmp_path):
     out = tmp_path / "sched.txt"
     out.write_text("schedule geometric 0.9\n")
@@ -231,6 +241,19 @@ def test_bad_conditional_row_names_its_line(tmp_path, pd, k, row, message):
         parse_strategy_file(out, pd)
     assert err.value.line == 3 + k
     assert str(err.value) == f"{out}:{3 + k}: conditional row {k} {message}"
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
+def test_non_finite_payoff_names_its_line(tmp_path, entry):
+    # the first non-finite row fails at its own line, as every other
+    # parse error does
+    out = tmp_path / "inf.game"
+    out.write_text("players 2\nactions 1 C D\nactions 2 C D\npayoffs\n"
+                   f"3 3\n0 {entry}\n5 0\n{entry} 1\n")
+    with pytest.raises(ValidationError) as err:
+        parse_game_file(out)
+    assert err.value.line == 6
+    assert str(err.value) == f"{out}:6: payoff row 1 has a non-finite entry"
 
 
 @pytest.mark.parametrize("rows, line, message", [

@@ -83,9 +83,34 @@ def test_build_game_validation():
         build_game([("C", "C"), ("C", "D")], np.ones((4, 2)))
     with pytest.raises(DimensionMismatchError):
         build_game([("C", "D"), ("C", "D")], np.ones((3, 2)))
-    with pytest.raises(NonFiniteEntryError):
+    with pytest.raises(NonFiniteEntryError,
+                       match="^payoff row 2 has a non-finite entry$") as err:
         build_game([("C", "D"), ("C", "D")],
-                   [[1, 1], [2, 2], [np.nan, 0], [0, 0]])
+                   [[1, 1], [2, 2], [np.nan, 0], [0, np.inf]])
+    assert err.value.row == 2
+
+
+def test_profile_distribution_equality():
+    probs = [0.25, 0.25, 0.5, 0.0]
+    assert ProfileDistribution(probs) == ProfileDistribution(np.array(probs))
+    assert ProfileDistribution(probs) != ProfileDistribution(probs[::-1])
+    # equal entries of another type do not make an equal distribution
+    assert ProfileDistribution(probs) != MixedAction(probs)
+
+
+def test_expected_payoff_names_both_sizes(pd):
+    with pytest.raises(DimensionMismatchError,
+                       match="^distribution has 9 entries for 4 profiles$"):
+        expected_payoff(pd, 0, ProfileDistribution(np.full(9, 1 / 9)))
+
+
+def test_builders_name_a_count_below_two():
+    with pytest.raises(InvalidParamsError,
+                       match="at least two actions, got 1$"):
+        donation_game(costs=[1.0], benefits=[2.0])
+    with pytest.raises(InvalidParamsError,
+                       match="at least two players, got 1$"):
+        public_goods_game(1, 3.0, 2.0)
 
 
 def test_action_index_and_player_check(donation):

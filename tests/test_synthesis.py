@@ -147,6 +147,43 @@ def test_certificate_builds_no_strategy_objects(monkeypatch, pgg):
     assert built == []
 
 
+def _lone_targets(game, span):
+    """Every distinct non-trivial relation with integer coefficients in
+    [-span, span], once per lone controller."""
+    relations = {PayoffRelation(c[:-1], c[-1]) for c in itertools.product(
+        map(float, range(-span, span + 1)), repeat=game.player_count + 1)
+        if any(c)}
+    return [(relation, player)
+            for relation in sorted(relations,
+                                   key=lambda r: r.coefficients().tolist())
+            if not is_trivial(game, relation)
+            for player in range(game.player_count)]
+
+
+def test_interval_rung_agrees_with_the_pair_lp(pd, pgg):
+    # the pair LP over both (lo, hi) blocks decides the same lone
+    # two-action targets under infinite rounds; four pd targets, such as
+    # alpha = (-2, 3), gamma = -1, have a w(a) that the relation makes 0 but
+    # the floats leave at -5.6e-17, and a rung that read its sign certified
+    # them infeasible
+    for game, span in ((pd, 3), (pgg, 2)):
+        for relation, player in _lone_targets(game, span):
+            target = SynthesisTarget(relation, (player,))
+            result = synthesize(game, Infinite(), target)
+            w = relation_vector(game, relation)
+            sizes, jhat = joint_index(game, (player,))
+            found = synthesis._search_margin(
+                sizes, jhat, w, 1.0, synthesis._signs(game, relation, w))
+            case = (relation, player)
+            if isinstance(found, Infeasible):
+                assert isinstance(result, Infeasible), case
+                continue
+            assert isinstance(result, SynthesisResult), case
+            lp_margin = synthesis._assemble(game, target, 1.0, sizes, sizes,
+                                            jhat, w, *found)[3]
+            assert result.margin >= lp_margin - 1e-9, case
+
+
 def test_controller_outside_the_game_rejected(pgg):
     with pytest.raises(PlayerOutOfRangeError):
         synthesize(pgg, Infinite(),
@@ -401,11 +438,13 @@ def test_sign_test_drops_only_blocks_without_z(case):
     sizes, jhat = joint_index(game, controllers)
     joint_count = int(np.prod(sizes))
     members = sizes if mode == "independent" else (joint_count,)
-    kept, _, _ = synthesis._sign_pairs(joint_count, jhat,
-                                       synthesis._signs(game, relation, w))
+    kept, can_lo, can_hi = synthesis._sign_pairs(
+        joint_count, jhat, synthesis._signs(game, relation, w))
     # in the order of the unpruned pairs, so ties still go to the first
     assert kept.tolist() == sorted(kept.tolist())
     pairs = np.array(list(itertools.permutations(range(joint_count), 2)))
+    assert kept.tolist() == [[lo, hi] for lo, hi in pairs.tolist()
+                             if can_lo[lo] and can_hi[hi]]
     x = _margin_program(members, jhat, w, delta, 0.0, pairs)
     assert x is not None
     dropped = ~(pairs[:, None] == kept[None]).all(axis=2).any(axis=1)

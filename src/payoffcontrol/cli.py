@@ -272,13 +272,12 @@ def _cmd_falsify(args) -> int:
         raise UnknownActionError(f"player {strategy.player + 1} has no "
                                  f"action {args.action!r}")
     # the schedule's own ruling column; d = 1 (the column minus its repeat)
-    # where the schedule has no ruling weight.  Copied contiguous: a
-    # strided column rounds the dot products downstream differently
+    # where the schedule has no ruling weight
     d = classify_schedule(schedule)
     family = ruling_family(1.0 if d is None else d, strategy.conditionals,
                            strategy.initial.probs,
                            game.profile_actions[:, strategy.player])
-    candidate = np.ascontiguousarray(family[:, labels.index(args.action)])
+    candidate = family[:, labels.index(args.action)]
     report = falsify_candidate(game, [strategy], schedule, candidate,
                                budget=args.budget, seed=args.seed,
                                threshold=args.threshold)

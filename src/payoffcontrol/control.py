@@ -731,7 +731,9 @@ def falsify_candidate(game: GameSpec, strategies: Sequence[MarkovStrategy],
     check_seed(seed)
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise InvalidParamsError("threshold must be finite and positive")
-    candidate = np.asarray(candidate, dtype=float)
+    # C order: a strided view (a column of a table) would round the dot
+    # products with vbar differently from its contiguous copy
+    candidate = np.asarray(candidate, dtype=float, order="C")
     if candidate.shape != (game.profile_count,):
         raise DimensionMismatchError(
             f"candidate has shape {candidate.shape}, expected "

@@ -25,7 +25,10 @@ its min and max over these sets at vertex combinations, and the sets
 shrink as m grows.  Each vertex value is a polynomial in m of degree at
 most q, so the largest m whose range still holds beta is 1/max(s_k) or a
 root of one of them: a closed form from the polynomials' companion
-matrices, snapped to the float crossing of the range comparison.  A walk
+matrices, snapped to the crossing of the range comparison to within one
+step of eps/max(s_k): the comparison holds at the returned m and fails one
+step above it.  Below 1/(2 max(s_k)) a step spans several floats, so the
+comparison may still hold at a float between the two.  A walk
 from the minimizing to the maximizing vertex combination, switching one
 member at a time, then crosses beta on one linear segment, which is
 solved exactly.  Every row sits at its own maximin.
@@ -185,7 +188,7 @@ into a complex pair about as far apart as the root is uncertain."""
 
 SNAP_STEPS = 32
 """Steps of eps/max(s_k) on each side of a closed-form root within which
-the snap looks for the float crossing of the range comparison."""
+the snap looks for the crossing of the range comparison."""
 
 PLATEAU_DOUBLINGS = 7
 """Doublings of SNAP_STEPS steps past the root that the snap also tests: at
@@ -308,7 +311,7 @@ def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     The sets shrink as m grows, so the smallest vertex value never falls
     and the largest never rises: the answer is 1/max(s_k) or a root of some
     V_i(m) = lo or V_i(m) = hi, the largest at which the comparison still
-    holds.  Rounding can leave a computed root a few ulps off the float
+    holds.  Rounding can leave a computed root a few ulps off the
     crossing of the comparison, so the result is snapped to that crossing
     in three tests of the comparison, at steps of eps/max(s_k):
 
@@ -320,7 +323,10 @@ def _max_margin(y, sizes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
       predecessor plus one step in floating point, ends at the last point
       that holds while the next one fails.
 
-    The comparison carries no tolerance, so the walk in _maximin_rows finds
+    That resolves the crossing to one step, not to one float: below
+    1/(2 max(s_k)) the floats are closer than eps/max(s_k), and the
+    comparison may still hold at some float between m and m + step.  The
+    comparison carries no tolerance, so the walk in _maximin_rows finds
     its crossing at the returned m without clipping.  A range within
     ``_slack`` of min(y) or max(y) has only a rounding margin and gets 0.
     """
@@ -366,15 +372,15 @@ def _maximin_rows(y: np.ndarray, sizes: tuple[int, ...],
     row at its own maximin margin.  Returns one (len(betas), s_k) array
     per member.
 
-    The margins are the closed-form ones of _max_margin, at the float
-    crossing of the range comparison, so the vertex values at them still
-    reach beta.  A beta within ``_slack`` of min(y) or max(y), or outside
-    them by rounding, gets margin 0 and that corner; at margin 0 the walk
-    takes any vertex whose value lies that close to beta exactly.  At a
-    positive margin it interpolates whenever a vertex value lies below
-    beta, so a row held at its maximin (where the snapped margin leaves
-    the extreme vertex value a few ulps below beta) is not biased to one
-    side.
+    The margins are the closed-form ones of _max_margin, within one step
+    of eps/max(s_k) below the crossing of the range comparison and never
+    past it, so the vertex values at them still reach beta.  A beta within
+    ``_slack`` of min(y) or max(y), or outside them by rounding, gets
+    margin 0 and that corner; at margin 0 the walk takes any vertex whose
+    value lies that close to beta exactly.  At a positive margin it
+    interpolates whenever a vertex value lies below beta, so a row held at
+    its maximin (where the snapped margin leaves the extreme vertex value a
+    few ulps below beta) is not biased to one side.
     """
     slack = _slack(y)
     margins = _max_margin(y, sizes, betas, betas)

@@ -445,6 +445,22 @@ def test_falsify_true_ruling_vector_is_inconclusive(donation, pin_strategy):
     assert report.achieved <= 1e-6
 
 
+def test_falsify_answer_does_not_depend_on_the_candidate_layout(
+        donation, pin_strategy):
+    # a column of the ruling family is a strided view; its contiguous copy
+    # must give the same answer to the last bit
+    family = control.ruling_family(1.0, pin_strategy.conditionals,
+                                   pin_strategy.initial.probs,
+                                   donation.profile_actions[:, 0])
+    view = family[:, 0]
+    assert not view.flags["C_CONTIGUOUS"]
+    reports = [falsify_candidate(donation, [pin_strategy], Infinite(),
+                                 candidate, budget=3, seed=1)
+               for candidate in (view, view.copy())]
+    assert reports[0].achieved == reports[1].achieved
+    assert reports[0].bound == reports[1].bound
+
+
 def test_verify_without_opponents_repeats_the_one_chain(pd):
     # every player a controller: each sample is the same exact average
     profile = (wsls_pd(0), tit_for_tat(1))

@@ -527,15 +527,38 @@ def row_by_row_csv(path, header, rows):
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def test_csv_array_matches_row_by_row(tmp_path):
+@pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 300])
+def test_csv_array_matches_row_by_row(tmp_path, count):
+    # tables on both sides of every chunk edge, the special values in the
+    # last rows
     rng = np.random.default_rng(8)
-    values = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-30, 30, (60, 3))
-    special = [[-0.0, 0.0, 1 / 3], [1e16, 123456789012345.0, 2.5e-300],
-               [np.inf, -np.inf, np.nan], [0.1 + 0.2, -1.0, 5e-324]]
-    table = np.column_stack([np.arange(64), np.vstack([values, special])])
+    values = rng.normal(size=(count, 3)) \
+        * 10.0 ** rng.integers(-30, 30, (count, 3))
+    special = np.array([
+        [-0.0, 0.0, 1 / 3], [1e16, 123456789012345.0, 2.5e-300],
+        [np.inf, -np.inf, np.nan], [0.1 + 0.2, -1.0, 5e-324]])
+    values[-len(special):] = special[:count]
+    table = np.column_stack([np.arange(count), values])
     header = ["sample", "a", "b", "c"]
-    for rows in (table, table[:0]):
-        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        write_csv(fast, header, rows)
-        row_by_row_csv(slow, header, rows.tolist())
-        assert fast.read_bytes() == slow.read_bytes()
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_csv(fast, header, table)
+    row_by_row_csv(slow, header, table.tolist())
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_csv_empty_table_writes_the_header(tmp_path):
+    out = tmp_path / "empty.csv"
+    write_csv(out, ["a", "b"], [])
+    assert out.read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize("rows,shape", [
+    ([[1, 2, 3], [4, 5, 6]], r"\(2, 3\)"), ([1, 2], r"\(2,\)"),
+    ([[[1, 2]]], r"\(1, 1, 2\)")], ids=["wide", "flat", "3-d"])
+def test_csv_rows_must_match_the_header_width(tmp_path, rows, shape):
+    # reshaping to the header's width would re-cut any table whose size
+    # it divides
+    out = tmp_path / "wide.csv"
+    with pytest.raises(ValidationError, match=f"2 columns .*{shape}"):
+        write_csv(out, ["a", "b"], rows)
+    assert not out.exists()
